@@ -26,12 +26,13 @@ from .agents import (
     Trajectory,
     bayes_choice_prob,
     bayes_greedy_action,
-    belief_update,
+    count_step,
+    count_values,
     effective_rate,
     effective_rate_from_counts,
     posterior_mean,
     posterior_means,
-    q_update,
+    q_step,
     run_trajectory,
     softmax_policy,
 )

@@ -6,6 +6,15 @@ The Bayesian agent keeps beta-posterior counts per arm and acts on the
 posterior means.  With full feedback the Bayesian posterior-mean update
 is exactly a symmetric Q-update with the time-decaying rate 1/(t+3),
 which is what :func:`effective_rate` returns.
+
+The two learning rules are written once, in :func:`q_step` and
+:func:`count_step`.  One loop, run on Python scalars for a single
+replica and on arrays for an ensemble chunk, simulates both agent kinds;
+the switching kernel and the likelihood replays call the same steps
+(the Q replay keeps one inline copy for speed, pinned to :func:`q_step`
+by a property test).  Bayesian agents always learn through their
+counts, never through the 1/(t+3) recursion, whose rounding would break
+greedy value ties differently.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 from scipy.special import expit
 
-from .env import Environment, RewardPair, RngStream, sample_rewards
+from .env import Environment, RngStream
 
 
 class QState(NamedTuple):
@@ -130,68 +139,56 @@ def softmax_policy(q: QState, policy: Policy) -> float:
     """
     if policy.mode == "greedy":
         return 1.0 if q.q1 >= q.q2 else 0.0
-    # expit keeps the scalar path bit-identical to the vectorized engine
     return float(expit(policy.beta * (q.q1 - q.q2)))
 
 
-def q_update(q: QState, chosen: int, rewards: RewardPair, rates: LearningRateSet,
-             t: int = 0, counterfactual: bool = True) -> QState:
-    """One prediction-error update of both values.
+def q_step(v1, v2, chose1, r1, r2, apc, amc, apu, amu):
+    """One Q-learning update of both values; returns the new (v1, v2).
 
-    The chosen arm moves toward its reward with the positive/negative
-    chosen-arm rate; with counterfactual feedback the unchosen arm does the
-    same with the unchosen-arm rates.  Zero prediction error leaves the
-    value unchanged.
+    ``chose1``, ``r1`` and ``r2`` are 0/1 masks (bools or numbers), so the
+    same arithmetic runs on Python floats and on numpy arrays.  Each arm
+    moves toward its reward, with the positive-error rate when the reward
+    is 1 and the negative-error rate when it is 0: (apc, amc) on the
+    chosen arm, (apu, amu) on the other; for values in [0, 1] that is the
+    sign of the prediction error.  Pass apu = amu = 0 when feedback hides
+    the unchosen arm.  Multiplying rates by exact 0/1 masks selects them
+    without rounding, so the result equals the branching update bit for bit.
     """
-    apc, amc, apu, amu = rates.at(t)
-    q1, q2 = q
-    if chosen == 1:
-        e = rewards.r1 - q1
-        q1 += (apc if e > 0 else amc) * e
-        if counterfactual:
-            e = rewards.r2 - q2
-            q2 += (apu if e > 0 else amu) * e
-    elif chosen == 2:
-        e = rewards.r2 - q2
-        q2 += (apc if e > 0 else amc) * e
-        if counterfactual:
-            e = rewards.r1 - q1
-            q1 += (apu if e > 0 else amu) * e
-    else:
-        raise ValueError(f"chosen must be 1 or 2, got {chosen}")
-    return QState(q1, q2)
+    c = chose1 * 1.0
+    u = 1.0 - c
+    a1 = r1 * (c * apc + u * apu) + (1.0 - r1) * (c * amc + u * amu)
+    a2 = r2 * (u * apc + c * apu) + (1.0 - r2) * (u * amc + c * amu)
+    return v1 + a1 * (r1 - v1), v2 + a2 * (r2 - v2)
 
 
-def belief_update(b: BeliefState, chosen: int, rewards: RewardPair,
-                  counterfactual: bool = True) -> BeliefState:
-    """Increment the observed arms' success/failure counts."""
-    if chosen not in (1, 2):
-        raise ValueError(f"chosen must be 1 or 2, got {chosen}")
-    a1, b1, a2, b2 = b
-    if chosen == 1 or counterfactual:
-        if rewards.r1:
-            a1 += 1
-        else:
-            b1 += 1
-    if chosen == 2 or counterfactual:
-        if rewards.r2:
-            a2 += 1
-        else:
-            b2 += 1
-    return BeliefState(a1, b1, a2, b2)
+def count_step(s1, n1, s2, n2, chose1, r1, r2, counterfactual):
+    """One Bayesian update of both arms' counts; returns the new (s1, n1, s2, n2).
+
+    ``s`` counts an arm's observed successes and ``n`` its observed
+    outcomes.  The chosen arm is always observed, the other only with
+    counterfactual feedback.  Like :func:`q_step`, the masks make it run
+    unchanged on Python numbers and numpy arrays.
+    """
+    c = chose1 * 1
+    o1 = c + (1 - c) * counterfactual
+    o2 = (1 - c) + c * counterfactual
+    return s1 + o1 * r1, n1 + o1, s2 + o2 * r2, n2 + o2
+
+
+def count_values(s1, n1, s2, n2):
+    """Posterior means (s + 1) / (n + 2) of both arms under uniform priors."""
+    return (s1 + 1.0) / (n1 + 2.0), (s2 + 1.0) / (n2 + 2.0)
 
 
 def posterior_mean(b: BeliefState, arm: int) -> float:
     """Mean of the beta posterior for one arm under a uniform prior."""
-    if arm == 1:
-        return (b.a1 + 1.0) / (b.a1 + b.b1 + 2.0)
-    if arm == 2:
-        return (b.a2 + 1.0) / (b.a2 + b.b2 + 2.0)
-    raise ValueError(f"arm must be 1 or 2, got {arm}")
+    if arm not in (1, 2):
+        raise ValueError(f"arm must be 1 or 2, got {arm}")
+    return posterior_means(b)[arm - 1]
 
 
 def posterior_means(b: BeliefState) -> QState:
-    return QState(posterior_mean(b, 1), posterior_mean(b, 2))
+    return QState(*count_values(b.a1, b.a1 + b.b1, b.a2, b.a2 + b.b2))
 
 
 def effective_rate(t: int) -> float:
@@ -289,8 +286,55 @@ class Trajectory:
         return rows
 
 
-def _choose(p1: float, u: float) -> int:
-    return 1 if u < p1 else 2
+def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
+    """The simulation loop behind run_trajectory and the vectorized ensembles.
+
+    ``draws`` holds each trial's three uniforms (action, arm-1 reward,
+    arm-2 reward): Python floats for one replica (``shape`` ()), or arrays
+    of ``shape`` for a chunk of replicas.  Both go through the same masked
+    learning steps, so a chunk reproduces single runs bit for bit.
+    Returns the values before each trial plus the terminal state (shape +
+    (T+1,) each), the actions (shape + (T,)) and, for Bayesian agents, the
+    counts (s1, n1, s2, n2) stacked as (4,) + shape + (T+1,); None for
+    Q-agents.
+    """
+    bayes = isinstance(agent, BayesAgentSpec)
+    if not bayes and not isinstance(agent, QAgentSpec):
+        raise TypeError(f"unknown agent spec {type(agent).__name__}")
+    cf = env.counterfactual
+    if not bayes and not cf and not agent.rates.unchosen_zero and agent.rates.schedule is None:
+        raise ValueError("unchosen-arm rates must be zero without counterfactual feedback")
+    T = len(draws)
+    values1 = np.empty(shape + (T + 1,))
+    values2 = np.empty(shape + (T + 1,))
+    actions = np.empty(shape + (T,), dtype=np.int8)
+    # counts never exceed the horizon, so the smallest fitting dtype holds them
+    counts = np.empty((4,) + shape + (T + 1,), dtype=np.min_scalar_type(T)) if bayes else None
+    zero = np.zeros(shape, dtype=np.int64) if shape else 0
+    s1 = n1 = s2 = n2 = zero
+    v1, v2 = count_values(s1, n1, s2, n2) if bayes else (zero + q for q in agent.q_init)
+    beta = agent.policy.beta
+    greedy = agent.policy.mode == "greedy"
+    # expit keeps both paths bit-identical; float() keeps one replica in Python scalars
+    sigmoid = expit if shape else lambda d: float(expit(d))
+    for t, (ua, u1, u2) in enumerate(draws):
+        values1[..., t], values2[..., t] = v1, v2
+        if bayes:
+            counts[..., t] = s1, n1, s2, n2
+        chose1 = v1 >= v2 if greedy else ua < sigmoid(beta * (v1 - v2))
+        r1 = u1 < env.p1
+        r2 = u2 < env.p2
+        if bayes:
+            s1, n1, s2, n2 = count_step(s1, n1, s2, n2, chose1, r1, r2, cf)
+            v1, v2 = count_values(s1, n1, s2, n2)
+        else:
+            apc, amc, apu, amu = agent.rates.at(t)
+            v1, v2 = q_step(v1, v2, chose1, r1, r2, apc, amc, apu * cf, amu * cf)
+        actions[..., t] = 2 - chose1
+    values1[..., T], values2[..., T] = v1, v2
+    if bayes:
+        counts[..., T] = s1, n1, s2, n2
+    return values1, values2, actions, counts
 
 
 def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajectory:
@@ -301,42 +345,12 @@ def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajec
     are comparable across agents and feedback conditions under shared
     randomness.
     """
-    T = env.horizon
-    actions = np.empty(T, dtype=np.int8)
-    r1s = np.empty(T, dtype=np.int8)
-    r2s = np.empty(T, dtype=np.int8)
-    v1 = np.empty(T + 1)
-    v2 = np.empty(T + 1)
-
-    if isinstance(agent, QAgentSpec):
-        if not env.counterfactual and not agent.rates.unchosen_zero and agent.rates.schedule is None:
-            raise ValueError("unchosen-arm rates must be zero without counterfactual feedback")
-        q = QState(*agent.q_init)
-        v1[0], v2[0] = q
-        for t in range(T):
-            u = rng.uniform()
-            p1 = softmax_policy(q, agent.policy)
-            a = _choose(p1, u) if agent.policy.mode == "softmax" else (1 if p1 >= 0.5 else 2)
-            rewards = sample_rewards(env, rng)
-            q = q_update(q, a, rewards, agent.rates, t=t, counterfactual=env.counterfactual)
-            actions[t], r1s[t], r2s[t] = a, rewards.r1, rewards.r2
-            v1[t + 1], v2[t + 1] = q
-        return Trajectory(actions, r1s, r2s, env.counterfactual, v1, v2)
-
-    if isinstance(agent, BayesAgentSpec):
-        beliefs = np.empty((T + 1, 4), dtype=np.int64)
-        b = BeliefState(0, 0, 0, 0)
-        beliefs[0] = b
-        v1[0], v2[0] = posterior_means(b)
-        for t in range(T):
-            u = rng.uniform()
-            p1 = bayes_choice_prob(b, agent.policy)
-            a = _choose(p1, u) if agent.policy.mode == "softmax" else (1 if p1 >= 0.5 else 2)
-            rewards = sample_rewards(env, rng)
-            b = belief_update(b, a, rewards, counterfactual=env.counterfactual)
-            actions[t], r1s[t], r2s[t] = a, rewards.r1, rewards.r2
-            beliefs[t + 1] = b
-            v1[t + 1], v2[t + 1] = posterior_means(b)
-        return Trajectory(actions, r1s, r2s, env.counterfactual, v1, v2, beliefs=beliefs)
-
-    raise TypeError(f"unknown agent spec {type(agent).__name__}")
+    u = rng.uniform_block((env.horizon, 3))
+    v1, v2, actions, counts = _simulate(agent, env, u.tolist())
+    beliefs = None
+    if counts is not None:
+        s1, n1, s2, n2 = counts.astype(np.int64)
+        beliefs = np.stack([s1, n1 - s1, s2, n2 - s2], axis=1)
+    return Trajectory(actions, (u[:, 1] < env.p1).astype(np.int8),
+                      (u[:, 2] < env.p2).astype(np.int8), env.counterfactual,
+                      v1, v2, beliefs=beliefs)

@@ -70,7 +70,9 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------- validation
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json.load accepts NaN, Infinity and integers too large for a float
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _check_prob(diags, cfg, key, path):
@@ -309,13 +311,16 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, seed: int, header, rows) -> int:
+    """Write any iterable of rows; returns how many it wrote."""
+    n = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# seed={seed}\n")
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
-    return len(rows)
+            n += 1
+    return n
 
 
 def _write_json(path, obj) -> None:
@@ -330,18 +335,21 @@ def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
     env = _env_from_cfg(cfg["environment"])
     agent = _agent_from_cfg(cfg["agent"])
     replicas = cfg["ensemble"]["replicas"]
-    rows = []
     sessions = []
     want_sessions = bool(cfg.get("output", {}).get("sessions", False))
-    for r in range(replicas):
-        traj = run_trajectory(agent, env, RngStream(seed, r))
-        rows.extend(traj.csv_rows(replica=r))
-        if want_sessions:
-            sessions.append(session_from_trajectory(traj, f"S{r:04d}"))
+
+    def rows():
+        # one replica at a time, so no more than one trajectory is held
+        for r in range(replicas):
+            traj = run_trajectory(agent, env, RngStream(seed, r))
+            yield from traj.csv_rows(replica=r)
+            if want_sessions:
+                sessions.append(session_from_trajectory(traj, f"S{r:04d}"))
+
     files = [("trajectories.csv",
               _write_csv(out_dir / "trajectories.csv", seed,
                          ["replica", "t", "action", "r_chosen", "r_unchosen",
-                          "q1", "q2"], rows))]
+                          "q1", "q2"], rows()))]
     if want_sessions:
         n = write_sessions(out_dir / "sessions.csv", sessions, seed=seed)
         files.append(("sessions.csv", n))

@@ -28,7 +28,8 @@ from scipy import optimize
 from scipy.special import expit, logit
 from scipy.stats import binomtest, qmc
 
-from .agents import BayesAgentSpec, LearningRateSet, Policy, QAgentSpec, run_trajectory
+from .agents import (BayesAgentSpec, LearningRateSet, Policy, QAgentSpec, count_step,
+                     count_values, q_step, run_trajectory)
 from .env import Environment, RngStream
 from .sessions import SessionData, session_from_trajectory
 
@@ -101,7 +102,13 @@ def _session_lists(session: SessionData):
 
 
 def _replay_q(actions, rc, ru, cf, apc, amc, apu, amu, beta):
-    """Replay with a Q-state; returns (nll, clamped, terminal q1, terminal q2)."""
+    """Replay with a Q-state; returns (nll, clamped, terminal q1, terminal q2).
+
+    The update below is ``agents.q_step`` written out for one trial.  It is
+    the one inline copy of the Q rule: calling the step once per trial
+    doubles the replay's cost, and the replay is about half of every
+    objective evaluation in a fit.  A property test pins it to the step.
+    """
     q1 = 0.5
     q2 = 0.5
     total = 0.0
@@ -130,41 +137,21 @@ def _replay_q(actions, rc, ru, cf, apc, amc, apu, amu, beta):
 
 def _replay_bayes(actions, rc, ru, cf, beta):
     """Replay with posterior counts; returns (nll, clamped, terminal means)."""
-    a1 = b1 = a2 = b2 = 0
+    s1 = n1 = s2 = n2 = 0
     total = 0.0
     clamped = False
     for i in range(len(actions)):
-        p1s = (a1 + 1.0) / (a1 + b1 + 2.0)
-        p2s = (a2 + 1.0) / (a2 + b2 + 2.0)
-        pi1 = _sigmoid(beta * (p1s - p2s))
-        p = pi1 if actions[i] == 1 else 1.0 - pi1
+        v1, v2 = count_values(s1, n1, s2, n2)
+        pi1 = _sigmoid(beta * (v1 - v2))
+        chose1 = actions[i] == 1
+        p = pi1 if chose1 else 1.0 - pi1
         if p < P_MIN:
             p = P_MIN
             clamped = True
         total -= math.log(p)
-        if actions[i] == 1:
-            if rc[i]:
-                a1 += 1
-            else:
-                b1 += 1
-            if cf:
-                if ru[i]:
-                    a2 += 1
-                else:
-                    b2 += 1
-        else:
-            if rc[i]:
-                a2 += 1
-            else:
-                b2 += 1
-            if cf:
-                if ru[i]:
-                    a1 += 1
-                else:
-                    b1 += 1
-    p1s = (a1 + 1.0) / (a1 + b1 + 2.0)
-    p2s = (a2 + 1.0) / (a2 + b2 + 2.0)
-    return total, clamped, p1s, p2s
+        r1, r2 = (rc[i], ru[i]) if chose1 else (ru[i], rc[i])
+        s1, n1, s2, n2 = count_step(s1, n1, s2, n2, chose1, r1, r2, cf)
+    return (total, clamped) + count_values(s1, n1, s2, n2)
 
 
 def _rates_of(family: str, params: Mapping[str, float]):
@@ -358,18 +345,28 @@ def best_model(fits: Sequence[FitResult]) -> str:
                                     FAMILY_ORDER.index(f.model))).model
 
 
-def _sign_test(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
-    """Two-sided sign test on paired differences; None when undecidable."""
+def _sign_test(x: Sequence[float], y: Sequence[float]) -> tuple[int, int, Optional[float]]:
+    """Two-sided sign test on paired differences.
+
+    Returns (#x > y, #x < y, p); p is None when undecidable."""
     gt = sum(1 for a, b in zip(x, y) if a > b)
     lt = sum(1 for a, b in zip(x, y) if a < b)
     if len(x) < 2 or gt + lt == 0:
-        return None
-    return float(binomtest(gt, gt + lt, 0.5).pvalue)
+        return gt, lt, None
+    return gt, lt, float(binomtest(gt, gt + lt, 0.5).pvalue)
 
 
 @dataclass
 class RecoveryReport:
-    """Ensemble of per-agent fits of one family to simulated agents."""
+    """Ensemble of per-agent fits of one family to simulated agents.
+
+    ``p_value_chosen`` and ``p_value_unchosen`` are two-sided sign tests of
+    a+c against a-c and of a-u against a+u, so a significant reversal
+    reads as significant too; ``sign_counts`` gives each test's direction
+    as the number of agents on either side (ties in neither).
+    ``frac_beta_at_cap`` is the fraction of fits whose beta sits at
+    ``BETA_MAX``, where the fitted rate asymmetry is least identified.
+    """
 
     n_agents: int
     generator: str
@@ -382,6 +379,8 @@ class RecoveryReport:
     p_value_chosen: Optional[float]
     p_value_unchosen: Optional[float]
     fits: list
+    sign_counts: dict
+    frac_beta_at_cap: float
 
     def to_dict(self) -> dict:
         return {"n_agents": self.n_agents, "generator": self.generator,
@@ -392,6 +391,8 @@ class RecoveryReport:
                 "frac_confirmation": float(self.frac_confirmation),
                 "p_value_chosen": self.p_value_chosen,
                 "p_value_unchosen": self.p_value_unchosen,
+                "sign_counts": dict(self.sign_counts),
+                "frac_beta_at_cap": float(self.frac_beta_at_cap),
                 "fits": [f.to_dict() for f in self.fits]}
 
 
@@ -439,15 +440,18 @@ def recover_bias(n_agents: int, env: Environment, beta_gen: float, seed: int = 0
 
     pos = [c > m for c, m in zip(rates["a_plus_c"], rates["a_minus_c"])]
     disc = [m > p for p, m in zip(rates["a_plus_u"], rates["a_minus_u"])]
+    c_gt, c_lt, p_chosen = _sign_test(rates["a_plus_c"], rates["a_minus_c"])
+    u_gt, u_lt, p_unchosen = _sign_test(rates["a_minus_u"], rates["a_plus_u"])
     return RecoveryReport(
         n_agents=n_agents, generator=generator, beta_gen=beta_gen,
         policy_mode=policy_mode, fit_family=fit_family,
         mean_rates={k: float(np.mean(v)) for k, v in rates.items()},
         frac_positivity=float(np.mean(pos)),
         frac_confirmation=float(np.mean([a and b for a, b in zip(pos, disc)])),
-        p_value_chosen=_sign_test(rates["a_plus_c"], rates["a_minus_c"]),
-        p_value_unchosen=_sign_test(rates["a_minus_u"], rates["a_plus_u"]),
-        fits=fits)
+        p_value_chosen=p_chosen, p_value_unchosen=p_unchosen, fits=fits,
+        sign_counts={"a_plus_c>a_minus_c": c_gt, "a_plus_c<a_minus_c": c_lt,
+                     "a_minus_u>a_plus_u": u_gt, "a_minus_u<a_plus_u": u_lt},
+        frac_beta_at_cap=float(np.mean([f.params["beta"] == BETA_MAX for f in fits])))
 
 
 class NewArmPoint(NamedTuple):
@@ -493,8 +497,8 @@ def new_arm_curve(fit_bayes: FitResult, fit_q: FitResult, session: SessionData,
                                float(pb.std(ddof=1) / math.sqrt(reps))))
         v = np.full(reps, 0.5)
         for t in range(n3):
-            rt = r[:, t]
-            v = v + np.where(rt, apc * (1.0 - v), -(amc * v))
+            # the new arm is always the chosen one; the other arm is a dummy
+            v, _ = q_step(v, 0.5, 1, r[:, t], 0, apc, amc, 0.0, 0.0)
         pq = expit(beta_q * (v - v1_q))
         out.append(NewArmPoint(fit_q.model, float(p3), float(pq.mean()),
                                float(pq.std(ddof=1) / math.sqrt(reps))))

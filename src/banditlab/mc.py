@@ -3,10 +3,13 @@
 Each replica owns the counter-based stream (seed, replica_index) and
 consumes exactly three uniforms per trial in the order (action draw,
 arm-1 reward, arm-2 reward) — the same contract as the scalar
-trajectory runner, so replica r of an ensemble reproduces the
-single-trajectory simulation bit for bit.  Replicas are simulated in
-chunks to bound memory; chunking affects only the floating-point
-summation order of the accumulated statistics, never the trajectories.
+trajectory runner, whose loop (``agents._simulate``, with ``q_step``
+for Q-agents and ``count_step`` for Bayesian agents) runs here on
+arrays, so replica r of an ensemble reproduces the single-trajectory
+simulation bit for bit for both agent kinds, both choice rules and both
+feedback modes.  Replicas are simulated in chunks to bound memory;
+chunking affects only the floating-point summation order of the
+accumulated statistics, never the trajectories.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .agents import BayesAgentSpec, LearningRateSet, Policy, QAgentSpec
+from .agents import _simulate
 from .env import Environment, RngStream
 
 DEFAULT_CHUNK = 8192
@@ -26,12 +28,19 @@ DEFAULT_CHUNK = 8192
 @dataclass
 class ChunkTrajectories:
     """Trajectories of one replica chunk: values before each trial plus the
-    terminal state (n, horizon+1) and the actions taken (n, horizon)."""
+    terminal state (n, horizon+1) and the actions taken (n, horizon).
+
+    For Bayesian agents ``counts`` stacks (s1, n1, s2, n2), the arms'
+    success and outcome counts at the same times, shape (4, n, horizon+1),
+    in the smallest unsigned dtype that holds the horizon; it is None for
+    Q-agents.
+    """
 
     start: int
     q1: np.ndarray
     q2: np.ndarray
     actions: np.ndarray
+    counts: Optional[np.ndarray] = None
 
 
 def _chunk_uniforms(seed: int, start: int, count: int, horizon: int) -> np.ndarray:
@@ -41,68 +50,21 @@ def _chunk_uniforms(seed: int, start: int, count: int, horizon: int) -> np.ndarr
     return u
 
 
-def _simulate_q_chunk(u: np.ndarray, rates: LearningRateSet, policy: Policy,
-                      env: Environment, q_init: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, horizon, _ = u.shape
-    q1 = np.full(n, q_init[0])
-    q2 = np.full(n, q_init[1])
-    traj1 = np.empty((n, horizon + 1))
-    traj2 = np.empty((n, horizon + 1))
-    actions = np.empty((n, horizon), dtype=np.int8)
-    cf = env.counterfactual
-    for t in range(horizon):
-        traj1[:, t] = q1
-        traj2[:, t] = q2
-        if policy.mode == "greedy":
-            chose1 = q1 >= q2
-        else:
-            chose1 = u[:, t, 0] < expit(policy.beta * (q1 - q2))
-        r1 = u[:, t, 1] < env.p1
-        r2 = u[:, t, 2] < env.p2
-        apc, amc, apu, amu = rates.at(t)
-        if not cf:
-            apu = amu = 0.0
-        pos1 = np.where(chose1, apc, apu)
-        neg1 = np.where(chose1, amc, amu)
-        pos2 = np.where(chose1, apu, apc)
-        neg2 = np.where(chose1, amu, amc)
-        q1 = q1 + np.where(r1, pos1 * (1.0 - q1), -(neg1 * q1))
-        q2 = q2 + np.where(r2, pos2 * (1.0 - q2), -(neg2 * q2))
-        actions[:, t] = np.where(chose1, 1, 2)
-    traj1[:, horizon] = q1
-    traj2[:, horizon] = q2
-    return traj1, traj2, actions
-
-
 def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
                       horizon: Optional[int] = None,
                       chunk_size: int = DEFAULT_CHUNK) -> Iterator[ChunkTrajectories]:
     """Yield per-chunk value trajectories and actions for the whole ensemble.
 
-    Q-agents run fully vectorized.  A Bayesian agent under counterfactual
-    feedback is run through its equivalent decaying-rate value update,
-    which reproduces the posterior means to floating-point accuracy;
-    without counterfactual feedback the per-arm rates depend on the pull
-    history and no common vectorized update exists, so that case is
-    refused here (use the scalar trajectory runner).
+    Both agent kinds run fully vectorized under either feedback mode: a
+    Q-agent carries its values, a Bayesian agent its per-arm counts, whose
+    posterior means are the values.
     """
     horizon = env.horizon if horizon is None else horizon
-    if isinstance(agent, QAgentSpec):
-        rates, policy, q_init = agent.rates, agent.policy, agent.q_init
-    elif isinstance(agent, BayesAgentSpec):
-        if not env.counterfactual:
-            raise ValueError("vectorized ensembles support Bayesian agents only "
-                             "with counterfactual feedback")
-        rates, policy, q_init = LearningRateSet.bayes(), agent.policy, (0.5, 0.5)
-    else:
-        raise TypeError(f"unknown agent spec {type(agent).__name__}")
-    if not env.counterfactual and not rates.unchosen_zero and rates.schedule is None:
-        raise ValueError("unchosen-arm rates must be zero without counterfactual feedback")
     for start in range(0, n_replicas, chunk_size):
         count = min(chunk_size, n_replicas - start)
         u = _chunk_uniforms(seed, start, count, horizon)
-        q1, q2, actions = _simulate_q_chunk(u, rates, policy, env, q_init)
-        yield ChunkTrajectories(start, q1, q2, actions)
+        # trial-major draws: each trial yields (action, r1, r2) rows over replicas
+        yield ChunkTrajectories(start, *_simulate(agent, env, u.transpose(1, 2, 0), (count,)))
 
 
 @dataclass

@@ -4,8 +4,12 @@ Because rewards are binary and the value update is deterministic given
 the rewards, the one-step transition from a value state is a mixture
 over at most eight outcomes (two actions times four reward pairs), so
 the switching probability K is an exact finite sum; no integration is
-involved.  Ensemble averages <K>_t pair this analytic per-state value
-with the realized switch frequency of the same simulated replicas.
+involved.  Each outcome's next values come from the agents' own
+learning steps: ``q_step`` for Q-agents and ``count_step`` on the
+per-arm counts for Bayesian agents, so Bayesian ensembles work under
+partial feedback too.  Ensemble averages <K>_t pair this analytic
+per-state value with the realized switch frequency of the same
+simulated replicas.
 """
 
 from __future__ import annotations
@@ -17,30 +21,37 @@ import numpy as np
 from scipy.special import expit
 
 from .agents import (BayesAgentSpec, LearningRateSet, Policy, QAgentSpec,
-                     QState, StepSchedule)
+                     QState, StepSchedule, count_step, count_values, q_step)
 from .env import Environment
-from .mc import DEFAULT_CHUNK, iter_value_chunks
+from .mc import DEFAULT_CHUNK, _mean_se, iter_value_chunks
 
 
-def _k_mixture(q1, q2, apc, amc, apu, amu, p1, p2, beta, counterfactual):
-    """K for scalar or array value states; exact eight-outcome sum."""
-    pi1 = expit(beta * (q1 - q2))
+def _k_mixture(v1, v2, after, p1, p2, beta):
+    """K for scalar or array value states; exact eight-outcome sum.
+
+    ``after(chose1, r1, r2)`` returns the values after one trial with that
+    action and those rewards.
+    """
+    pi1 = expit(beta * (v1 - v2))
     k = 0.0
-    # arm 1 chosen: its reward moves q1 with the chosen-arm rates
-    for rc in (0, 1):
-        for ru in (0, 1):
-            w = (p1 if rc else 1.0 - p1) * (p2 if ru else 1.0 - p2)
-            n1 = q1 + (apc * (1.0 - q1) if rc else -(amc * q1))
-            n2 = q2 + (apu * (1.0 - q2) if ru else -(amu * q2)) if counterfactual else q2
-            k = k + pi1 * w * (1.0 - expit(beta * (n1 - n2)))
-    # arm 2 chosen
-    for rc in (0, 1):
-        for ru in (0, 1):
-            w = (p2 if rc else 1.0 - p2) * (p1 if ru else 1.0 - p1)
-            n2 = q2 + (apc * (1.0 - q2) if rc else -(amc * q2))
-            n1 = q1 + (apu * (1.0 - q1) if ru else -(amu * q1)) if counterfactual else q1
-            k = k + (1.0 - pi1) * w * expit(beta * (n1 - n2))
+    for chose1 in (1, 0):
+        pc, pu = (p1, p2) if chose1 else (p2, p1)
+        for rc in (0, 1):
+            for ru in (0, 1):
+                w = (pc if rc else 1.0 - pc) * (pu if ru else 1.0 - pu)
+                n1, n2 = after(chose1, rc, ru) if chose1 else after(chose1, ru, rc)
+                stay1 = expit(beta * (n1 - n2))
+                if chose1:
+                    k = k + pi1 * w * (1.0 - stay1)
+                else:
+                    k = k + (1.0 - pi1) * w * stay1
     return k
+
+
+def _q_after(v1, v2, rates: LearningRateSet, t: int, counterfactual: bool):
+    apc, amc, apu, amu = rates.at(t)
+    apu, amu = apu * counterfactual, amu * counterfactual
+    return lambda c, r1, r2: q_step(v1, v2, c, r1, r2, apc, amc, apu, amu)
 
 
 def switch_prob(q: QState, rates: LearningRateSet, p1: float, p2: float,
@@ -50,9 +61,8 @@ def switch_prob(q: QState, rates: LearningRateSet, p1: float, p2: float,
     Marginalises over the action taken at the state q and both arms'
     rewards; ``t`` selects scheduled rates when present.
     """
-    apc, amc, apu, amu = rates.at(t)
-    return float(_k_mixture(q.q1, q.q2, apc, amc, apu, amu, p1, p2,
-                            beta, counterfactual))
+    after = _q_after(q.q1, q.q2, rates, t, counterfactual)
+    return float(_k_mixture(q.q1, q.q2, after, p1, p2, beta))
 
 
 @dataclass
@@ -86,34 +96,33 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int, seed: int,
         policy = Policy(beta=beta, mode=agent.policy.mode)
         agent = (QAgentSpec(agent.rates, policy, agent.q_init)
                  if isinstance(agent, QAgentSpec) else BayesAgentSpec(policy))
-    if isinstance(agent, QAgentSpec):
-        rates = agent.rates
-    elif isinstance(agent, BayesAgentSpec):
-        rates = LearningRateSet.bayes()  # counterfactual-mode equivalence
-    else:
+    if not isinstance(agent, (QAgentSpec, BayesAgentSpec)):
         raise TypeError(f"unknown agent spec {type(agent).__name__}")
     if agent.policy.mode != "softmax":
         raise ValueError("switching series is defined for softmax policies")
     b = agent.policy.beta
+    cf = env.counterfactual
 
     k_sum = np.zeros(horizon)
     k_sqsum = np.zeros(horizon)
     switches = np.zeros(horizon)
     for chunk in iter_value_chunks(agent, env, n_replicas, seed, horizon + 1, chunk_size):
         for t in range(horizon):
-            apc, amc, apu, amu = rates.at(t)
-            if not env.counterfactual:
-                apu = amu = 0.0
-            k = _k_mixture(chunk.q1[:, t], chunk.q2[:, t], apc, amc, apu, amu,
-                           env.p1, env.p2, b, env.counterfactual)
+            v1, v2 = chunk.q1[:, t], chunk.q2[:, t]
+            if chunk.counts is None:
+                after = _q_after(v1, v2, agent.rates, t, cf)
+            else:
+                # widened so a stored count plus one cannot wrap
+                s1, n1, s2, n2 = chunk.counts[:, :, t].astype(np.int64)
+                after = lambda c, r1, r2: count_values(
+                    *count_step(s1, n1, s2, n2, c, r1, r2, cf))
+            k = _k_mixture(v1, v2, after, env.p1, env.p2, b)
             k_sum[t] += k.sum()
             k_sqsum[t] += (k * k).sum()
         switches += (chunk.actions[:, 1:] != chunk.actions[:, :-1]).sum(axis=0)
 
     n = n_replicas
-    a_mean = k_sum / n
-    a_var = np.maximum(k_sqsum - k_sum * k_sum / n, 0.0) / max(n - 1, 1)
-    a_se = np.sqrt(a_var / n)
+    a_mean, a_se = _mean_se(k_sum, k_sqsum, n)
     e_mean = switches / n
     e_se = np.sqrt(e_mean * (1.0 - e_mean) / n)
     return SwitchRateSeries(np.arange(horizon), a_mean, a_se, e_mean, e_se, n)

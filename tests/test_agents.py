@@ -11,18 +11,18 @@ from banditlab import (
     Policy,
     QAgentSpec,
     QState,
-    RewardPair,
     RngStream,
     StepSchedule,
     bayes_choice_prob,
     bayes_greedy_action,
-    belief_update,
+    count_step,
+    count_values,
     effective_rate,
     effective_rate_from_counts,
     make_environment,
     posterior_mean,
     posterior_means,
-    q_update,
+    q_step,
     run_trajectory,
     softmax_policy,
 )
@@ -31,42 +31,57 @@ RATES = LearningRateSet(0.2, 0.1, 0.1, 0.3)
 
 
 def test_q_update_worked_example():
-    q = q_update(QState(0.5, 0.5), 1, RewardPair(1, 0), RATES)
-    assert q.q1 == pytest.approx(0.6, abs=1e-15)
-    assert q.q2 == pytest.approx(0.35, abs=1e-15)
+    q1, q2 = q_step(0.5, 0.5, True, 1, 0, *RATES.at(0))
+    assert q1 == pytest.approx(0.6, abs=1e-15)
+    assert q2 == pytest.approx(0.35, abs=1e-15)
 
 
 def test_q_update_zero_error_is_identity():
-    q = QState(1.0, 0.0)
-    assert q_update(q, 1, RewardPair(1, 0), RATES) == q
+    assert q_step(1.0, 0.0, True, 1, 0, *RATES.at(0)) == (1.0, 0.0)
 
 
 def test_q_update_zero_rates_is_identity():
-    q = QState(0.37, 0.81)
-    assert q_update(q, 2, RewardPair(0, 1), LearningRateSet(0, 0, 0, 0)) == q
+    assert q_step(0.37, 0.81, False, 0, 1, 0.0, 0.0, 0.0, 0.0) == (0.37, 0.81)
 
 
 def test_q_update_without_counterfactual_leaves_unchosen():
-    rates = LearningRateSet(0.2, 0.1, 0.0, 0.0)
-    q = q_update(QState(0.5, 0.5), 1, RewardPair(0, 1), rates,
-                 counterfactual=False)
-    assert q.q2 == 0.5
-    assert q.q1 == pytest.approx(0.45, abs=1e-15)
-
-
-def test_q_update_rejects_bad_arm():
-    with pytest.raises(ValueError):
-        q_update(QState(0.5, 0.5), 3, RewardPair(1, 0), RATES)
+    q1, q2 = q_step(0.5, 0.5, True, 0, 1, 0.2, 0.1, 0.0, 0.0)
+    assert q2 == 0.5
+    assert q1 == pytest.approx(0.45, abs=1e-15)
 
 
 def test_q_values_stay_in_unit_interval():
     rates = LearningRateSet(0.9, 0.8, 0.7, 1.0)
     rng = np.random.default_rng(0)
-    q = QState(0.5, 0.5)
+    q = (0.5, 0.5)
     for _ in range(500):
-        q = q_update(q, int(rng.integers(1, 3)),
-                     RewardPair(int(rng.integers(2)), int(rng.integers(2))), rates)
-        assert 0.0 <= q.q1 <= 1.0 and 0.0 <= q.q2 <= 1.0
+        chose1, r1, r2 = (bool(x) for x in rng.integers(2, size=3))
+        q = q_step(*q, chose1, r1, r2, *rates.at(0))
+        assert 0.0 <= q[0] <= 1.0 and 0.0 <= q[1] <= 1.0
+
+
+def test_steps_on_arrays_equal_scalar_steps():
+    # every mask combination, elementwise against the Python-scalar call
+    rng = np.random.default_rng(1)
+    n = 64
+    chose1, r1, r2, cf = (rng.integers(2, size=n).astype(bool) for _ in range(4))
+    v1, v2 = rng.random(n), rng.random(n)
+    rates = rng.random((n, 4))
+    counts = rng.integers(0, 5, size=(4, n))
+    counts[1] += counts[0]
+    counts[3] += counts[2]
+    for i in range(n):
+        apc, amc, apu, amu = rates[i]
+        rates_i = (apc, amc, apu * cf[i], amu * cf[i])
+        got = q_step(v1, v2, chose1, r1, r2, *rates_i)
+        want = q_step(float(v1[i]), float(v2[i]), bool(chose1[i]), bool(r1[i]),
+                      bool(r2[i]), *(float(a) for a in rates_i))
+        assert (got[0][i], got[1][i]) == want
+        got = count_step(*counts, chose1, r1, r2, bool(cf[i]))
+        want = count_step(*(int(c) for c in counts[:, i]), bool(chose1[i]),
+                          bool(r1[i]), bool(r2[i]), bool(cf[i]))
+        assert tuple(int(g[i]) for g in got) == want
+        assert tuple(float(v[i]) for v in count_values(*got)) == count_values(*want)
 
 
 def test_softmax_example_and_symmetry():
@@ -94,13 +109,11 @@ def test_policy_validation():
 
 
 def test_belief_update_examples():
-    b0 = BeliefState(0, 0, 0, 0)
-    assert belief_update(b0, 1, RewardPair(1, 0), counterfactual=False) == \
-        BeliefState(1, 0, 0, 0)
-    assert belief_update(b0, 1, RewardPair(0, 1), counterfactual=True) == \
-        BeliefState(0, 1, 1, 0)
-    assert belief_update(BeliefState(3, 2, 1, 1), 2, RewardPair(1, 0),
-                         counterfactual=False) == BeliefState(3, 2, 1, 2)
+    # (s1, n1, s2, n2): successes and observed outcomes per arm
+    assert count_step(0, 0, 0, 0, True, 1, 0, False) == (1, 1, 0, 0)
+    assert count_step(0, 0, 0, 0, True, 0, 1, True) == (0, 1, 1, 1)
+    assert count_step(3, 5, 1, 2, False, 1, 0, False) == (3, 5, 1, 3)
+    assert count_values(2, 3, 9, 9) == (3 / 5, 10 / 11)
 
 
 def test_posterior_means():

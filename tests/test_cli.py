@@ -54,6 +54,21 @@ def test_validate_missing_and_malformed_files(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().out
 
 
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
+    # json.load accepts NaN, Infinity and integers no float can hold
+    rates = {k: 0.1 for k in ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")}
+    bad = [({"kind": "propagate", "p": 0.5, "beta": float("nan"), "n_steps": 3,
+             "rates": rates}, "beta"),
+           ({"kind": "sweep-delta", "p": 0.5, "x_grid": [1.0],
+             "beta_grid": [float("inf")]}, "beta_grid"),
+           ({"kind": "propagate", "p": 0.5, "beta": 10**400, "n_steps": 3,
+             "rates": rates}, "beta")]
+    for cfg, field in bad:
+        rc = main(["validate", write_cfg(tmp_path, cfg)])
+        assert rc == 2
+        assert field in capsys.readouterr().out
+
+
 def test_unknown_kind_is_rejected():
     diags = validate_config_data({"kind": "meditate"})
     assert len(diags) == 1 and "kind" in diags[0]
@@ -168,6 +183,19 @@ def test_switch_rate_run(tmp_path):
     assert len(lines) == 2 + 8
 
 
+def test_switch_rate_runs_bayes_agents_without_counterfactual(tmp_path):
+    cfg = {"kind": "switch-rate",
+           "environment": {"p1": 0.6, "p2": 0.4, "counterfactual": False,
+                           "horizon": 8},
+           "agent": {"type": "bayes", "beta": 6.0},
+           "ensemble": {"replicas": 200, "seed": 4}}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["validate", path]) == 0
+    out = tmp_path / "o"
+    assert main(["switch-rate", path, "--out-dir", str(out)]) == 0
+    assert len((out / "switch_rate.csv").read_text().splitlines()) == 2 + 8
+
+
 def test_fit_pipeline_on_simulated_sessions(tmp_path):
     sim = dict(SIM_CFG)
     sim_dir = tmp_path / "sim"
@@ -203,6 +231,8 @@ def test_recover_scenario_writes_report(tmp_path):
     assert main(["recover", write_cfg(tmp_path, cfg), "--out-dir", str(out)]) == 0
     rep = json.loads((out / "recovery.json").read_text())
     assert rep["n_agents"] == 2
+    assert sum(rep["sign_counts"].values()) <= 4
+    assert 0.0 <= rep["frac_beta_at_cap"] <= 1.0
     assert set(rep["mean_rates"]) == {"a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u"}
     assert len(rep["fits"]) == 2
 

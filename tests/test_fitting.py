@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import binomtest
 
 from banditlab import (
     BayesAgentSpec,
@@ -20,8 +22,10 @@ from banditlab import (
     new_arm_curve,
     nll,
     recover_bias,
+    q_step,
     synthesize_sessions,
 )
+from banditlab.fitting import BETA_MAX, _replay_q
 
 ENV24 = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
 
@@ -193,6 +197,24 @@ def test_greedy_bayes_agents_are_diagnosed_as_confirmation_biased():
     assert report.frac_positivity >= 0.7
 
 
+def test_recovery_report_counts_signs_and_capped_betas():
+    env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
+    report = recover_bias(6, env, beta_gen=10.0, seed=0, policy_mode="greedy",
+                          restarts=4)
+    params = [f.params for f in report.fits]
+    signs = report.sign_counts
+    for arm, hi, lo, p in (("c", "a_plus_c", "a_minus_c", report.p_value_chosen),
+                           ("u", "a_minus_u", "a_plus_u", report.p_value_unchosen)):
+        gt = sum(q[hi] > q[lo] for q in params)
+        lt = sum(q[hi] < q[lo] for q in params)
+        assert (signs[f"{hi}>{lo}"], signs[f"{hi}<{lo}"]) == (gt, lt)
+        assert p == binomtest(gt, gt + lt, 0.5).pvalue  # two-sided
+    assert signs["a_plus_c>a_minus_c"] / 6 == report.frac_positivity
+    assert report.frac_beta_at_cap == np.mean([q["beta"] == BETA_MAX for q in params])
+    d = report.to_dict()
+    assert d["sign_counts"] == signs and d["frac_beta_at_cap"] == report.frac_beta_at_cap
+
+
 def test_single_agent_recovery_has_no_significance():
     env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
     report = recover_bias(1, env, beta_gen=10.0, seed=0, restarts=4)
@@ -238,3 +260,24 @@ def test_new_arm_rejects_mismatched_subject():
     # a Q-family fit in the bayes slot is refused too
     with pytest.raises(ValueError):
         new_arm_curve(fits["full"], fits["full"], s1, [0.5], reps=10)
+
+
+trial = st.tuples(st.sampled_from((1, 2)), st.integers(0, 1), st.integers(0, 1))
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(trial, min_size=1, max_size=60), st.booleans(),
+       st.tuples(unit, unit, unit, unit))
+def test_replay_q_equals_folded_q_step(trials, cf, rates):
+    # _replay_q keeps its own inline copy of the Q rule for speed
+    apc, amc, apu, amu = rates
+    q = (0.5, 0.5)
+    for a, rc, ru in trials:
+        chose1 = a == 1
+        r1, r2 = (rc, ru) if chose1 else (ru, rc)
+        q = q_step(*q, chose1, r1, r2, apc, amc, apu * cf, amu * cf)
+    actions = [a for a, _, _ in trials]
+    rc = [r for _, r, _ in trials]
+    ru = [r for _, _, r in trials] if cf else [0] * len(trials)
+    assert _replay_q(actions, rc, ru, cf, apc, amc, apu, amu, 3.0)[2:] == q

@@ -38,15 +38,20 @@ def test_q_agent_chunks_match_scalar_runs_exactly():
         np.testing.assert_array_equal(actions[i], traj.actions)
 
 
-def test_bayes_agent_chunks_match_posterior_means():
-    env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=30)
-    agent = BayesAgentSpec(Policy(beta=8.0))
-    q1, q2, actions = collect(agent, env, 8, seed=77, chunk_size=8)
-    for i in range(8):
-        traj = run_trajectory(agent, env, RngStream(77, i))
+@pytest.mark.parametrize("counterfactual", [True, False])
+@pytest.mark.parametrize("mode", ["softmax", "greedy"])
+def test_bayes_agent_chunks_match_posterior_means(mode, counterfactual):
+    # criterion 2's setting, where a value recursion breaks greedy ties
+    # differently from the counts for many agents
+    env = Environment(p1=0.5, p2=0.5, counterfactual=counterfactual, horizon=24)
+    agent = BayesAgentSpec(Policy(beta=10.0, mode=mode))
+    n = 500
+    q1, q2, actions = collect(agent, env, n, seed=0, chunk_size=128)
+    for i in range(n):
+        traj = run_trajectory(agent, env, RngStream(0, i))
         np.testing.assert_array_equal(actions[i], traj.actions)
-        np.testing.assert_allclose(q1[i], traj.values1, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(q2[i], traj.values2, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(q1[i], traj.values1)
+        np.testing.assert_array_equal(q2[i], traj.values2)
 
 
 def test_chunk_size_does_not_change_results():
@@ -74,10 +79,19 @@ def test_ensemble_moments_equal_direct_averages():
     assert np.all(mom.mean11 >= mom.mean1**2 - 1e-12)
 
 
-def test_bayes_without_counterfactual_is_refused():
-    env = Environment(p1=0.5, p2=0.5, counterfactual=False, horizon=10)
-    with pytest.raises(ValueError):
-        next(iter_value_chunks(BayesAgentSpec(Policy(beta=5.0)), env, 4, seed=0))
+def test_bayes_chunk_counts_match_scalar_beliefs():
+    # under partial feedback only the chosen arm's counts grow
+    env = Environment(p1=0.6, p2=0.4, counterfactual=False, horizon=10)
+    agent = BayesAgentSpec(Policy(beta=5.0))
+    chunk = next(iter_value_chunks(agent, env, 4, seed=0))
+    s1, n1, s2, n2 = chunk.counts
+    np.testing.assert_array_equal(n1 + n2, np.broadcast_to(np.arange(11), (4, 11)))
+    for i in range(4):
+        beliefs = run_trajectory(agent, env, RngStream(0, i)).beliefs
+        np.testing.assert_array_equal(beliefs, np.stack(
+            [s1[i], n1[i] - s1[i], s2[i], n2[i] - s2[i]], axis=1))
+    assert next(iter_value_chunks(QAgentSpec(LearningRateSet(0.1, 0.1, 0, 0), Policy()),
+                                  env, 4, seed=0)).counts is None
 
 
 def test_unchosen_rates_refused_without_counterfactual():

@@ -15,6 +15,7 @@ from banditlab import (
     confirmation_index,
     propagate_moments,
     propagate_moments_bayes,
+    q_step,
     steady_state_delta,
     steady_state_delta_const,
     steady_state_delta_quadratic,
@@ -24,7 +25,6 @@ from banditlab import (
     step_moments_bayes,
     x_curve_rates,
 )
-from banditlab.agents import QState, RewardPair, q_update
 
 
 def symmetric_pair_moments(a, b):
@@ -40,10 +40,10 @@ def exact_step_symmetric_pair(a, b, rates, p):
         for chosen in (1, 2):
             for r1, r2 in product((0, 1), repeat=2):
                 w = 0.5 * 0.5 * (p if r1 else 1 - p) * (p if r2 else 1 - p)
-                q = q_update(QState(qa, qb), chosen, RewardPair(r1, r2), rates)
-                m1 += w * q.q1
-                m11 += w * q.q1 * q.q1
-                m12 += w * q.q1 * q.q2
+                q1, q2 = q_step(qa, qb, chosen == 1, r1, r2, *rates.at(0))
+                m1 += w * q1
+                m11 += w * q1 * q1
+                m12 += w * q1 * q2
     return MomentState(m1, m11, m12)
 
 

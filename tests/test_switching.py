@@ -102,8 +102,9 @@ def test_ensemble_analytic_tracks_realized_switches():
     assert series.analytic_mean[-1] < series.analytic_mean[0]
 
 
-def test_ensemble_supports_bayes_agents():
-    env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=25)
+@pytest.mark.parametrize("counterfactual", [True, False])
+def test_ensemble_supports_bayes_agents(counterfactual):
+    env = Environment(p1=0.5, p2=0.5, counterfactual=counterfactual, horizon=25)
     series = ensemble_switch_rate(BayesAgentSpec(Policy(beta=8.0)), env,
                                   n_replicas=4000, seed=3)
     resid = series.analytic_mean - series.empirical_mean
