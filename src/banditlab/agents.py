@@ -9,12 +9,13 @@ which is what :func:`effective_rate` returns.
 
 The two learning rules are written once, in :func:`q_step` and
 :func:`count_step`.  One loop, run on Python scalars for a single
-replica and on arrays for an ensemble chunk, simulates both agent kinds;
-the switching kernel and the likelihood replays call the same steps
-(the Q replay keeps one inline copy for speed, pinned to :func:`q_step`
-by a property test).  Bayesian agents always learn through their
-counts, never through the 1/(t+3) recursion, whose rounding would break
-greedy value ties differently.
+replica and on arrays for an ensemble chunk, simulates both agent kinds,
+and the switching kernel calls the same steps.  The likelihood engine in
+``fitting`` scores whole sessions at once: it counts through
+:func:`count_values` and composes the Q rule over trials as a prefix
+scan, pinned to folds of both steps by property tests.  Bayesian agents
+always learn through their counts, never through the 1/(t+3) recursion,
+whose rounding would break greedy value ties differently.
 """
 
 from __future__ import annotations

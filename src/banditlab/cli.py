@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -27,7 +27,7 @@ from . import __version__
 from .agents import (BayesAgentSpec, BayesSchedule, LearningRateSet, Policy,
                      QAgentSpec, StepSchedule, run_trajectory)
 from .env import Environment, RngStream
-from .fitting import (MODEL_FAMILIES, best_model, fit_families, fit_subject,
+from .fitting import (BETA_MAX, MODEL_FAMILIES, best_model, fit_families, fit_subject,
                       new_arm_curve, recover_bias)
 from .moments import (MomentState, propagate_moments, propagate_moments_bayes,
                       steady_state_delta, x_curve_rates)
@@ -48,18 +48,36 @@ class ConfigError(Exception):
 
 @dataclass
 class RunManifest:
+    """What a run wrote.  Runs that fit also carry fit counters and the
+    fits (``subject/family``) with no converged restart."""
+
     config_hash: str
     tool_version: str
     seed: int
     started_at: str
     finished_at: str
     files: list
+    counters: Optional[dict] = None
+    not_converged: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"config_hash": self.config_hash, "tool_version": self.tool_version,
-                "seed": self.seed, "started_at": self.started_at,
-                "finished_at": self.finished_at,
-                "files": [{"path": p, "rows": r} for p, r in self.files]}
+        out = {"config_hash": self.config_hash, "tool_version": self.tool_version,
+               "seed": self.seed, "started_at": self.started_at,
+               "finished_at": self.finished_at,
+               "files": [{"path": p, "rows": r} for p, r in self.files]}
+        if self.counters is not None:
+            out["counters"] = dict(self.counters)
+            out["not_converged"] = list(self.not_converged)
+        return out
+
+
+def _fit_counters(fits) -> dict:
+    """Objective evaluations and fit health summed over a run's fits."""
+    return {"objective_evals": sum(f.n_evals for f in fits),
+            "fits": len(fits),
+            "fits_not_converged": sum(not f.converged for f in fits),
+            "fits_clamped": sum(f.clamped for f in fits),
+            "fits_beta_at_cap": sum(f.params["beta"] >= BETA_MAX for f in fits)}
 
 
 def config_hash(cfg: dict) -> str:
@@ -353,7 +371,7 @@ def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
     if want_sessions:
         n = write_sessions(out_dir / "sessions.csv", sessions, seed=seed)
         files.append(("sessions.csv", n))
-    return files
+    return files, None
 
 
 def _run_propagate(cfg, seed: int, out_dir: Path, threads: int):
@@ -369,7 +387,7 @@ def _run_propagate(cfg, seed: int, out_dir: Path, threads: int):
     rows = [(t, m.m1, m.m11, m.m12, m.delta) for t, m in enumerate(series)]
     n = _write_csv(out_dir / "moments.csv", seed,
                    ["t", "m1", "m11", "m12", "delta"], rows)
-    return [("moments.csv", n)]
+    return [("moments.csv", n)], None
 
 
 def _run_sweep_delta(cfg, seed: int, out_dir: Path, threads: int):
@@ -381,7 +399,7 @@ def _run_sweep_delta(cfg, seed: int, out_dir: Path, threads: int):
             rows.append((x, beta, p, steady_state_delta(rates, p, beta)))
     n = _write_csv(out_dir / "delta_star.csv", seed,
                    ["x", "beta", "p", "delta_star"], rows)
-    return [("delta_star.csv", n)]
+    return [("delta_star.csv", n)], None
 
 
 def _run_switch_rate(cfg, seed: int, out_dir: Path, threads: int):
@@ -393,29 +411,32 @@ def _run_switch_rate(cfg, seed: int, out_dir: Path, threads: int):
     n = _write_csv(out_dir / "switch_rate.csv", seed,
                    ["t", "analytic_mean", "analytic_se",
                     "empirical_mean", "empirical_se"], rows)
-    return [("switch_rate.csv", n)]
+    return [("switch_rate.csv", n)], None
 
 
 def _fit_job(args):
-    families, session, restarts, seed, stream_base = args
-    fits = fit_families(session, families, restarts=restarts, seed=seed,
-                        stream_index=stream_base)
-    return [fits[fam] for fam in families if fam in fits]
+    sessions, families, restarts, seed, stream_base = args
+    batch = fit_families(sessions, families, restarts=restarts, seed=seed,
+                         stream_index=stream_base)
+    return [fits[fam] for fits in batch for fam in families]
 
 
 def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
     sessions = read_sessions(cfg["sessions"])
     families = cfg.get("families", list(MODEL_FAMILIES))
     restarts = cfg.get("restarts", 20)
-    # one job per subject so nested families can share warm starts
-    jobs = [(families, s, restarts, seed, i * len(MODEL_FAMILIES))
-            for i, s in enumerate(sessions)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_subject = list(pool.map(_fit_job, jobs))
+    # each worker fits a contiguous share of the subjects as one batch;
+    # subject i keeps restart streams 4 i + k whatever the share
+    shares = [ix for ix in np.array_split(np.arange(len(sessions)), max(threads, 1))
+              if ix.size]
+    jobs = [(sessions[ix[0]:ix[-1] + 1], families, restarts, seed,
+             int(ix[0]) * len(MODEL_FAMILIES)) for ix in shares]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            per_share = list(pool.map(_fit_job, jobs))
     else:
-        per_subject = [_fit_job(j) for j in jobs]
-    results = [f for fits in per_subject for f in fits]
+        per_share = [_fit_job(j) for j in jobs]
+    results = [f for fits in per_share for f in fits]
 
     by_subject: dict[str, list] = {}
     for f in results:
@@ -436,7 +457,7 @@ def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
     n = _write_csv(out_dir / "fit_summary.csv", seed,
                    ["model", "n_subjects", "mean_nll", "mean_bic", "n_best"],
                    summary)
-    return [("fits.json", len(results)), ("fit_summary.csv", n)]
+    return [("fits.json", len(results)), ("fit_summary.csv", n)], results
 
 
 def _run_recover(cfg, seed: int, out_dir: Path, threads: int):
@@ -447,7 +468,7 @@ def _run_recover(cfg, seed: int, out_dir: Path, threads: int):
                           restarts=cfg.get("restarts", 20),
                           policy_mode=cfg.get("policy", "softmax"))
     _write_json(out_dir / "recovery.json", {"seed": seed, **report.to_dict()})
-    return [("recovery.json", report.n_agents)]
+    return [("recovery.json", report.n_agents)], report.fits
 
 
 def _run_new_arm(cfg, seed: int, out_dir: Path, threads: int):
@@ -472,7 +493,7 @@ def _run_new_arm(cfg, seed: int, out_dir: Path, threads: int):
                 {"seed": seed, "fits": [fit_b.to_dict(), fit_q.to_dict()]})
     n = _write_csv(out_dir / "new_arm.csv", seed,
                    ["model", "p3", "choice_prob", "stderr"], curve)
-    return [("new_arm_fits.json", 2), ("new_arm.csv", n)]
+    return [("new_arm_fits.json", 2), ("new_arm.csv", n)], [fit_b, fit_q]
 
 
 _HANDLERS = {"simulate": _run_simulate, "propagate": _run_propagate,
@@ -496,11 +517,15 @@ def run_scenario(config_path, seed: Optional[int] = None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
-    files = _HANDLERS[cfg["kind"]](cfg, seed, out, threads)
+    files, fits = _HANDLERS[cfg["kind"]](cfg, seed, out, threads)
     finished = datetime.now(timezone.utc).isoformat()
     manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__,
                            seed=seed, started_at=started, finished_at=finished,
                            files=files)
+    if fits is not None:
+        manifest.counters = _fit_counters(fits)
+        manifest.not_converged = [f"{f.subject_id}/{f.model}" for f in fits
+                                  if not f.converged]
     _write_json(out / "manifest.json", manifest.to_dict())
     return manifest
 
@@ -522,7 +547,8 @@ def main(argv=None) -> int:
                            help=f"output directory (default: config, then "
                                 f"${OUT_DIR_ENV}, then ./out)")
             p.add_argument("--threads", type=int, default=1,
-                           help="worker processes for per-subject fits")
+                           help="worker processes for fit, each fitting a "
+                                "contiguous share of the subjects")
     args = parser.parse_args(argv)
 
     if args.command == "validate":
@@ -559,6 +585,10 @@ def main(argv=None) -> int:
         return 1
     for path, rows in manifest.files:
         print(f"wrote {path} ({rows} rows)")
+    if manifest.not_converged:
+        print(f"error: no simplex restart converged for {len(manifest.not_converged)} "
+              f"fit(s): {', '.join(manifest.not_converged)}", file=sys.stderr)
+        return 1
     return 0
 
 

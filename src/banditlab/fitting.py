@@ -1,9 +1,9 @@
 """Maximum-likelihood fitting of choice models and model comparison.
 
-Four nested-or-adjacent model families are fit by replaying a session:
-at each trial the model's softmax probability of the recorded action is
-accumulated into the negative log-likelihood, then the model's state is
-updated with the recorded action and reward(s).
+Four nested-or-adjacent model families are fit to sessions: at each
+trial the model's softmax probability of the recorded action enters the
+negative log-likelihood, then the model's values learn from the recorded
+action and reward(s).
 
     bayes  (1 parameter)  softmax over beta-posterior means
     const  (2)            one learning rate for everything
@@ -15,29 +15,51 @@ const and conf are parameter restrictions of full, so their optimized
 likelihoods can never beat it.  Fitting unbiased Bayesian agents with
 the asymmetric-rate families is the interesting exercise: the decaying
 effective learning rate masquerades as rate asymmetry.
+
+Every likelihood goes through one batched engine, :func:`_evaluate`.  A
+batch of sessions is laid out once as trial tables padded to its longest
+session; the engine then scores many (session, parameter) points in one
+vectorized pass.  Q values come from an inclusive prefix scan of the
+per-trial affine maps q -> (1 - a) q + a r, Bayesian values from
+cumulative counts, and each trial costs the log-sigmoid
+-log pi = log(1 + exp(-s beta dv)), capped at -log P_MIN.  Fits run
+scipy's default Nelder–Mead rules on every (subject, restart) lane of a
+batch in lockstep (:func:`_nelder_mead`): one engine call per simplex
+step serves every lane.  A lane's numbers do not depend on which lanes
+share its batch or how far its session is padded, so a subject fitted
+alone gets the same result as inside any batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy import optimize
 from scipy.special import expit, logit
 from scipy.stats import binomtest, qmc
 
-from .agents import (BayesAgentSpec, LearningRateSet, Policy, QAgentSpec, count_step,
-                     count_values, q_step, run_trajectory)
+from .agents import (BayesAgentSpec, LearningRateSet, Policy, QAgentSpec, count_values,
+                     q_step, run_trajectory)
 from .env import Environment, RngStream
 from .sessions import SessionData, session_from_trajectory
 
 P_MIN = 1e-10  # likelihood floor; hitting it is flagged in the fit diagnostics
+_NLL_CAP = -math.log(P_MIN)
 BETA_MAX = 50.0
 # Offset separating fit-restart streams from trajectory replica streams
 # under the same master seed.
 _FIT_STREAM_BASE = 1 << 48
+_FATOL = 1e-8
+_XATOL = 1e-6
+# scipy's Nelder–Mead coefficients (reflection, expansion, contraction,
+# shrink) and initial-simplex steps
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+# the engine scores at most this many (point, trial) cells per pass
+_MAX_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -56,6 +78,8 @@ MODEL_FAMILIES = {
 }
 # tie-break order for model selection: fewest parameters first
 FAMILY_ORDER = ("bayes", "const", "conf", "full")
+# which rate parameter of a Q family fills (a_plus_c, a_minus_c, a_plus_u, a_minus_u)
+_RATE_COLUMNS = {"const": (0, 0, 0, 0), "conf": (0, 1, 1, 0), "full": (0, 1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -68,13 +92,14 @@ class FitResult:
     converged: bool
     restarts_used: int
     clamped: bool = False
+    n_evals: int = 0
 
     def to_dict(self) -> dict:
         return {"subject_id": self.subject_id, "model": self.model,
                 "params": {k: float(v) for k, v in self.params.items()},
                 "nll": float(self.nll), "bic": float(self.bic),
                 "converged": self.converged, "restarts_used": self.restarts_used,
-                "clamped": self.clamped}
+                "clamped": self.clamped, "n_evals": self.n_evals}
 
 
 class FitError(Exception):
@@ -85,95 +110,203 @@ class FitError(Exception):
         self.best = best
 
 
-def _sigmoid(d: float) -> float:
-    if d >= 0.0:
-        return 1.0 / (1.0 + math.exp(-d))
-    e = math.exp(d)
-    return e / (1.0 + e)
+class _Tables:
+    """A batch of sessions as trial-major tables, padded to the longest.
 
-
-def _session_lists(session: SessionData):
-    session.validate()
-    actions = [int(a) for a in session.actions]
-    rc = [int(r) for r in session.r_chosen]
-    ru = ([int(r) for r in session.r_unchosen] if session.counterfactual
-          else [0] * len(actions))
-    return actions, rc, ru, session.counterfactual
-
-
-def _replay_q(actions, rc, ru, cf, apc, amc, apu, amu, beta):
-    """Replay with a Q-state; returns (nll, clamped, terminal q1, terminal q2).
-
-    The update below is ``agents.q_step`` written out for one trial.  It is
-    the one inline copy of the Q rule: calling the step once per trial
-    doubles the replay's cost, and the replay is about half of every
-    objective evaluation in a fit.  A property test pins it to the step.
+    ``sign`` (T, S) is +1 where arm 1 was chosen, -1 for arm 2 and 0 on
+    padding.  ``reward`` (T, S, 2) is each arm's reward, 0 where unseen.
+    ``rate`` (T, S, 2) indexes each arm's rate in (a_plus_c, a_minus_c,
+    a_plus_u, a_minus_u, 0), picked as ``agents.q_step`` picks it; the zero
+    rate serves an arm that feedback hides and padding.  ``bayes_dv`` (T, S)
+    is the posterior-mean gap v1 - v2 before each trial and ``bayes_end``
+    (S, 2) the means after the last one.
     """
-    q1 = 0.5
-    q2 = 0.5
-    total = 0.0
-    clamped = False
-    for i in range(len(actions)):
-        pi1 = _sigmoid(beta * (q1 - q2))
-        p = pi1 if actions[i] == 1 else 1.0 - pi1
-        if p < P_MIN:
-            p = P_MIN
-            clamped = True
-        total -= math.log(p)
-        if actions[i] == 1:
-            e = rc[i] - q1
-            q1 += apc * e if e > 0.0 else amc * e
-            if cf:
-                e = ru[i] - q2
-                q2 += apu * e if e > 0.0 else amu * e
-        else:
-            e = rc[i] - q2
-            q2 += apc * e if e > 0.0 else amc * e
-            if cf:
-                e = ru[i] - q1
-                q1 += apu * e if e > 0.0 else amu * e
-    return total, clamped, q1, q2
+
+    def __init__(self, sessions: Sequence[SessionData]):
+        for s in sessions:
+            s.validate()
+        self.ids = [s.subject_id for s in sessions]
+        self.n = np.array([s.n_trials for s in sessions])
+        S, T = len(sessions), int(self.n.max())
+        chose1 = np.zeros((T, S), dtype=bool)
+        seen = np.zeros((T, S, 2), dtype=bool)
+        reward = np.zeros((T, S, 2), dtype=np.int64)
+        for j, s in enumerate(sessions):
+            n = s.n_trials
+            c = s.actions == 1
+            ru = s.r_unchosen if s.counterfactual else np.zeros(n)
+            chose1[:n, j] = c
+            reward[:n, j, 0] = np.where(c, s.r_chosen, ru)
+            reward[:n, j, 1] = np.where(c, ru, s.r_chosen)
+            seen[:n, j, 0] = c | s.counterfactual
+            seen[:n, j, 1] = ~c | s.counterfactual
+        mine = np.stack([chose1, ~chose1], axis=-1)
+        self.rate = np.where(seen, np.where(mine, 0, 2) + 1 - reward, 4)
+        self.reward = reward.astype(float)
+        padding = np.arange(T)[:, None] >= self.n
+        self.sign = np.where(padding, 0.0, np.where(chose1, 1.0, -1.0))
+        # counts before each trial and after the last, as count_step keeps them
+        succ = np.zeros((T + 1, S, 2), dtype=np.int64)
+        pulls = np.zeros((T + 1, S, 2), dtype=np.int64)
+        np.cumsum(reward, axis=0, out=succ[1:])
+        np.cumsum(seen, axis=0, out=pulls[1:])
+        v1, v2 = count_values(succ[..., 0], pulls[..., 0], succ[..., 1], pulls[..., 1])
+        self.bayes_dv = (v1 - v2)[:-1]
+        last = (self.n, np.arange(S))
+        self.bayes_end = np.stack([v1[last], v2[last]], axis=1)
 
 
-def _replay_bayes(actions, rc, ru, cf, beta):
-    """Replay with posterior counts; returns (nll, clamped, terminal means)."""
-    s1 = n1 = s2 = n2 = 0
-    total = 0.0
-    clamped = False
-    for i in range(len(actions)):
-        v1, v2 = count_values(s1, n1, s2, n2)
-        pi1 = _sigmoid(beta * (v1 - v2))
-        chose1 = actions[i] == 1
-        p = pi1 if chose1 else 1.0 - pi1
-        if p < P_MIN:
-            p = P_MIN
-            clamped = True
-        total -= math.log(p)
-        r1, r2 = (rc[i], ru[i]) if chose1 else (ru[i], rc[i])
-        s1, n1, s2, n2 = count_step(s1, n1, s2, n2, chose1, r1, r2, cf)
-    return (total, clamped) + count_values(s1, n1, s2, n2)
+def _evaluate_pass(tab: _Tables, family: str, sess: np.ndarray, params: np.ndarray):
+    sign = np.take(tab.sign, sess, axis=1)
+    T, P = sign.shape
+    if family == "bayes":
+        dv = np.take(tab.bayes_dv, sess, axis=1)
+        end = np.take(tab.bayes_end, sess, axis=0)
+    else:
+        rates = np.zeros((P, 5))
+        rates[:, :4] = params[:, _RATE_COLUMNS[family]]
+        idx = np.take(tab.rate, sess, axis=1)
+        idx += 5 * np.arange(P)[:, None]
+        a = np.take(rates, idx)
+        # compose the maps q -> mul q + add over trials, the start value 1/2
+        # folded into trial 0, so that add[t] ends as the values after t
+        mul = 1.0 - a
+        add = a * np.take(tab.reward, sess, axis=1)
+        add[0] += 0.5 * mul[0]
+        d = 1
+        while d < T:
+            add[d:] += mul[d:] * add[:-d]
+            if 2 * d < T:
+                mul[d:] = mul[d:] * mul[:-d]
+            d *= 2
+        dv = np.zeros((T, P))
+        dv[1:] = add[:-1, :, 0] - add[:-1, :, 1]
+        # each session's own last trial: a padded position composes the maps
+        # in another order
+        end = add[tab.n[sess] - 1, np.arange(P)]
+    x = (-sign * params[:, -1]) * dv
+    z = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))  # log(1 + e^x)
+    clamped = (z > _NLL_CAP).any(axis=0)
+    np.minimum(z, _NLL_CAP, out=z)
+    z *= np.abs(sign)
+    # accumulate adds in trial order whatever the padding or the batch;
+    # a pairwise sum would regroup the terms
+    nll = np.add.accumulate(z, axis=0)[-1]
+    return nll, clamped, end[:, 0], end[:, 1]
+
+
+def _evaluate(tab: _Tables, family: str, sess, params: np.ndarray):
+    """Score points: point i is session ``sess[i]`` of ``tab`` under the
+    natural parameters ``params[i]`` of ``family`` (its parameter order,
+    beta last).  Returns each point's NLL, whether a trial hit the P_MIN
+    floor, and the values (v1, v2) after the session's last trial."""
+    sess = np.asarray(sess, dtype=np.intp)
+    step = max(1, _MAX_CELLS // tab.sign.shape[0])
+    if len(sess) <= step:
+        return _evaluate_pass(tab, family, sess, params)
+    parts = [_evaluate_pass(tab, family, sess[i:i + step], params[i:i + step])
+             for i in range(0, len(sess), step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _sorted(sim: np.ndarray, fsim: np.ndarray):
+    rows = np.arange(len(fsim))[:, None]
+    ind = np.argsort(fsim, axis=1)
+    return sim[rows, ind], fsim[rows, ind]
+
+
+def _nelder_mead(f, x0: np.ndarray, fatol: float, xatol: float):
+    """scipy's default Nelder–Mead, run on every row of ``x0`` in lockstep.
+
+    Each row is an independent minimization (a lane) that takes the steps
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` takes: the same
+    initial simplex, reflection, expansion, contraction and shrink rules,
+    sorts, termination tests and budget of 200 N evaluations, also where
+    the budget runs out inside an iteration.  ``f(points, lanes)``
+    returns the objective at ``points[i]`` for lane ``lanes[i]``.  Returns,
+    per lane, scipy's ``x``, ``fun``, ``nfev`` and ``success``, and the
+    value at the start point.
+    """
+    L, N = x0.shape
+    # each iteration spends an evaluation, so the iteration cap of 200 N
+    # can never bind before this one
+    maxfun = 200 * N
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    k = np.arange(N)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
+    fsim = f(sim.reshape(-1, N), np.repeat(np.arange(L), N + 1)).reshape(L, N + 1)
+    f0 = fsim[:, 0].copy()
+    sim, fsim = _sorted(*_sorted(sim, fsim))  # scipy sorts twice before iterating
+    fcalls = np.full(L, N + 1)
+    lane = np.arange(L)
+    x_out, f_out = np.empty((L, N)), np.empty(L)
+    nfev, success = np.empty(L, dtype=int), np.empty(L, dtype=bool)
+    while lane.size:
+        live = fcalls < maxfun
+        conv = (live & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+        stop = conv | ~live
+        if stop.any():
+            out = lane[stop]
+            x_out[out], f_out[out] = sim[stop, 0], fsim[stop].min(axis=1)
+            nfev[out], success[out] = fcalls[stop], conv[stop]
+            go = ~stop
+            lane, sim, fsim, fcalls = lane[go], sim[go], fsim[go], fcalls[go]
+            if not lane.size:
+                break
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        worst = sim[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = f(xr, lane)
+        fcalls += 1
+        expand = fxr < fsim[:, 0]
+        keep_r = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~keep_r & (fxr < fsim[:, -1])
+        # every other lane needs a second point; one out of budget abandons
+        # the iteration, as scipy's budget exception does
+        second = ~keep_r & (fcalls < maxfun)
+        x2 = np.where(expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+                      np.where(outside[:, None],
+                               (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                               (1 - _PSI) * xbar + _PSI * worst))
+        f2 = np.full(lane.size, np.nan)
+        if second.any():
+            f2[second] = f(x2[second], lane[second])
+            fcalls += second
+        take2 = second & np.where(expand, f2 < fxr,
+                                  np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
+        take_r = keep_r | (second & expand & ~take2)
+        sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
+        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
+        shrink = np.flatnonzero(second & ~expand & ~take2)
+        if shrink.size:
+            # a lane whose budget runs out mid-shrink stops there
+            scored = np.arange(1, N + 1) <= (maxfun - fcalls[shrink])[:, None]
+            base = sim[shrink, :1]
+            verts, fverts = sim[shrink, 1:], fsim[shrink, 1:]
+            verts[scored] = (base + _SIGMA * (verts - base))[scored]
+            owner = np.broadcast_to(lane[shrink, None], scored.shape)
+            fverts[scored] = f(verts[scored], owner[scored])
+            sim[shrink, 1:], fsim[shrink, 1:] = verts, fverts
+            fcalls[shrink] += scored.sum(axis=1)
+        sim, fsim = _sorted(sim, fsim)
+    return x_out, f_out, f0, nfev, success
 
 
 def _rates_of(family: str, params: Mapping[str, float]):
-    if family == "const":
-        a = params["alpha"]
-        return a, a, a, a
-    if family == "conf":
-        return (params["alpha_confirm"], params["alpha_disconfirm"],
-                params["alpha_disconfirm"], params["alpha_confirm"])
-    if family == "full":
-        return (params["a_plus_c"], params["a_minus_c"],
-                params["a_plus_u"], params["a_minus_u"])
-    raise ValueError(f"family {family!r} has no rate parameters")
+    if family not in _RATE_COLUMNS:
+        raise ValueError(f"family {family!r} has no rate parameters")
+    names = MODEL_FAMILIES[family].param_names
+    return tuple(params[names[c]] for c in _RATE_COLUMNS[family])
 
 
-def _eval(family: str, params: Mapping[str, float], lists):
-    actions, rc, ru, cf = lists
-    beta = params["beta"]
-    if family == "bayes":
-        return _replay_bayes(actions, rc, ru, cf, beta)
-    apc, amc, apu, amu = _rates_of(family, params)
-    return _replay_q(actions, rc, ru, cf, apc, amc, apu, amu, beta)
+def _params_array(family: str, params: Sequence[Mapping[str, float]]) -> np.ndarray:
+    names = MODEL_FAMILIES[family].param_names
+    return np.array([[p[name] for name in names] for p in params], dtype=float)
+
+
+def _params_dict(family: str, row) -> dict:
+    return {name: float(v) for name, v in zip(MODEL_FAMILIES[family].param_names, row)}
 
 
 def nll(family: str, params: Mapping[str, float], session: SessionData) -> float:
@@ -187,7 +320,8 @@ def nll(family: str, params: Mapping[str, float], session: SessionData) -> float
         for r in _rates_of(family, params):
             if not 0.0 <= r <= 1.0:
                 raise ValueError("learning rates must lie in [0, 1]")
-    return _eval(family, params, _session_lists(session))[0]
+    return float(_evaluate(_Tables([session]), family, [0],
+                           _params_array(family, [params]))[0][0])
 
 
 def bic(nll_value: float, df: int, n_trials: int) -> float:
@@ -195,13 +329,13 @@ def bic(nll_value: float, df: int, n_trials: int) -> float:
     return df * math.log(n_trials) + 2.0 * nll_value
 
 
-def _unpack(family: str, y) -> dict:
-    names = MODEL_FAMILIES[family].param_names
-    params = {}
-    for name, yi in zip(names[:-1], y):
-        params[name] = float(expit(yi))
-    params["beta"] = float(min(math.exp(min(y[-1], 700.0)), BETA_MAX))
-    return params
+def _unpack(y: np.ndarray) -> np.ndarray:
+    """Natural parameters of optimizer points: logistic rates, beta = e^y
+    capped at BETA_MAX."""
+    p = np.empty_like(y)
+    p[:, :-1] = expit(y[:, :-1])
+    p[:, -1] = np.minimum(np.exp(np.minimum(y[:, -1], 700.0)), BETA_MAX)
+    return p
 
 
 def _start_points(family: str, restarts: int, seed: int, stream_index: int) -> np.ndarray:
@@ -241,9 +375,69 @@ def _embed(target: str, source: str, params: Mapping[str, float]) -> dict:
     raise ValueError(f"cannot embed into family {target!r}")
 
 
+def _fit_batch(family: str, tab: _Tables, streams: Sequence[int], restarts: int,
+               seed: int, fatol: float = _FATOL, xatol: float = _XATOL,
+               warm: Optional[Sequence[Sequence[Mapping[str, float]]]] = None
+               ) -> list[FitResult]:
+    """Fit one family to every session of ``tab`` in one lockstep.
+
+    Session i restarts from the Sobol points of stream ``streams[i]`` plus
+    its ``warm`` parameter sets; the best start or simplex optimum over its
+    restarts, the first on ties, is its fit.  The bayes family scans a
+    201-point beta grid for every session in one pass and polishes each
+    minimum with a bounded Brent search.  No result raises: a session with
+    no converged restart keeps its best point with ``converged`` False.
+    """
+    fam = MODEL_FAMILIES[family]
+    S = len(tab.ids)
+    if family == "bayes":
+        grid = np.linspace(0.0, BETA_MAX, 201)
+        vals = _evaluate(tab, "bayes", np.repeat(np.arange(S), grid.size),
+                         np.tile(grid, S)[:, None])[0].reshape(S, grid.size)
+        best = np.empty((S, 1))
+        evals = np.empty(S, dtype=int)
+        for i in range(S):
+            def f(b, i=i):
+                return _evaluate(tab, "bayes", [i], np.array([[b]]))[0][0]
+
+            j = int(np.argmin(vals[i]))
+            lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+            res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                           options={"xatol": 1e-10})
+            best[i, 0] = float(res.x) if res.fun <= vals[i, j] else grid[j]
+            evals[i] = grid.size + res.nfev
+        converged = np.ones(S, dtype=bool)
+        restarts_used = 0
+    else:
+        x0 = np.concatenate([
+            np.vstack([_start_points(family, restarts, seed, k)]
+                      + [_pack(family, p) for p in (warm[i] if warm else ())])
+            for i, k in enumerate(streams)])
+        restarts_used = len(x0) // S
+        lane_sess = np.repeat(np.arange(S), restarts_used)
+
+        def objective(points, lanes):
+            return _evaluate(tab, family, lane_sess[lanes], _unpack(points))[0]
+
+        x, fun, f0, nfev, ok = _nelder_mead(objective, x0, fatol, xatol)
+        # each restart offers its start, then its optimum; the first strict
+        # minimum over that sequence wins
+        cand_f = np.stack([f0, fun], axis=1).reshape(S, -1)
+        cand_y = np.stack([x0, x], axis=1).reshape(S, -1, fam.df)
+        pick = np.argmin(np.where(np.isnan(cand_f), np.inf, cand_f), axis=1)
+        best = _unpack(cand_y[np.arange(S), pick])
+        converged = ok.reshape(S, -1).any(axis=1)
+        evals = nfev.reshape(S, -1).sum(axis=1)
+    nlls, clamped, _, _ = _evaluate(tab, family, np.arange(S), best)
+    return [FitResult(tab.ids[i], family, _params_dict(family, best[i]), float(nlls[i]),
+                      bic(float(nlls[i]), fam.df, int(tab.n[i])), bool(converged[i]),
+                      restarts_used, bool(clamped[i]), int(evals[i]))
+            for i in range(S)]
+
+
 def fit_subject(family: str, session: SessionData, restarts: int = 20,
                 seed: int = 0, stream_index: int = 0,
-                fatol: float = 1e-8, xatol: float = 1e-6,
+                fatol: float = _FATOL, xatol: float = _XATOL,
                 extra_starts: Optional[Sequence[Mapping[str, float]]] = None) -> FitResult:
     """Fit one family to one session by restarted simplex search.
 
@@ -253,87 +447,55 @@ def fit_subject(family: str, session: SessionData, restarts: int = 20,
     does not depend on the restart draws at all.  ``extra_starts`` adds
     restart points at given parameter values, e.g. a nested family's
     optimum.  Deterministic given (session, family, seed, stream_index,
-    extra_starts).
+    extra_starts).  Raises :class:`FitError`, carrying the best point,
+    when no restart converged.
     """
     if family not in MODEL_FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
-    lists = _session_lists(session)
-    n = len(lists[0])
-    fam = MODEL_FAMILIES[family]
-
-    if family == "bayes":
-        def f(b):
-            return _eval("bayes", {"beta": float(b)}, lists)[0]
-
-        grid = np.linspace(0.0, BETA_MAX, 201)
-        vals = [f(b) for b in grid]
-        j = int(np.argmin(vals))
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, len(grid) - 1)]
-        res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                       options={"xatol": 1e-10})
-        best_beta = float(res.x) if res.fun <= vals[j] else float(grid[j])
-        params = {"beta": best_beta}
-        best_nll, clamped, _, _ = _eval(family, params, lists)
-        return FitResult(session.subject_id, family, params, best_nll,
-                         bic(best_nll, fam.df, n), True, 0, clamped)
-
-    starts = list(_start_points(family, restarts, seed, stream_index))
-    starts += [_pack(family, p) for p in (extra_starts or [])]
-
-    def objective(y):
-        return _eval(family, _unpack(family, y), lists)[0]
-
-    best_y, best_fun = None, math.inf
-    converged = False
-    for y0 in starts:
-        res = optimize.minimize(objective, y0, method="Nelder-Mead",
-                                options={"fatol": fatol, "xatol": xatol})
-        converged = converged or bool(res.success)
-        # the start itself counts: simplex polish must never lose to it
-        for y, fun in ((y0, objective(y0)), (res.x, res.fun)):
-            if fun < best_fun:
-                best_y, best_fun = y, fun
-    params = _unpack(family, best_y)
-    best_nll, clamped, _, _ = _eval(family, params, lists)
-    result = FitResult(session.subject_id, family, params, best_nll,
-                       bic(best_nll, fam.df, n), converged, len(starts), clamped)
-    if not converged:
+    result = _fit_batch(family, _Tables([session]), [stream_index], restarts, seed,
+                        fatol, xatol, warm=[list(extra_starts or ())])[0]
+    if not result.converged:
         raise FitError(f"no simplex restart converged for subject "
                        f"{session.subject_id!r}, family {family!r}", result)
     return result
 
 
-def fit_families(session: SessionData, families: Optional[Sequence[str]] = None,
+def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
+                 families: Optional[Sequence[str]] = None,
                  restarts: int = 20, seed: int = 0, stream_index: int = 0,
-                 fatol: float = 1e-8, xatol: float = 1e-6) -> dict[str, FitResult]:
-    """Fit several families to one session, warm-starting nested ones.
+                 fatol: float = _FATOL, xatol: float = _XATOL):
+    """Fit several families to one session or a batch, warm-starting nested ones.
 
     Each larger family receives the smaller families' optima as extra
     restart points, so NLL(full) <= NLL(conf) <= NLL(const) holds exactly
-    rather than up to restart luck.  ``stream_index`` is a base; family k
-    in the canonical order uses stream_index + k.
+    rather than up to restart luck.  Session i of a batch fits family k of
+    the canonical order from restart stream ``stream_index + 4 i + k``.
+    Every session of a batch is fitted family by family in one lockstep,
+    and a session's fits do not depend on the rest of its batch.  Returns
+    ``{family: FitResult}`` for one session, a list of them for a batch.
+    Never raises :class:`FitError`: a fit with no converged restart keeps
+    its best point with ``converged`` False.
     """
     if families is None:
         families = FAMILY_ORDER
     for f in families:
         if f not in MODEL_FAMILIES:
             raise ValueError(f"unknown model family {f!r}")
-    out: dict[str, FitResult] = {}
-    for fam in FAMILY_ORDER:
-        if fam not in families:
-            continue
-        warm = []
-        if fam == "conf" and "const" in out:
-            warm.append(_embed("conf", "const", out["const"].params))
-        elif fam == "full":
-            for smaller in ("const", "conf"):
-                if smaller in out:
-                    warm.append(_embed("full", smaller, out[smaller].params))
-        out[fam] = fit_subject(fam, session, restarts, seed,
-                               stream_index + FAMILY_ORDER.index(fam),
-                               fatol, xatol, extra_starts=warm or None)
-    return out
+    batch = [sessions] if isinstance(sessions, SessionData) else list(sessions)
+    out: list[dict[str, FitResult]] = [{} for _ in batch]
+    if batch:
+        tab = _Tables(batch)
+        for k, fam in enumerate(FAMILY_ORDER):
+            if fam not in families:
+                continue
+            smaller = {"conf": ("const",), "full": ("const", "conf")}.get(fam, ())
+            warm = [[_embed(fam, s, fits[s].params) for s in smaller if s in fits]
+                    for fits in out]
+            streams = [stream_index + len(FAMILY_ORDER) * i + k for i in range(len(batch))]
+            for fits, r in zip(out, _fit_batch(fam, tab, streams, restarts, seed,
+                                               fatol, xatol, warm)):
+                fits[fam] = r
+    return out[0] if isinstance(sessions, SessionData) else out
 
 
 def best_model(fits: Sequence[FitResult]) -> str:
@@ -363,9 +525,12 @@ class RecoveryReport:
     ``p_value_chosen`` and ``p_value_unchosen`` are two-sided sign tests of
     a+c against a-c and of a-u against a+u, so a significant reversal
     reads as significant too; ``sign_counts`` gives each test's direction
-    as the number of agents on either side (ties in neither).
+    as the number of agents on either side (ties in neither).  Fit health:
     ``frac_beta_at_cap`` is the fraction of fits whose beta sits at
-    ``BETA_MAX``, where the fitted rate asymmetry is least identified.
+    ``BETA_MAX``, where the fitted rate asymmetry is least identified;
+    ``frac_not_converged`` the fraction with no converged restart; and
+    ``frac_rate_at_edge`` the fraction of fitted rates below 1e-6 or above
+    1 - 1e-6.
     """
 
     n_agents: int
@@ -381,6 +546,8 @@ class RecoveryReport:
     fits: list
     sign_counts: dict
     frac_beta_at_cap: float
+    frac_not_converged: float
+    frac_rate_at_edge: float
 
     def to_dict(self) -> dict:
         return {"n_agents": self.n_agents, "generator": self.generator,
@@ -393,6 +560,8 @@ class RecoveryReport:
                 "p_value_unchosen": self.p_value_unchosen,
                 "sign_counts": dict(self.sign_counts),
                 "frac_beta_at_cap": float(self.frac_beta_at_cap),
+                "frac_not_converged": float(self.frac_not_converged),
+                "frac_rate_at_edge": float(self.frac_rate_at_edge),
                 "fits": [f.to_dict() for f in self.fits]}
 
 
@@ -411,11 +580,16 @@ def recover_bias(n_agents: int, env: Environment, beta_gen: float, seed: int = 0
     (at T=24 the fitted beta mostly sits at its cap and the sign of the
     rate asymmetry follows where the fit lands on the beta-rate ridge), so
     a Bayesian ensemble's asymmetry is read against the control's, not
-    against zero.  Sign-test p-values are omitted for ensembles too small
-    to test.
+    against zero.  Agent i is simulated on stream (seed, i) and its fit
+    restarts from fit stream i; all agents are fitted in one lockstep, and
+    an agent with no converged restart keeps its best point with
+    ``converged`` False.  Sign-test p-values are omitted for ensembles too
+    small to test.
     """
     if not env.counterfactual:
         raise ValueError("bias recovery is defined for counterfactual feedback")
+    if fit_family not in _RATE_COLUMNS:
+        raise ValueError(f"family {fit_family!r} has no rate parameters")
     policy = Policy(beta=beta_gen, mode=policy_mode)
     if generator == "bayes":
         agent = BayesAgentSpec(policy)
@@ -424,34 +598,28 @@ def recover_bias(n_agents: int, env: Environment, beta_gen: float, seed: int = 0
     else:
         raise ValueError(f"unknown generator {generator!r}")
 
-    fits = []
-    rates = {name: [] for name in ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")}
-    for i in range(n_agents):
-        traj = run_trajectory(agent, env, RngStream(seed, i))
-        session = session_from_trajectory(traj, f"agent{i:04d}")
-        fit = fit_subject(fit_family, session, restarts=restarts, seed=seed,
-                          stream_index=i)
-        fits.append(fit)
-        apc, amc, apu, amu = _rates_of(fit_family, fit.params)
-        rates["a_plus_c"].append(apc)
-        rates["a_minus_c"].append(amc)
-        rates["a_plus_u"].append(apu)
-        rates["a_minus_u"].append(amu)
-
-    pos = [c > m for c, m in zip(rates["a_plus_c"], rates["a_minus_c"])]
-    disc = [m > p for p, m in zip(rates["a_plus_u"], rates["a_minus_u"])]
+    sessions = [session_from_trajectory(run_trajectory(agent, env, RngStream(seed, i)),
+                                        f"agent{i:04d}") for i in range(n_agents)]
+    fits = _fit_batch(fit_family, _Tables(sessions), range(n_agents), restarts, seed)
+    names = ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")
+    rates = dict(zip(names, np.array([_rates_of(fit_family, f.params) for f in fits]).T))
+    pos = rates["a_plus_c"] > rates["a_minus_c"]
+    disc = rates["a_minus_u"] > rates["a_plus_u"]
     c_gt, c_lt, p_chosen = _sign_test(rates["a_plus_c"], rates["a_minus_c"])
     u_gt, u_lt, p_unchosen = _sign_test(rates["a_minus_u"], rates["a_plus_u"])
+    fitted = _params_array(fit_family, [f.params for f in fits])[:, :-1]
     return RecoveryReport(
         n_agents=n_agents, generator=generator, beta_gen=beta_gen,
         policy_mode=policy_mode, fit_family=fit_family,
         mean_rates={k: float(np.mean(v)) for k, v in rates.items()},
         frac_positivity=float(np.mean(pos)),
-        frac_confirmation=float(np.mean([a and b for a, b in zip(pos, disc)])),
+        frac_confirmation=float(np.mean(pos & disc)),
         p_value_chosen=p_chosen, p_value_unchosen=p_unchosen, fits=fits,
         sign_counts={"a_plus_c>a_minus_c": c_gt, "a_plus_c<a_minus_c": c_lt,
                      "a_minus_u>a_plus_u": u_gt, "a_minus_u<a_plus_u": u_lt},
-        frac_beta_at_cap=float(np.mean([f.params["beta"] == BETA_MAX for f in fits])))
+        frac_beta_at_cap=float(np.mean([f.params["beta"] == BETA_MAX for f in fits])),
+        frac_not_converged=float(np.mean([not f.converged for f in fits])),
+        frac_rate_at_edge=float(np.mean((fitted < 1e-6) | (fitted > 1.0 - 1e-6))))
 
 
 class NewArmPoint(NamedTuple):
@@ -478,11 +646,11 @@ def new_arm_curve(fit_bayes: FitResult, fit_q: FitResult, session: SessionData,
         raise ValueError("second fit must be from a Q family")
     if fit_bayes.subject_id != session.subject_id or fit_q.subject_id != session.subject_id:
         raise ValueError("fits and session must describe the same subject")
-    lists = _session_lists(session)
-    _, _, v1_bayes, _ = _replay_bayes(*lists, beta=fit_bayes.params["beta"])
-    apc, amc, apu, amu = _rates_of(fit_q.model, fit_q.params)
-    _, _, v1_q, _ = _replay_q(*lists, apc=apc, amc=amc, apu=apu, amu=amu,
-                              beta=fit_q.params["beta"])
+    tab = _Tables([session])
+    v1_bayes, v1_q = (
+        float(_evaluate(tab, f.model, [0], _params_array(f.model, [f.params]))[2][0])
+        for f in (fit_bayes, fit_q))
+    apc, amc, _, _ = _rates_of(fit_q.model, fit_q.params)
     beta_b = fit_bayes.params["beta"]
     beta_q = fit_q.params["beta"]
 

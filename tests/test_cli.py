@@ -237,6 +237,71 @@ def test_recover_scenario_writes_report(tmp_path):
     assert len(rep["fits"]) == 2
 
 
+def test_failed_fits_are_written_and_named(tmp_path, capsys):
+    # S0035's full-family fit has no converged restart (softmax beta 8
+    # Bayesian agents, T=30, seed 5, 6 restarts, fit seed 2): the run still
+    # writes every fit, names the failure and exits 1
+    env = Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=30)
+    sessions = banditlab.synthesize_sessions(
+        banditlab.BayesAgentSpec(Policy(beta=8.0)), env, 40, seed=5)
+    banditlab.write_sessions(tmp_path / "sessions.csv", sessions)
+    cfg = {"kind": "fit", "sessions": str(tmp_path / "sessions.csv"),
+           "restarts": 6, "seed": 2}
+    out = tmp_path / "fit"
+    assert main(["fit", write_cfg(tmp_path, cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "S0035/full" in err and "S0034" not in err
+    results = json.loads((out / "fits.json").read_text())["results"]
+    assert len(results) == 40 * 4
+    assert [(r["subject_id"], r["model"]) for r in results if not r["converged"]] \
+        == [("S0035", "full")]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["not_converged"] == ["S0035/full"]
+    counters = manifest["counters"]
+    assert counters["fits"] == 160 and counters["fits_not_converged"] == 1
+    assert counters["objective_evals"] == sum(r["n_evals"] for r in results)
+    assert counters["fits_clamped"] == sum(r["clamped"] for r in results)
+    assert counters["fits_beta_at_cap"] == sum(r["params"]["beta"] == 50.0 for r in results)
+
+    # the same for recover: four softmax Bayesian agents, 3 restarts
+    cfg = {"kind": "recover",
+           "environment": {"p1": 0.5, "p2": 0.5, "counterfactual": True, "horizon": 24},
+           "n_agents": 4, "beta_gen": 10.0, "restarts": 3, "seed": 0}
+    out = tmp_path / "rec"
+    assert main(["recover", write_cfg(tmp_path, cfg, "rec.json"), "--out-dir", str(out)]) == 1
+    assert "agent0000/full" in capsys.readouterr().err
+    rep = json.loads((out / "recovery.json").read_text())
+    assert [f["converged"] for f in rep["fits"]] == [False, True, True, True]
+    assert rep["frac_not_converged"] == 0.25
+    assert json.loads((out / "manifest.json").read_text())["counters"]["fits"] == 4
+
+
+def test_fit_batches_match_single_subject_fits(tmp_path):
+    # sessions of 5, 24 and 200 trials share one padded batch, or are split
+    # into two batches by --threads 2; every fit equals the subject's own
+    bayes = banditlab.BayesAgentSpec(Policy(beta=10.0))
+    q = QAgentSpec(LearningRateSet(0.3, 0.1, 0.0, 0.0), Policy(beta=5.0))
+    sessions = []
+    for i, (agent, T, cf) in enumerate([(bayes, 200, True), (q, 5, False),
+                                        (bayes, 24, True), (q, 5, False)]):
+        env = Environment(p1=0.6, p2=0.4, counterfactual=cf, horizon=T)
+        sessions += banditlab.synthesize_sessions(agent, env, 1, seed=i, prefix=f"T{T}_{i}")
+    banditlab.write_sessions(tmp_path / "sessions.csv", sessions)
+    cfg = write_cfg(tmp_path, {"kind": "fit", "sessions": str(tmp_path / "sessions.csv"),
+                               "restarts": 3, "seed": 4})
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / f"t{threads}")
+        assert main(["fit", cfg, "--out-dir", str(outs[-1]), "--threads", threads]) == 0
+    for name in ("fits.json", "fit_summary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    batch = banditlab.fit_families(sessions, restarts=3, seed=4)
+    results = json.loads((outs[0] / "fits.json").read_text())["results"]
+    assert [f.to_dict() for fits in batch for f in fits.values()] == results
+    for i, s in enumerate(sessions):
+        assert banditlab.fit_families(s, restarts=3, seed=4, stream_index=4 * i) == batch[i]
+
+
 def test_new_arm_scenario(tmp_path):
     sim_dir = tmp_path / "sim"
     assert main(["simulate", write_cfg(tmp_path, SIM_CFG), "--out-dir",

@@ -1,10 +1,12 @@
 """Likelihoods, model fits, and the recovery experiments."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 from scipy.stats import binomtest
 
 from banditlab import (
@@ -17,6 +19,8 @@ from banditlab import (
     SessionData,
     best_model,
     bic,
+    count_step,
+    count_values,
     fit_families,
     fit_subject,
     new_arm_curve,
@@ -25,7 +29,8 @@ from banditlab import (
     q_step,
     synthesize_sessions,
 )
-from banditlab.fitting import BETA_MAX, _replay_q
+from banditlab.fitting import (BETA_MAX, P_MIN, FitError, _evaluate, _nelder_mead,
+                               _start_points, _Tables, _unpack)
 
 ENV24 = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
 
@@ -211,8 +216,14 @@ def test_recovery_report_counts_signs_and_capped_betas():
         assert p == binomtest(gt, gt + lt, 0.5).pvalue  # two-sided
     assert signs["a_plus_c>a_minus_c"] / 6 == report.frac_positivity
     assert report.frac_beta_at_cap == np.mean([q["beta"] == BETA_MAX for q in params])
+    assert report.frac_not_converged == np.mean([not f.converged for f in report.fits])
+    rates = np.array([[q[k] for k in ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")]
+                      for q in params])
+    assert report.frac_rate_at_edge == np.mean((rates < 1e-6) | (rates > 1 - 1e-6))
     d = report.to_dict()
     assert d["sign_counts"] == signs and d["frac_beta_at_cap"] == report.frac_beta_at_cap
+    assert (d["frac_not_converged"], d["frac_rate_at_edge"]) == (
+        report.frac_not_converged, report.frac_rate_at_edge)
 
 
 def test_single_agent_recovery_has_no_significance():
@@ -262,22 +273,97 @@ def test_new_arm_rejects_mismatched_subject():
         new_arm_curve(fits["full"], fits["full"], s1, [0.5], reps=10)
 
 
-trial = st.tuples(st.sampled_from((1, 2)), st.integers(0, 1), st.integers(0, 1))
-unit = st.floats(0.0, 1.0)
+def test_lockstep_simplex_takes_scipys_steps():
+    # lanes that converge, lanes that run out of budget (noise at every
+    # scale makes the simplex shrink often, so some run out inside a
+    # shrink), a plateau full of ties, and the fit objective on a greedy
+    # session
+    def rosen(y):
+        return float(np.sum(100.0 * (y[1:] - y[:-1] ** 2) ** 2 + (1.0 - y[:-1]) ** 2))
+
+    def steps(y):
+        return float(np.sum(np.floor(4.0 * np.abs(y))))
+
+    def noise(y):
+        digest = hashlib.blake2b(y.tobytes(), digest_size=8).digest()
+        return int.from_bytes(digest, "little") / 2.0**64
+
+    session = synthesize_sessions(BayesAgentSpec(Policy(mode="greedy")), ENV24, 1, seed=4)[0]
+    tab = _Tables([session])
+
+    def fit_nll(y):
+        return float(_evaluate(tab, "full", [0], _unpack(y[None]))[0][0])
+
+    rng = np.random.default_rng(7)
+    cases = [(rosen, rng.normal(size=(4, 5))), (rosen, rng.normal(size=(3, 2))),
+             (steps, rng.normal(size=(3, 3))), (noise, rng.normal(size=(8, 5))),
+             (fit_nll, _start_points("full", 4, 0, 0))]
+    outcomes = set()
+    for fn, x0 in cases:
+        x, fun, f0, nfev, ok = _nelder_mead(
+            lambda pts, ix: np.array([fn(p) for p in pts]), x0, 1e-8, 1e-6)
+        for i in range(len(x0)):
+            res = minimize(fn, x0[i], method="Nelder-Mead",
+                           options={"fatol": 1e-8, "xatol": 1e-6})
+            assert np.array_equal(res.x, x[i]) and res.fun == fun[i], (fn.__name__, i)
+            assert (res.nfev, res.success) == (nfev[i], ok[i]), (fn.__name__, i)
+            assert f0[i] == fn(x0[i])
+            outcomes.add(bool(ok[i]))
+    assert outcomes == {True, False}
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(trial, min_size=1, max_size=60), st.booleans(),
-       st.tuples(unit, unit, unit, unit))
-def test_replay_q_equals_folded_q_step(trials, cf, rates):
-    # _replay_q keeps its own inline copy of the Q rule for speed
+def test_fit_subject_raises_only_without_a_converged_restart():
+    # a subject known to fail: 40 softmax (beta 8) Bayesian sessions, T=30,
+    # seed 5, subject 35, full family, 6 restarts from fit seed 2
+    env = Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=30)
+    sessions = synthesize_sessions(BayesAgentSpec(Policy(beta=8.0)), env, 40, seed=5)
+    with pytest.raises(FitError) as err:
+        fit_subject("full", sessions[35], restarts=6, seed=2, stream_index=35 * 4 + 3)
+    best = err.value.best
+    assert not best.converged and best.restarts_used == 6
+    assert best.nll == nll("full", best.params, sessions[35])
+    # the batch path keeps the same point instead of raising
+    batch = fit_families(sessions[34:36], families=("full",), restarts=6, seed=2,
+                         stream_index=34 * 4)
+    assert batch[1]["full"] == best and batch[0]["full"].converged
+
+
+def fold_session(trials, cf, rates, beta, bayes):
+    """Terminal values and NLL of a session by folding the learning steps
+    one trial at a time, with the log-sigmoid choice cost and P_MIN cap."""
     apc, amc, apu, amu = rates
+    counts = (0, 0, 0, 0)
     q = (0.5, 0.5)
+    total = 0.0
     for a, rc, ru in trials:
+        v1, v2 = count_values(*counts) if bayes else q
+        x = (-beta if a == 1 else beta) * (v1 - v2)
+        total += min(max(x, 0.0) + math.log1p(math.exp(-abs(x))), -math.log(P_MIN))
         chose1 = a == 1
         r1, r2 = (rc, ru) if chose1 else (ru, rc)
+        counts = count_step(*counts, chose1, r1, r2, cf)
         q = q_step(*q, chose1, r1, r2, apc, amc, apu * cf, amu * cf)
-    actions = [a for a, _, _ in trials]
-    rc = [r for _, r, _ in trials]
-    ru = [r for _, _, r in trials] if cf else [0] * len(trials)
-    assert _replay_q(actions, rc, ru, cf, apc, amc, apu, amu, 3.0)[2:] == q
+    return (count_values(*counts) if bayes else q), total
+
+
+trial = st.tuples(st.sampled_from((1, 2)), st.integers(0, 1), st.integers(0, 1))
+unit = st.floats(0.0, 1.0)
+drawn_session = st.tuples(st.lists(trial, min_size=1, max_size=60), st.booleans(),
+                          st.tuples(unit, unit, unit, unit), st.floats(0.0, 50.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(drawn_session, min_size=1, max_size=4), st.booleans())
+def test_engine_equals_folded_learning_steps(drawn, bayes):
+    # a batch of sessions of mixed lengths and feedback, padded together
+    sessions, params = [], []
+    for i, (trials, cf, rates, beta) in enumerate(drawn):
+        a, rc, ru = (np.array(c, dtype=np.int8) for c in zip(*trials))
+        sessions.append(SessionData(f"S{i}", a, rc, ru if cf else None, cf))
+        params.append([beta] if bayes else [*rates, beta])
+    got = _evaluate(_Tables(sessions), "bayes" if bayes else "full",
+                    np.arange(len(drawn)), np.array(params))
+    for i, (trials, cf, rates, beta) in enumerate(drawn):
+        (v1, v2), total = fold_session(trials, cf, rates, beta, bayes)
+        assert abs(got[2][i] - v1) <= 1e-12 and abs(got[3][i] - v2) <= 1e-12
+        assert abs(got[0][i] - total) <= 1e-9
