@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,15 +28,13 @@ from . import __version__
 from .agents import (BayesAgentSpec, BayesSchedule, LearningRateSet, Policy,
                      QAgentSpec, StepSchedule, run_trajectory)
 from .env import Environment, RngStream
-from .fitting import (BETA_MAX, MODEL_FAMILIES, best_model, fit_families, fit_subject,
-                      new_arm_curve, recover_bias)
-from .moments import (MomentState, propagate_moments, propagate_moments_bayes,
-                      steady_state_delta, x_curve_rates)
+from .fitting import (BETA_MAX, MODEL_FAMILIES, FitError, best_model, fit_families,
+                      fit_subject, new_arm_curve, recover_bias)
+from .moments import (ConvergenceError, MomentState, propagate_moments,
+                      propagate_moments_bayes, steady_state_delta, x_curve_rates)
 from .sessions import read_sessions, session_from_trajectory, write_sessions
 from .switching import ensemble_switch_rate
 
-KINDS = ("simulate", "propagate", "sweep-delta", "switch-rate", "fit",
-         "recover", "new-arm")
 OUT_DIR_ENV = "BANDITLAB_OUT_DIR"
 RATE_NAMES = ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")
 
@@ -48,8 +47,9 @@ class ConfigError(Exception):
 
 @dataclass
 class RunManifest:
-    """What a run wrote.  Runs that fit also carry fit counters and the
-    fits (``subject/family``) with no converged restart."""
+    """What a run wrote, and what failed to converge: fits as
+    ``subject/family``, grid cells as ``x=X/beta=B``.  Runs that fit also
+    carry fit counters."""
 
     config_hash: str
     tool_version: str
@@ -67,17 +67,24 @@ class RunManifest:
                "files": [{"path": p, "rows": r} for p, r in self.files]}
         if self.counters is not None:
             out["counters"] = dict(self.counters)
-            out["not_converged"] = list(self.not_converged)
+        out["not_converged"] = list(self.not_converged)
         return out
 
 
-def _fit_counters(fits) -> dict:
-    """Objective evaluations and fit health summed over a run's fits."""
-    return {"objective_evals": sum(f.n_evals for f in fits),
-            "fits": len(fits),
-            "fits_not_converged": sum(not f.converged for f in fits),
-            "fits_clamped": sum(f.clamped for f in fits),
-            "fits_beta_at_cap": sum(f.params["beta"] >= BETA_MAX for f in fits)}
+def _fit_health(fits) -> dict:
+    """The manifest's counters, summed over a run's fits, and its failed fits."""
+    return {"counters": {"objective_evals": sum(f.n_evals for f in fits),
+                         "fits": len(fits),
+                         "fits_not_converged": sum(not f.converged for f in fits),
+                         "fits_clamped": sum(f.clamped for f in fits),
+                         "fits_beta_at_cap": sum(f.params["beta"] >= BETA_MAX
+                                                 for f in fits)},
+            "not_converged": [f"{f.subject_id}/{f.model}" for f in fits if not f.converged]}
+
+
+def _first(*values):
+    """The first value that is not None: the precedence of seeds and directories."""
+    return next(v for v in values if v is not None)
 
 
 def config_hash(cfg: dict) -> str:
@@ -86,6 +93,13 @@ def config_hash(cfg: dict) -> str:
 
 
 # ---------------------------------------------------------------- validation
+#
+# A rule is a (test, description) pair, or a nested table for a JSON object.
+# A table maps each key to (rule, default); REQUIRED marks a key with no
+# default.  JSON null counts as absent.
+
+REQUIRED = object()
+
 
 def _is_num(v) -> bool:
     # json.load accepts NaN, Infinity and integers too large for a float
@@ -93,186 +107,128 @@ def _is_num(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
-def _check_prob(diags, cfg, key, path):
-    v = cfg.get(key)
-    if not _is_num(v) or not 0.0 <= v <= 1.0:
-        diags.append(f"{path}: must be a probability in [0, 1], got {v!r}")
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_env(diags, env, path="environment"):
-    if not isinstance(env, dict):
-        diags.append(f"{path}: missing or not an object")
-        return
-    _check_prob(diags, env, "p1", f"{path}.p1")
-    _check_prob(diags, env, "p2", f"{path}.p2")
-    if not isinstance(env.get("counterfactual"), bool):
-        diags.append(f"{path}.counterfactual: must be true or false")
-    h = env.get("horizon")
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-        diags.append(f"{path}.horizon: must be a positive integer, got {h!r}")
+def _one_of(*choices):
+    return (lambda v: v in choices), f"one of {', '.join(map(repr, choices))}"
 
 
-def _check_schedule(diags, sched, path):
-    if sched is None:
-        return
-    if not isinstance(sched, dict) or sched.get("kind") not in ("step", "bayes"):
-        diags.append(f"{path}.kind: must be 'step' or 'bayes'")
-        return
-    if sched["kind"] == "step":
-        for k in ("alpha1", "alpha2"):
-            _check_prob(diags, sched, k, f"{path}.{k}")
-        tc = sched.get("tau_c")
-        if not isinstance(tc, int) or isinstance(tc, bool) or tc < 0:
-            diags.append(f"{path}.tau_c: must be a nonnegative integer, got {tc!r}")
+def _grid(lo, hi, what):
+    return (lambda v: isinstance(v, list) and bool(v)
+            and all(_is_num(x) and lo <= x <= hi for x in v)), f"a nonempty list of {what}"
 
 
-def _check_agent(diags, agent, env, path="agent"):
-    if not isinstance(agent, dict):
-        diags.append(f"{path}: missing or not an object")
-        return
-    typ = agent.get("type")
-    if typ not in ("q", "bayes"):
-        diags.append(f"{path}.type: must be 'q' or 'bayes', got {typ!r}")
-        return
-    b = agent.get("beta")
-    if not _is_num(b) or b < 0:
-        diags.append(f"{path}.beta: must be a nonnegative number, got {b!r}")
-    if agent.get("policy", "softmax") not in ("softmax", "greedy"):
-        diags.append(f"{path}.policy: must be 'softmax' or 'greedy'")
-    if typ == "bayes":
-        return
-    rates = agent.get("rates")
-    if not isinstance(rates, dict):
-        diags.append(f"{path}.rates: required for type 'q'")
-        return
-    for k in RATE_NAMES:
-        _check_prob(diags, rates, k, f"{path}.rates.{k}")
-    _check_schedule(diags, agent.get("schedule"), f"{path}.schedule")
-    if isinstance(env, dict) and env.get("counterfactual") is False:
+_OBJECT = (lambda v: isinstance(v, dict)), "an object"
+_PROB = (lambda v: _is_num(v) and 0.0 <= v <= 1.0), "a probability in [0, 1]"
+_NONNEG = (lambda v: _is_num(v) and v >= 0), "a nonnegative number"
+_POS_INT = (lambda v: _is_int(v) and v >= 1), "a positive integer"
+_NAT = (lambda v: _is_int(v) and v >= 0), "a nonnegative integer"
+_BOOL = (lambda v: isinstance(v, bool)), "true or false"
+_STR = (lambda v: isinstance(v, str)), "a string"
+_FAMILIES = ((lambda v: isinstance(v, list) and bool(v)
+              and all(isinstance(f, str) and f in MODEL_FAMILIES for f in v)),
+             f"a nonempty list of families from {sorted(MODEL_FAMILIES)}")
+
+_POLICY = (_one_of("softmax", "greedy"), "softmax")
+_RESTARTS = (_POS_INT, 20)
+_RATES = ({k: (_PROB, REQUIRED) for k in RATE_NAMES}, None)
+_SCHEDULE = ({"kind": (_one_of("step", "bayes"), REQUIRED), "alpha1": (_PROB, None),
+              "alpha2": (_PROB, None), "tau_c": (_NAT, None)}, None)
+_ENV = ({"p1": (_PROB, REQUIRED), "p2": (_PROB, REQUIRED),
+         "counterfactual": (_BOOL, REQUIRED), "horizon": (_POS_INT, REQUIRED)}, REQUIRED)
+_ENSEMBLE_RUN = {"environment": _ENV,
+                 "agent": ({"type": (_one_of("q", "bayes"), REQUIRED),
+                            "beta": (_NONNEG, REQUIRED), "policy": _POLICY,
+                            "rates": _RATES, "schedule": _SCHEDULE}, REQUIRED),
+                 "ensemble": ({"replicas": (_POS_INT, REQUIRED), "seed": (_NAT, None)},
+                              REQUIRED)}
+_COMMON = {"seed": (_NAT, 0),
+           "output": ({"directory": (_STR, None), "sessions": (_BOOL, False)}, {})}
+
+SCHEMA = {kind: {**_COMMON, **table} for kind, table in {
+    "simulate": _ENSEMBLE_RUN,
+    "propagate": {"p": (_PROB, REQUIRED), "beta": (_NONNEG, REQUIRED),
+                  "n_steps": (_POS_INT, REQUIRED),
+                  "mode": (_one_of("closure", "exact-unbiased"), "closure"),
+                  "rates": _RATES, "schedule": _SCHEDULE},
+    "sweep-delta": {"p": (_PROB, REQUIRED),
+                    "x_grid": (_grid(0.0, 2.0, "numbers in [0, 2]"), REQUIRED),
+                    "beta_grid": (_grid(0.0, math.inf, "nonnegative numbers"), REQUIRED)},
+    "switch-rate": _ENSEMBLE_RUN,
+    "fit": {"sessions": (_STR, REQUIRED), "families": (_FAMILIES, list(MODEL_FAMILIES)),
+            "restarts": _RESTARTS},
+    "recover": {"environment": _ENV, "n_agents": (_POS_INT, REQUIRED),
+                "beta_gen": (_NONNEG, REQUIRED),
+                "generator": (_one_of("bayes", "const_q"), "bayes"),
+                "generator_alpha": (_PROB, 0.3), "policy": _POLICY, "restarts": _RESTARTS},
+    "new-arm": {"sessions": (_STR, REQUIRED), "subject": (_STR, None),
+                "q_family": (_one_of("const", "conf", "full"), "full"),
+                "p3_grid": (_grid(0.0, 1.0, "probabilities"), REQUIRED),
+                "n3": (_POS_INT, 24), "reps": (_POS_INT, 10_000), "restarts": _RESTARTS},
+}.items()}
+KINDS = tuple(SCHEMA)
+
+
+def _walk(table, cfg: dict, diags: list, path: str = "") -> dict:
+    """The keys of ``table`` from ``cfg``, with defaults filled in; a value
+    that breaks its rule becomes None and adds one diagnostic."""
+    out = {}
+    for key, (rule, default) in table.items():
+        where, v = path + key, cfg.get(key)
+        test, what = _OBJECT if isinstance(rule, dict) else rule
+        if v is None:
+            v = default
+        if v is REQUIRED:
+            diags.append(f"{where}: required, must be {what}")
+            v = None
+        elif v is not None and not test(v):
+            diags.append(f"{where}: must be {what}, got {v!r}")
+            v = None
+        elif v is not None and isinstance(rule, dict):
+            v = _walk(rule, v, diags, where + ".")
+        out[key] = v
+    return out
+
+
+def check_config(cfg) -> tuple[Optional[dict], list[str]]:
+    """``cfg`` checked against its kind's table and the cross-field rules:
+    the config with every default filled in (None if its kind is unknown)
+    and one diagnostic per problem.  Keys outside the table are ignored."""
+    if not isinstance(cfg, dict):
+        return None, ["config: top level must be a JSON object"]
+    kind = cfg.get("kind")
+    if kind not in KINDS:
+        return None, [f"kind: must be one of {', '.join(KINDS)}; got {kind!r}"]
+    diags: list[str] = []
+    c = {"kind": kind, **_walk(SCHEMA[kind], cfg, diags)}
+    env, agent = c.get("environment") or {}, c.get("agent") or {}
+    if agent.get("type") == "q" and agent["rates"] is None:
+        diags.append("agent.rates: required for type 'q'")
+    if c.get("mode") == "closure" and c["rates"] is None:
+        diags.append("rates: required for closure mode")
+    for where, sched in (("agent.schedule", agent.get("schedule")),
+                         ("schedule", c.get("schedule"))):
+        if sched and sched["kind"] == "step" \
+                and None in (sched["alpha1"], sched["alpha2"], sched["tau_c"]):
+            diags.append(f"{where}: a step schedule needs alpha1, alpha2 and tau_c")
+    if env.get("counterfactual") is False:
         for k in ("a_plus_u", "a_minus_u"):
-            v = rates.get(k)
-            if _is_num(v) and v != 0.0:
-                diags.append(f"{path}.rates.{k}: must be 0 when "
-                             "environment.counterfactual is false — there is no "
-                             "unchosen-arm feedback to learn from")
-
-
-def _check_ensemble(diags, ens, path="ensemble"):
-    if not isinstance(ens, dict):
-        diags.append(f"{path}: missing or not an object")
-        return
-    r = ens.get("replicas")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        diags.append(f"{path}.replicas: must be a positive integer, got {r!r}")
-    s = ens.get("seed")
-    if s is not None and (not isinstance(s, int) or isinstance(s, bool) or s < 0):
-        diags.append(f"{path}.seed: must be a nonnegative integer, got {s!r}")
-
-
-def _check_grid(diags, cfg, key, path, lo=None, hi=None):
-    g = cfg.get(key)
-    if not isinstance(g, list) or not g or not all(_is_num(v) for v in g):
-        diags.append(f"{path}: must be a nonempty list of numbers")
-        return
-    for v in g:
-        if (lo is not None and v < lo) or (hi is not None and v > hi):
-            diags.append(f"{path}: value {v!r} outside [{lo}, {hi}]")
-
-
-def _check_pos_int(diags, cfg, key, path, default_ok=True):
-    v = cfg.get(key)
-    if v is None and default_ok:
-        return
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        diags.append(f"{path}: must be a positive integer, got {v!r}")
+            if (agent.get("rates") or {}).get(k):
+                diags.append(f"agent.rates.{k}: must be 0 when environment.counterfactual "
+                             "is false — there is no unchosen-arm feedback to learn from")
+        if kind == "recover":
+            diags.append("environment.counterfactual: bias recovery requires "
+                         "counterfactual feedback")
+    if kind == "switch-rate" and agent.get("policy") == "greedy":
+        diags.append("agent.policy: switching series requires a softmax policy")
+    return c, diags
 
 
 def validate_config_data(cfg) -> list[str]:
     """Schema and cross-field checks; returns a list of diagnostics."""
-    diags: list[str] = []
-    if not isinstance(cfg, dict):
-        return ["config: top level must be a JSON object"]
-    kind = cfg.get("kind")
-    if kind not in KINDS:
-        return [f"kind: must be one of {', '.join(KINDS)}; got {kind!r}"]
-    out = cfg.get("output")
-    if out is not None:
-        if not isinstance(out, dict):
-            diags.append("output: must be an object")
-        elif "directory" in out and not isinstance(out["directory"], str):
-            diags.append("output.directory: must be a string")
-
-    if kind in ("simulate", "switch-rate"):
-        _check_env(diags, cfg.get("environment"))
-        _check_agent(diags, cfg.get("agent"), cfg.get("environment"))
-        _check_ensemble(diags, cfg.get("ensemble"))
-        if kind == "switch-rate" and isinstance(cfg.get("agent"), dict) \
-                and cfg["agent"].get("policy") == "greedy":
-            diags.append("agent.policy: switching series requires a softmax policy")
-    elif kind == "propagate":
-        _check_prob(diags, cfg, "p", "p")
-        b = cfg.get("beta")
-        if not _is_num(b) or b < 0:
-            diags.append(f"beta: must be a nonnegative number, got {b!r}")
-        _check_pos_int(diags, cfg, "n_steps", "n_steps", default_ok=False)
-        mode = cfg.get("mode", "closure")
-        if mode not in ("closure", "exact-unbiased"):
-            diags.append("mode: must be 'closure' or 'exact-unbiased'")
-        if mode == "closure":
-            rates = cfg.get("rates")
-            if not isinstance(rates, dict):
-                diags.append("rates: required for closure mode")
-            else:
-                for k in RATE_NAMES:
-                    _check_prob(diags, rates, k, f"rates.{k}")
-            _check_schedule(diags, cfg.get("schedule"), "schedule")
-    elif kind == "sweep-delta":
-        _check_prob(diags, cfg, "p", "p")
-        _check_grid(diags, cfg, "x_grid", "x_grid", lo=0.0, hi=2.0)
-        _check_grid(diags, cfg, "beta_grid", "beta_grid", lo=0.0)
-    elif kind == "fit":
-        if not isinstance(cfg.get("sessions"), str):
-            diags.append("sessions: must be a path string")
-        fams = cfg.get("families", list(MODEL_FAMILIES))
-        if not isinstance(fams, list) or not fams \
-                or not all(f in MODEL_FAMILIES for f in fams):
-            diags.append(f"families: must be a nonempty subset of "
-                         f"{sorted(MODEL_FAMILIES)}")
-        _check_pos_int(diags, cfg, "restarts", "restarts")
-    elif kind == "recover":
-        _check_env(diags, cfg.get("environment"))
-        env = cfg.get("environment")
-        if isinstance(env, dict) and env.get("counterfactual") is False:
-            diags.append("environment.counterfactual: bias recovery requires "
-                         "counterfactual feedback")
-        _check_pos_int(diags, cfg, "n_agents", "n_agents", default_ok=False)
-        bg = cfg.get("beta_gen")
-        if not _is_num(bg) or bg < 0:
-            diags.append(f"beta_gen: must be a nonnegative number, got {bg!r}")
-        if cfg.get("generator", "bayes") not in ("bayes", "const_q"):
-            diags.append("generator: must be 'bayes' or 'const_q'")
-        ga = cfg.get("generator_alpha")
-        if ga is not None:
-            _check_prob(diags, cfg, "generator_alpha", "generator_alpha")
-        if cfg.get("policy", "softmax") not in ("softmax", "greedy"):
-            diags.append("policy: must be 'softmax' or 'greedy'")
-        _check_pos_int(diags, cfg, "restarts", "restarts")
-    elif kind == "new-arm":
-        if not isinstance(cfg.get("sessions"), str):
-            diags.append("sessions: must be a path string")
-        if cfg.get("q_family", "full") not in ("const", "conf", "full"):
-            diags.append("q_family: must be 'const', 'conf' or 'full'")
-        _check_grid(diags, cfg, "p3_grid", "p3_grid", lo=0.0, hi=1.0)
-        _check_pos_int(diags, cfg, "n3", "n3")
-        _check_pos_int(diags, cfg, "reps", "reps")
-        _check_pos_int(diags, cfg, "restarts", "restarts")
-        if "subject" in cfg and not isinstance(cfg["subject"], str):
-            diags.append("subject: must be a subject id string")
-
-    s = cfg.get("seed")
-    if s is not None and (not isinstance(s, int) or isinstance(s, bool) or s < 0):
-        diags.append(f"seed: must be a nonnegative integer, got {s!r}")
-    return diags
+    return check_config(cfg)[1]
 
 
 def validate_config(path) -> list[str]:
@@ -303,10 +259,10 @@ def _rates_from_cfg(rates, schedule=None) -> LearningRateSet:
 
 
 def _agent_from_cfg(agent):
-    policy = Policy(beta=agent["beta"], mode=agent.get("policy", "softmax"))
+    policy = Policy(beta=agent["beta"], mode=agent["policy"])
     if agent["type"] == "bayes":
         return BayesAgentSpec(policy)
-    sched = _schedule_from_cfg(agent.get("schedule"))
+    sched = _schedule_from_cfg(agent["schedule"])
     return QAgentSpec(_rates_from_cfg(agent["rates"], sched), policy)
 
 
@@ -354,7 +310,7 @@ def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
     agent = _agent_from_cfg(cfg["agent"])
     replicas = cfg["ensemble"]["replicas"]
     sessions = []
-    want_sessions = bool(cfg.get("output", {}).get("sessions", False))
+    want_sessions = cfg["output"]["sessions"]
 
     def rows():
         # one replica at a time, so no more than one trajectory is held
@@ -371,35 +327,39 @@ def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
     if want_sessions:
         n = write_sessions(out_dir / "sessions.csv", sessions, seed=seed)
         files.append(("sessions.csv", n))
-    return files, None
+    return files, {}
 
 
 def _run_propagate(cfg, seed: int, out_dir: Path, threads: int):
     p = cfg["p"]
     n_steps = cfg["n_steps"]
     m0 = MomentState.point_mass(0.5)
-    if cfg.get("mode", "closure") == "exact-unbiased":
+    if cfg["mode"] == "exact-unbiased":
         series = propagate_moments_bayes(m0, p, n_steps)
     else:
-        sched = _schedule_from_cfg(cfg.get("schedule"))
+        sched = _schedule_from_cfg(cfg["schedule"])
         rates = _rates_from_cfg(cfg["rates"], sched)
         series = propagate_moments(m0, rates, p, cfg["beta"], n_steps)
     rows = [(t, m.m1, m.m11, m.m12, m.delta) for t, m in enumerate(series)]
     n = _write_csv(out_dir / "moments.csv", seed,
                    ["t", "m1", "m11", "m12", "delta"], rows)
-    return [("moments.csv", n)], None
+    return [("moments.csv", n)], {}
 
 
 def _run_sweep_delta(cfg, seed: int, out_dir: Path, threads: int):
     p = cfg["p"]
-    rows = []
+    rows, failed = [], []
     for x in cfg["x_grid"]:
         rates = x_curve_rates(x)
         for beta in cfg["beta_grid"]:
-            rows.append((x, beta, p, steady_state_delta(rates, p, beta)))
+            try:
+                rows.append((x, beta, p, steady_state_delta(rates, p, beta)))
+            except ConvergenceError:  # no steady state: a blank cell
+                rows.append((x, beta, p, ""))
+                failed.append(f"x={x}/beta={beta}")
     n = _write_csv(out_dir / "delta_star.csv", seed,
                    ["x", "beta", "p", "delta_star"], rows)
-    return [("delta_star.csv", n)], None
+    return [("delta_star.csv", n)], {"not_converged": failed}
 
 
 def _run_switch_rate(cfg, seed: int, out_dir: Path, threads: int):
@@ -411,7 +371,7 @@ def _run_switch_rate(cfg, seed: int, out_dir: Path, threads: int):
     n = _write_csv(out_dir / "switch_rate.csv", seed,
                    ["t", "analytic_mean", "analytic_se",
                     "empirical_mean", "empirical_se"], rows)
-    return [("switch_rate.csv", n)], None
+    return [("switch_rate.csv", n)], {}
 
 
 def _fit_job(args):
@@ -423,8 +383,7 @@ def _fit_job(args):
 
 def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
     sessions = read_sessions(cfg["sessions"])
-    families = cfg.get("families", list(MODEL_FAMILIES))
-    restarts = cfg.get("restarts", 20)
+    families, restarts = cfg["families"], cfg["restarts"]
     # each worker fits a contiguous share of the subjects as one batch;
     # subject i keeps restart streams 4 i + k whatever the share
     shares = [ix for ix in np.array_split(np.arange(len(sessions)), max(threads, 1))
@@ -457,23 +416,22 @@ def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
     n = _write_csv(out_dir / "fit_summary.csv", seed,
                    ["model", "n_subjects", "mean_nll", "mean_bic", "n_best"],
                    summary)
-    return [("fits.json", len(results)), ("fit_summary.csv", n)], results
+    return [("fits.json", len(results)), ("fit_summary.csv", n)], _fit_health(results)
 
 
 def _run_recover(cfg, seed: int, out_dir: Path, threads: int):
     env = _env_from_cfg(cfg["environment"])
     report = recover_bias(cfg["n_agents"], env, cfg["beta_gen"], seed=seed,
-                          generator=cfg.get("generator", "bayes"),
-                          generator_alpha=cfg.get("generator_alpha", 0.3),
-                          restarts=cfg.get("restarts", 20),
-                          policy_mode=cfg.get("policy", "softmax"))
+                          generator=cfg["generator"],
+                          generator_alpha=cfg["generator_alpha"],
+                          restarts=cfg["restarts"], policy_mode=cfg["policy"])
     _write_json(out_dir / "recovery.json", {"seed": seed, **report.to_dict()})
-    return [("recovery.json", report.n_agents)], report.fits
+    return [("recovery.json", report.n_agents)], _fit_health(report.fits)
 
 
 def _run_new_arm(cfg, seed: int, out_dir: Path, threads: int):
     sessions = read_sessions(cfg["sessions"])
-    subject = cfg.get("subject")
+    subject = cfg["subject"]
     if subject is None:
         session = sessions[0]
     else:
@@ -481,19 +439,21 @@ def _run_new_arm(cfg, seed: int, out_dir: Path, threads: int):
         if not match:
             raise ValueError(f"subject {subject!r} not found in {cfg['sessions']}")
         session = match[0]
-    restarts = cfg.get("restarts", 20)
-    fit_b = fit_subject("bayes", session, restarts=restarts, seed=seed,
-                        stream_index=0)
-    fit_q = fit_subject(cfg.get("q_family", "full"), session, restarts=restarts,
-                        seed=seed, stream_index=1)
-    curve = new_arm_curve(fit_b, fit_q, session, cfg["p3_grid"],
-                          n3=cfg.get("n3", 24), reps=cfg.get("reps", 10_000),
-                          seed=seed)
+    fits = []
+    for k, family in enumerate(("bayes", cfg["q_family"])):
+        try:
+            fits.append(fit_subject(family, session, restarts=cfg["restarts"],
+                                    seed=seed, stream_index=k))
+        except FitError as e:  # keep its best point; the manifest names it
+            fits.append(e.best)
+    fit_b, fit_q = fits
+    curve = new_arm_curve(fit_b, fit_q, session, cfg["p3_grid"], n3=cfg["n3"],
+                          reps=cfg["reps"], seed=seed)
     _write_json(out_dir / "new_arm_fits.json",
                 {"seed": seed, "fits": [fit_b.to_dict(), fit_q.to_dict()]})
     n = _write_csv(out_dir / "new_arm.csv", seed,
                    ["model", "p3", "choice_prob", "stderr"], curve)
-    return [("new_arm_fits.json", 2), ("new_arm.csv", n)], [fit_b, fit_q]
+    return [("new_arm_fits.json", 2), ("new_arm.csv", n)], _fit_health(fits)
 
 
 _HANDLERS = {"simulate": _run_simulate, "propagate": _run_propagate,
@@ -505,27 +465,21 @@ def run_scenario(config_path, seed: Optional[int] = None,
                  out_dir: Optional[str] = None, threads: int = 1) -> RunManifest:
     """Validate, dispatch and write artifacts plus a manifest; returns it."""
     with open(config_path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    diags = validate_config_data(cfg)
+        raw = json.load(fh)
+    cfg, diags = check_config(raw)
     if diags:
         raise ConfigError(diags)
-    if seed is None:
-        seed = cfg.get("ensemble", {}).get("seed", cfg.get("seed", 0))
-    if out_dir is None:
-        out_dir = cfg.get("output", {}).get("directory",
-                                            os.environ.get(OUT_DIR_ENV, "out"))
-    out = Path(out_dir)
+    ens_seed = cfg["ensemble"]["seed"] if "ensemble" in cfg else None
+    seed = _first(seed, ens_seed, cfg["seed"])
+    out = Path(_first(out_dir, cfg["output"]["directory"],
+                      os.environ.get(OUT_DIR_ENV), "out"))
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
-    files, fits = _HANDLERS[cfg["kind"]](cfg, seed, out, threads)
+    files, health = _HANDLERS[cfg["kind"]](cfg, seed, out, threads)
     finished = datetime.now(timezone.utc).isoformat()
-    manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__,
+    manifest = RunManifest(config_hash=config_hash(raw), tool_version=__version__,
                            seed=seed, started_at=started, finished_at=finished,
-                           files=files)
-    if fits is not None:
-        manifest.counters = _fit_counters(fits)
-        manifest.not_converged = [f"{f.subject_id}/{f.model}" for f in fits
-                                  if not f.converged]
+                           files=files, **health)
     _write_json(out / "manifest.json", manifest.to_dict())
     return manifest
 
@@ -565,7 +519,8 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            declared = json.load(fh).get("kind")
+            raw = json.load(fh)
+        declared = raw.get("kind") if isinstance(raw, dict) else None
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read config {args.config}: {e}", file=sys.stderr)
         return 1
@@ -586,8 +541,8 @@ def main(argv=None) -> int:
     for path, rows in manifest.files:
         print(f"wrote {path} ({rows} rows)")
     if manifest.not_converged:
-        print(f"error: no simplex restart converged for {len(manifest.not_converged)} "
-              f"fit(s): {', '.join(manifest.not_converged)}", file=sys.stderr)
+        print(f"error: {len(manifest.not_converged)} result(s) did not converge: "
+              f"{', '.join(manifest.not_converged)}", file=sys.stderr)
         return 1
     return 0
 

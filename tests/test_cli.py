@@ -1,14 +1,19 @@
 """Config validation, scenario runs, and artifact reproducibility."""
 
+import copy
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import banditlab
 from banditlab import Environment, Policy, QAgentSpec, LearningRateSet, RngStream, run_trajectory
-from banditlab.cli import config_hash, main, run_scenario, validate_config_data
+from banditlab.cli import (KINDS, SCHEMA, check_config, config_hash, main, run_scenario,
+                           validate_config_data)
 
 SIM_CFG = {
     "kind": "simulate",
@@ -21,6 +26,27 @@ SIM_CFG = {
 }
 
 
+RATES = {"a_plus_c": 0.12, "a_minus_c": 0.08, "a_plus_u": 0.08, "a_minus_u": 0.12}
+# one valid config of every kind
+CONFIGS = {cfg["kind"]: cfg for cfg in [
+    SIM_CFG,
+    {"kind": "propagate", "p": 0.5, "beta": 3.0, "n_steps": 10, "rates": RATES,
+     "schedule": {"kind": "step", "alpha1": 0.3, "alpha2": 0.1, "tau_c": 4}},
+    {"kind": "sweep-delta", "p": 0.5, "x_grid": [1.0, 1.2], "beta_grid": [1.0, 3.0]},
+    {"kind": "switch-rate",
+     "environment": {"p1": 0.5, "p2": 0.5, "counterfactual": True, "horizon": 8},
+     "agent": {"type": "bayes", "beta": 6.0}, "ensemble": {"replicas": 200, "seed": 4}},
+    {"kind": "fit", "sessions": "sessions.csv", "families": ["bayes", "const"],
+     "restarts": 2, "seed": 11},
+    {"kind": "recover",
+     "environment": {"p1": 0.5, "p2": 0.5, "counterfactual": True, "horizon": 12},
+     "n_agents": 2, "beta_gen": 10.0, "generator": "const_q", "generator_alpha": 0.3,
+     "restarts": 2, "seed": 3, "output": {"directory": "o"}},
+    {"kind": "new-arm", "sessions": "sessions.csv", "subject": "S0001",
+     "p3_grid": [0.2, 0.8], "n3": 6, "reps": 50, "restarts": 2, "seed": 2},
+]}
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -31,6 +57,13 @@ def test_validate_accepts_good_config(tmp_path, capsys):
     rc = main(["validate", write_cfg(tmp_path, SIM_CFG)])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "ok"
+    # JSON null means absent: the key takes its default
+    recover, new_arm = CONFIGS["recover"], CONFIGS["new-arm"]
+    for cfg, key, default in [(recover, "generator_alpha", 0.3), (recover, "restarts", 20),
+                              (new_arm, "n3", 24), (new_arm, "restarts", 20),
+                              (new_arm, "subject", None), (SIM_CFG, "seed", 0)]:
+        checked, diags = check_config({**cfg, key: None})
+        assert diags == [] and checked[key] == default
 
 
 def test_validate_reports_each_problem(tmp_path, capsys):
@@ -38,12 +71,14 @@ def test_validate_reports_each_problem(tmp_path, capsys):
     cfg["ensemble"]["replicas"] = 0
     cfg["agent"]["rates"]["a_plus_c"] = 1.3
     cfg["environment"]["counterfactual"] = False
+    cfg["output"]["sessions"] = "false"
     rc = main(["validate", write_cfg(tmp_path, cfg)])
     out = capsys.readouterr().out
     assert rc == 2
     assert "ensemble.replicas" in out
     assert "agent.rates.a_plus_c" in out
     assert "no unchosen-arm feedback" in out
+    assert "output.sessions" in out
 
 
 def test_validate_missing_and_malformed_files(tmp_path, capsys):
@@ -72,6 +107,64 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
 def test_unknown_kind_is_rejected():
     diags = validate_config_data({"kind": "meditate"})
     assert len(diags) == 1 and "kind" in diags[0]
+
+
+def _table_keys(table):
+    for key, (rule, _) in table.items():
+        yield key
+        if isinstance(rule, dict):
+            yield from _table_keys(rule)
+
+
+SCHEMA_KEYS = sorted({k for t in SCHEMA.values() for k in _table_keys(t)} | {"kind"})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(KINDS + ("q", "bayes", "step", "greedy", "closure", "full")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+def _key_paths(cfg, prefix=()):
+    for k, v in cfg.items():
+        yield prefix + (k,)
+        if isinstance(v, dict):
+            yield from _key_paths(v, prefix + (k,))
+
+
+def _assert_diagnostics(cfg):
+    diags = validate_config_data(cfg)
+    assert isinstance(diags, list) and all(isinstance(d, str) for d in diags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_validate_never_raises_on_arbitrary_json(value):
+    _assert_diagnostics(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(CONFIGS.values())).flatmap(
+    lambda cfg: st.tuples(st.just(cfg), st.sampled_from(list(_key_paths(cfg))))), JSON_VALUES)
+@example((CONFIGS["fit"], ("families",)), [[1]])
+@example((CONFIGS["fit"], ("families",)), [{}])
+def test_validate_never_raises_on_one_replaced_key(cfg_and_path, value):
+    cfg, path = cfg_and_path
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    _assert_diagnostics(cfg)
+
+
+def test_readme_configs_validate():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    configs = [b for b in blocks if isinstance(b, dict) and "kind" in b]
+    assert configs
+    for cfg in configs:
+        assert validate_config_data(cfg) == [], cfg["kind"]
 
 
 def test_subcommand_must_match_declared_kind(tmp_path, capsys):
@@ -157,7 +250,7 @@ def test_propagate_matches_library_series(tmp_path):
     assert float(last[4]) == series[-1].delta
 
 
-def test_sweep_delta_covers_the_grid(tmp_path):
+def test_sweep_delta_covers_the_grid(tmp_path, capsys):
     cfg = {"kind": "sweep-delta", "p": 0.5,
            "x_grid": [1.0, 1.2], "beta_grid": [1.0, 3.0]}
     out = tmp_path / "o"
@@ -168,6 +261,17 @@ def test_sweep_delta_covers_the_grid(tmp_path):
     x, beta, p, d = lines[3].split(",")
     assert (float(x), float(beta)) == (1.0, 3.0)
     assert float(d) == steady_state_delta(x_curve_rates(1.0), 0.5, 3.0)
+    assert json.loads((out / "manifest.json").read_text())["not_converged"] == []
+
+    # a cell with no steady state is written blank and named; the run exits 1
+    cfg = {"kind": "sweep-delta", "p": 0.5, "x_grid": [1.0, 1.8], "beta_grid": [1.0, 5.0]}
+    out = tmp_path / "bad"
+    assert main(["sweep-delta", write_cfg(tmp_path, cfg), "--out-dir", str(out)]) == 1
+    assert "x=1.8/beta=5.0" in capsys.readouterr().err
+    lines = (out / "delta_star.csv").read_text().splitlines()
+    assert len(lines) == 2 + 4 and lines[-1] == "1.8,5,0.5,"
+    assert all(ln.split(",")[3] for ln in lines[2:-1])
+    assert json.loads((out / "manifest.json").read_text())["not_converged"] == ["x=1.8/beta=5.0"]
 
 
 def test_switch_rate_run(tmp_path):
@@ -274,6 +378,18 @@ def test_failed_fits_are_written_and_named(tmp_path, capsys):
     assert [f["converged"] for f in rep["fits"]] == [False, True, True, True]
     assert rep["frac_not_converged"] == 0.25
     assert json.loads((out / "manifest.json").read_text())["counters"]["fits"] == 4
+
+    # and for new-arm: S0035's full-family fit again fails (fit seed 1)
+    cfg = {"kind": "new-arm", "sessions": str(tmp_path / "sessions.csv"),
+           "subject": "S0035", "p3_grid": [0.2, 0.8], "n3": 6, "reps": 50,
+           "restarts": 6, "seed": 1}
+    out = tmp_path / "na"
+    assert main(["new-arm", write_cfg(tmp_path, cfg, "na.json"), "--out-dir", str(out)]) == 1
+    assert "S0035/full" in capsys.readouterr().err
+    fits = json.loads((out / "new_arm_fits.json").read_text())["fits"]
+    assert [(f["model"], f["converged"]) for f in fits] == [("bayes", True), ("full", False)]
+    assert len((out / "new_arm.csv").read_text().splitlines()) == 2 + 4
+    assert json.loads((out / "manifest.json").read_text())["not_converged"] == ["S0035/full"]
 
 
 def test_fit_batches_match_single_subject_fits(tmp_path):
