@@ -1,52 +1,37 @@
 """Two-armed Bernoulli bandit learning: simulation, moment dynamics, fitting.
 
-The package has three layers.  `env`/`agents`/`planner`/`mc` simulate
-individual learners (asymmetric Q-updates, Bayesian beta-posterior
-agents, the finite-horizon Bayes-optimal planner) and vectorized
-ensembles of them.  `moments`/`switching` propagate the ensemble
-statistics of the values analytically — exact recursions for the first
-two moments, a moment-closure approximation of the policy-coupled terms,
-steady states and choice-switching rates.  `sessions`/`fitting` turn
-simulated or recorded choice data into maximum-likelihood fits of
-candidate learning models, BIC comparisons, bias-recovery experiments
-and new-arm transfer predictions.  `cli` wraps the common scenarios
-behind a config-driven command line.
+The package has three layers.  `env`/`agents`/`mc` simulate individual
+learners (asymmetric Q-learners, Bayesian agents on beta-posterior
+counts, softmax or greedy choice, factual or counterfactual feedback)
+and vectorized ensembles of them, on counter-based random streams.
+`moments`/`switching` propagate the ensemble statistics of the values
+analytically — exact recursions for the first two moments, a
+moment-closure approximation of the policy-coupled terms, steady states
+and choice-switching rates.  `sessions`/`fitting` turn simulated or
+recorded choice data into maximum-likelihood fits of candidate learning
+models, BIC comparisons, bias-recovery experiments and new-arm transfer
+predictions.  `cli` wraps the common scenarios behind a config-driven
+command line.
 """
 
-from .env import Environment, RewardPair, RngStream, make_environment, sample_rewards
+from .env import Environment, RngStream, make_environment
 from .agents import (
     BayesAgentSpec,
     BayesSchedule,
-    BeliefState,
     LearningRateSet,
     Policy,
     QAgentSpec,
     QState,
     StepSchedule,
     Trajectory,
-    bayes_choice_prob,
-    bayes_greedy_action,
     count_step,
     count_values,
     effective_rate,
-    effective_rate_from_counts,
-    posterior_mean,
-    posterior_means,
     q_step,
     run_trajectory,
-    softmax_policy,
-)
-from .planner import (
-    BayesOptimalPlan,
-    PlannerResourceError,
-    bayes_optimal_plan,
-    shell_rank,
-    shell_size,
-    shell_states,
 )
 from .moments import (
     BiasSensitivity,
-    ConstSteadyState,
     ConvergenceError,
     MomentCoefficients,
     MomentState,
@@ -56,7 +41,6 @@ from .moments import (
     propagate_moments,
     propagate_moments_bayes,
     steady_state_delta,
-    steady_state_delta_const,
     steady_state_delta_quadratic,
     steady_state_moments,
     step_delta,
@@ -65,13 +49,7 @@ from .moments import (
     x_curve_rates,
 )
 from .mc import EnsembleMoments, ensemble_value_moments, iter_value_chunks
-from .switching import (
-    MinSwitchPoint,
-    SwitchRateSeries,
-    ensemble_switch_rate,
-    min_switch_vs_taucut,
-    switch_prob,
-)
+from .switching import SwitchRateSeries, ensemble_switch_rate, switch_prob
 from .sessions import (
     SessionData,
     read_sessions,

@@ -1,27 +1,31 @@
 """Learning agents for the two-armed bandit: asymmetric Q-learners and Bayesian agents.
 
-The Q-learner updates each arm's value by a prediction-error rule with
-separate rates for positive/negative errors on the chosen/unchosen arm.
-The Bayesian agent keeps beta-posterior counts per arm and acts on the
-posterior means.  With full feedback the Bayesian posterior-mean update
-is exactly a symmetric Q-update with the time-decaying rate 1/(t+3),
-which is what :func:`effective_rate` returns.
+A :class:`QAgentSpec` updates each arm's value by a prediction-error
+rule with the four rates of a :class:`LearningRateSet` (positive and
+negative errors, chosen and unchosen arm), which a :class:`StepSchedule`
+or :class:`BayesSchedule` may replace by one time-dependent rate.  A
+:class:`BayesAgentSpec` keeps each arm's success and outcome counts and
+acts on their posterior means, :func:`count_values`.  Both act through a
+:class:`Policy`, softmax or greedy.  With full feedback the posterior
+means follow exactly a symmetric Q-update with the decaying rate
+:func:`effective_rate`, 1/(t+3), the rate the Bayesian schedule uses.
 
 The two learning rules are written once, in :func:`q_step` and
 :func:`count_step`.  One loop, run on Python scalars for a single
-replica and on arrays for an ensemble chunk, simulates both agent kinds,
-and the switching kernel calls the same steps.  The likelihood engine in
-``fitting`` scores whole sessions at once: it counts through
-:func:`count_values` and composes the Q rule over trials as a prefix
-scan, pinned to folds of both steps by property tests.  Bayesian agents
-always learn through their counts, never through the 1/(t+3) recursion,
-whose rounding would break greedy value ties differently.
+replica (:func:`run_trajectory`) and on arrays for an ensemble chunk,
+simulates both agent kinds, and the switching kernel calls the same
+steps.  The likelihood engine in ``fitting`` scores whole sessions at
+once: it counts through :func:`count_values` and composes the Q rule
+over trials as a prefix scan, pinned to folds of both steps by property
+tests.  Bayesian agents always learn through their counts, never through
+the 1/(t+3) recursion, whose rounding would break greedy value ties
+differently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.special import expit
@@ -34,13 +38,15 @@ class QState(NamedTuple):
     q2: float
 
 
-class BeliefState(NamedTuple):
-    """Success/failure counts of the beta posterior for each arm."""
+def effective_rate(t: int) -> float:
+    """Learning rate at which posterior-mean updating matches a Q-update.
 
-    a1: int
-    b1: int
-    a2: int
-    b2: int
+    Valid when both arms observe one outcome per trial, so each arm's count
+    total equals t.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return 1.0 / (t + 3.0)
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,10 @@ class BayesSchedule:
     """Replace all four learning rates by the posterior-mean rate 1/(t+3)."""
 
     def rate(self, t: int) -> float:
-        return 1.0 / (t + 3.0)
+        return effective_rate(t)
 
 
-Schedule = Union[StepSchedule, BayesSchedule, "Callable[[int], float]", None]
+Schedule = Optional[Union[StepSchedule, BayesSchedule]]
 
 
 @dataclass(frozen=True)
@@ -95,20 +101,14 @@ class LearningRateSet:
     @classmethod
     def bayes(cls) -> "LearningRateSet":
         """Unbiased set following the posterior-mean rate 1/(t+3)."""
-        a0 = 1.0 / 3.0
+        a0 = effective_rate(0)
         return cls(a0, a0, a0, a0, schedule=BayesSchedule())
-
-    @classmethod
-    def confirmation(cls, a_confirm: float, a_disconfirm: float) -> "LearningRateSet":
-        """Two-rate set with a_plus_c = a_minus_u and a_minus_c = a_plus_u."""
-        return cls(a_confirm, a_disconfirm, a_disconfirm, a_confirm)
 
     def at(self, t: int) -> tuple[float, float, float, float]:
         """Effective (a_plus_c, a_minus_c, a_plus_u, a_minus_u) at trial t."""
         if self.schedule is None:
             return (self.a_plus_c, self.a_minus_c, self.a_plus_u, self.a_minus_u)
-        # a bare callable t -> rate is accepted as a replacement schedule
-        a = self.schedule(t) if callable(self.schedule) else self.schedule.rate(t)
+        a = self.schedule.rate(t)
         if not (0.0 <= a <= 1.0):
             raise ValueError(f"schedule produced out-of-range rate {a} at t={t}")
         return (a, a, a, a)
@@ -130,17 +130,6 @@ class Policy:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.mode not in ("softmax", "greedy"):
             raise ValueError(f"unknown policy mode {self.mode!r}")
-
-
-def softmax_policy(q: QState, policy: Policy) -> float:
-    """Probability of choosing arm 1 given the current values.
-
-    Softmax mode returns 1/(1+exp(-beta*(q1-q2))); greedy mode returns the
-    indicator of the larger value with ties broken toward arm 1.
-    """
-    if policy.mode == "greedy":
-        return 1.0 if q.q1 >= q.q2 else 0.0
-    return float(expit(policy.beta * (q.q1 - q.q2)))
 
 
 def q_step(v1, v2, chose1, r1, r2, apc, amc, apu, amu):
@@ -181,52 +170,6 @@ def count_values(s1, n1, s2, n2):
     return (s1 + 1.0) / (n1 + 2.0), (s2 + 1.0) / (n2 + 2.0)
 
 
-def posterior_mean(b: BeliefState, arm: int) -> float:
-    """Mean of the beta posterior for one arm under a uniform prior."""
-    if arm not in (1, 2):
-        raise ValueError(f"arm must be 1 or 2, got {arm}")
-    return posterior_means(b)[arm - 1]
-
-
-def posterior_means(b: BeliefState) -> QState:
-    return QState(*count_values(b.a1, b.a1 + b.b1, b.a2, b.a2 + b.b2))
-
-
-def effective_rate(t: int) -> float:
-    """Learning rate at which posterior-mean updating matches a Q-update.
-
-    Valid when both arms observe one outcome per trial, so each arm's count
-    total equals t.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return 1.0 / (t + 3.0)
-
-
-def effective_rate_from_counts(successes: int, failures: int) -> float:
-    """Per-arm variant for partial feedback: 1 / (pulls + 3)."""
-    if successes < 0 or failures < 0:
-        raise ValueError("counts must be nonnegative")
-    return 1.0 / (successes + failures + 3.0)
-
-
-def bayes_greedy_action(b: BeliefState, policy: Optional[Policy] = None):
-    """Action rule over the posterior means.
-
-    With no policy (or a greedy one) returns the arm with the larger
-    posterior mean, ties to arm 1.  With a softmax policy returns the
-    probability of choosing arm 1 instead of a hard decision.
-    """
-    if policy is not None and policy.mode == "softmax":
-        return softmax_policy(posterior_means(b), policy)
-    return 1 if posterior_mean(b, 1) >= posterior_mean(b, 2) else 2
-
-
-def bayes_choice_prob(b: BeliefState, policy: Policy) -> float:
-    """Probability of choosing arm 1 when acting on the posterior means."""
-    return softmax_policy(posterior_means(b), policy)
-
-
 @dataclass(frozen=True)
 class QAgentSpec:
     """A Q-learning agent: rate set, decision policy, and initial values."""
@@ -252,8 +195,10 @@ class Trajectory:
 
     ``values1``/``values2`` hold the agent's value estimates before each
     trial plus the terminal state (length T+1): Q-values for a Q-agent,
-    posterior means for a Bayesian agent.  ``beliefs`` additionally records
-    the posterior counts for Bayesian agents.
+    posterior means for a Bayesian agent.  A Bayesian agent's ``counts``
+    stack its arms' success and outcome counts (s1, n1, s2, n2) at the same
+    times, shape (4, T+1), in the layout and dtype of the ensemble chunks'
+    counts; None for a Q-agent.
     """
 
     actions: np.ndarray
@@ -262,7 +207,7 @@ class Trajectory:
     counterfactual: bool
     values1: np.ndarray
     values2: np.ndarray
-    beliefs: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
 
     @property
     def n_trials(self) -> int:
@@ -348,10 +293,6 @@ def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajec
     """
     u = rng.uniform_block((env.horizon, 3))
     v1, v2, actions, counts = _simulate(agent, env, u.tolist())
-    beliefs = None
-    if counts is not None:
-        s1, n1, s2, n2 = counts.astype(np.int64)
-        beliefs = np.stack([s1, n1 - s1, s2, n2 - s2], axis=1)
     return Trajectory(actions, (u[:, 1] < env.p1).astype(np.int8),
                       (u[:, 2] < env.p2).astype(np.int8), env.counterfactual,
-                      v1, v2, beliefs=beliefs)
+                      v1, v2, counts)

@@ -124,6 +124,8 @@ _OBJECT = (lambda v: isinstance(v, dict)), "an object"
 _PROB = (lambda v: _is_num(v) and 0.0 <= v <= 1.0), "a probability in [0, 1]"
 _NONNEG = (lambda v: _is_num(v) and v >= 0), "a nonnegative number"
 _POS_INT = (lambda v: _is_int(v) and v >= 1), "a positive integer"
+# a standard error needs two draws
+_REPS = (lambda v: _is_int(v) and v >= 2), "an integer of at least 2"
 _NAT = (lambda v: _is_int(v) and v >= 0), "a nonnegative integer"
 _BOOL = (lambda v: isinstance(v, bool)), "true or false"
 _STR = (lambda v: isinstance(v, str)), "a string"
@@ -166,7 +168,7 @@ SCHEMA = {kind: {**_COMMON, **table} for kind, table in {
     "new-arm": {"sessions": (_STR, REQUIRED), "subject": (_STR, None),
                 "q_family": (_one_of("const", "conf", "full"), "full"),
                 "p3_grid": (_grid(0.0, 1.0, "probabilities"), REQUIRED),
-                "n3": (_POS_INT, 24), "reps": (_POS_INT, 10_000), "restarts": _RESTARTS},
+                "n3": (_POS_INT, 24), "reps": (_REPS, 10_000), "restarts": _RESTARTS},
 }.items()}
 KINDS = tuple(SCHEMA)
 

@@ -3,16 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-
-class RewardPair(NamedTuple):
-    """Binary rewards drawn for both arms on a single trial."""
-
-    r1: int
-    r2: int
 
 
 @dataclass(frozen=True)
@@ -42,10 +34,6 @@ class Environment:
         if int(self.horizon) != self.horizon or self.horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
 
-    @property
-    def symmetric(self) -> bool:
-        return self.p1 == self.p2
-
 
 def make_environment(p1: float, p2: float, counterfactual: bool, horizon: int) -> Environment:
     """Validate and build an :class:`Environment`."""
@@ -73,24 +61,6 @@ class RngStream:
             np.random.Philox(key=np.array([self.seed, self.replica_index], dtype=np.uint64))
         )
 
-    def spawn(self, replica_index: int) -> "RngStream":
-        """A fresh stream for another replica under the same master seed."""
-        return RngStream(self.seed, replica_index)
-
-    def uniform(self) -> float:
-        return float(self._gen.random())
-
     def uniform_block(self, shape) -> np.ndarray:
         return self._gen.random(shape)
 
-
-def sample_rewards(env: Environment, rng: RngStream) -> RewardPair:
-    """Draw independent Bernoulli rewards for both arms, advancing the stream.
-
-    Both arms are always sampled, even when the environment hides the
-    unchosen arm's outcome; what the agent observes is decided by the
-    protocol layer.
-    """
-    r1 = 1 if rng.uniform() < env.p1 else 0
-    r2 = 1 if rng.uniform() < env.p2 else 0
-    return RewardPair(r1, r2)

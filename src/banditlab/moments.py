@@ -21,7 +21,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .agents import LearningRateSet
+from .agents import LearningRateSet, effective_rate
+
+# damped fixed-point iteration of the steady state: residual bound, budget, step
+_TOL = 1e-12
+_MAX_ITER = 10**6
+_DAMPING = 0.5
 
 
 class MomentState(NamedTuple):
@@ -171,34 +176,13 @@ def propagate_moments(m0: MomentState, rates: LearningRateSet, p: float, beta: f
     return out
 
 
-def propagate_moments_bayes(m0: MomentState, p: float, n_steps: int,
-                            rate_fn=None) -> list[MomentState]:
-    """Exact unbiased-agent trajectory; rate_fn defaults to the 1/(t+3) decay."""
-    if rate_fn is None:
-        rate_fn = lambda t: 1.0 / (t + 3.0)
+def propagate_moments_bayes(m0: MomentState, p: float, n_steps: int) -> list[MomentState]:
+    """Exact trajectory of the Bayesian agent, at the 1/(t+3) rate of
+    :func:`~banditlab.agents.effective_rate`."""
     out = [m0]
     for t in range(n_steps):
-        out.append(step_moments_bayes(out[-1], rate_fn(t), p))
+        out.append(step_moments_bayes(out[-1], effective_rate(t), p))
     return out
-
-
-class ConstSteadyState(NamedTuple):
-    delta: float
-    relaxation_time: float
-
-
-def steady_state_delta_const(alpha: float, p: float) -> ConstSteadyState:
-    """Steady state of the value gap under a constant unbiased rate.
-
-    Returns Delta* = p(1-p)alpha/(2-alpha) together with the relaxation
-    time 1/(alpha(2-alpha)) of the approach to it.
-    """
-    if alpha <= 0.0:
-        raise ValueError("steady state requires alpha > 0 (no relaxation at alpha = 0)")
-    if alpha > 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    return ConstSteadyState(p * (1.0 - p) * alpha / (2.0 - alpha),
-                            1.0 / (alpha * (2.0 - alpha)))
 
 
 def _quadratic_pieces(rates: LearningRateSet, p: float, beta: float):
@@ -251,20 +235,18 @@ def steady_state_delta_quadratic(rates: LearningRateSet, p: float, beta: float) 
     return candidates[0]
 
 
-def steady_state_moments(rates: LearningRateSet, p: float, beta: float,
-                         tol: float = 1e-12, max_iter: int = 10**6,
-                         damping: float = 0.5) -> MomentState:
+def steady_state_moments(rates: LearningRateSet, p: float, beta: float) -> MomentState:
     """Fixed point of the closed moment system by damped iteration from a
-    point mass at (1/2, 1/2); tol bounds the undamped residual."""
+    point mass at (1/2, 1/2), until the undamped residual is below _TOL."""
     if rates.schedule is not None:
         raise ValueError("steady state is defined for constant rates only")
     if max(rates.a_plus_c, rates.a_minus_c, rates.a_plus_u, rates.a_minus_u) == 0.0:
         raise ValueError("steady state requires at least one positive learning rate")
     m = MomentState.point_mass(0.5)
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         nxt = step_moments(m, rates, p, beta)
         res = max(abs(nxt.m1 - m.m1), abs(nxt.m11 - m.m11), abs(nxt.m12 - m.m12))
-        if res < tol:
+        if res < _TOL:
             return nxt
         # moments live in [0, 1]; leaving a slack box means the closure's
         # policy feedback has gain > 1 and no admissible fixed point exists
@@ -273,29 +255,28 @@ def steady_state_moments(rates: LearningRateSet, p: float, beta: float,
             raise ConvergenceError(
                 f"moment iteration diverged after {it + 1} iterations; the "
                 "closed system has no admissible steady state here", m, it + 1)
-        m = MomentState(m.m1 + damping * (nxt.m1 - m.m1),
-                        m.m11 + damping * (nxt.m11 - m.m11),
-                        m.m12 + damping * (nxt.m12 - m.m12))
+        m = MomentState(m.m1 + _DAMPING * (nxt.m1 - m.m1),
+                        m.m11 + _DAMPING * (nxt.m11 - m.m11),
+                        m.m12 + _DAMPING * (nxt.m12 - m.m12))
     raise ConvergenceError(
-        f"no fixed point within {max_iter} iterations (residual {res:.3e})", m, max_iter)
+        f"no fixed point within {_MAX_ITER} iterations (residual {res:.3e})", m, _MAX_ITER)
 
 
 def steady_state_delta(rates: LearningRateSet, p: float, beta: float,
-                       tol: float = 1e-12, max_iter: int = 10**6,
-                       damping: float = 0.5, cross_check: bool = True) -> float:
+                       cross_check: bool = True) -> float:
     """Steady-state value gap Delta* of the closed moment system.
 
     Solved by damped fixed-point iteration; by default the result is
     cross-validated against the eliminated quadratic.
     """
-    m = steady_state_moments(rates, p, beta, tol=tol, max_iter=max_iter, damping=damping)
+    m = steady_state_moments(rates, p, beta)
     d = m.delta
     if cross_check:
         dq = steady_state_delta_quadratic(rates, p, beta)
         if abs(d - dq) > 1e-8:
             raise ConvergenceError(
                 f"iterative steady state {d!r} disagrees with quadratic root {dq!r}",
-                m, max_iter)
+                m, _MAX_ITER)
     return d
 
 

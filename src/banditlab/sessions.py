@@ -96,8 +96,9 @@ def write_sessions(path, sessions: list[SessionData], seed=None) -> int:
 def read_sessions(path) -> list[SessionData]:
     """Read sessions back, in file order; lines starting with '#' are skipped.
 
-    Enforces the header, contiguous trial indices from 0 within each
-    subject, and an all-or-nothing unchosen-reward column per subject.
+    Enforces the header, at least one subject, contiguous trial indices
+    from 0 within each subject, and an all-or-nothing unchosen-reward
+    column per subject.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         text = fh.read()
@@ -119,6 +120,8 @@ def read_sessions(path) -> list[SessionData]:
             order.append(sid)
         by_subject[sid].append((int(trial), int(action), int(rc),
                                 int(ru) if ru != "" else None))
+    if not order:
+        raise ValueError(f"{path}: no subject's trials after the header")
     out = []
     for sid in order:
         recs = by_subject[sid]

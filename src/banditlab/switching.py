@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from .agents import (BayesAgentSpec, LearningRateSet, Policy, QAgentSpec,
-                     QState, StepSchedule, count_step, count_values, q_step)
+                     QState, count_step, count_values, q_step)
 from .env import Environment
 from .mc import DEFAULT_CHUNK, _mean_se, iter_value_chunks
 
@@ -127,33 +127,3 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int, seed: int,
     e_se = np.sqrt(e_mean * (1.0 - e_mean) / n)
     return SwitchRateSeries(np.arange(horizon), a_mean, a_se, e_mean, e_se, n)
 
-
-@dataclass
-class MinSwitchPoint:
-    alpha1: float
-    tau_c: int
-    k_min: float
-    t_min: int
-
-
-def min_switch_vs_taucut(alpha1_grid, alpha2: float, taucut_grid, p: float,
-                         beta: float, n_replicas: int, seed: int,
-                         horizon: int, chunk_size: int = DEFAULT_CHUNK) -> list[MinSwitchPoint]:
-    """Minimum of the analytic <K>_t over t for each (alpha1, tau_c) cell.
-
-    All cells share the replica streams (common random numbers), which
-    smooths comparisons across the grid.
-    """
-    env = Environment(p1=p, p2=p, counterfactual=True, horizon=horizon)
-    out = []
-    for alpha1 in alpha1_grid:
-        for tau_c in taucut_grid:
-            sched = None if alpha1 == alpha2 else StepSchedule(alpha1, alpha2, int(tau_c))
-            rates = LearningRateSet.constant(alpha1, schedule=sched)
-            agent = QAgentSpec(rates, Policy(beta=beta))
-            series = ensemble_switch_rate(agent, env, n_replicas, seed,
-                                          chunk_size=chunk_size)
-            i = int(np.argmin(series.analytic_mean))
-            out.append(MinSwitchPoint(float(alpha1), int(tau_c),
-                                      float(series.analytic_mean[i]), i))
-    return out

@@ -6,25 +6,17 @@ import pytest
 from banditlab import (
     BayesAgentSpec,
     BayesSchedule,
-    BeliefState,
     LearningRateSet,
     Policy,
     QAgentSpec,
-    QState,
     RngStream,
     StepSchedule,
-    bayes_choice_prob,
-    bayes_greedy_action,
     count_step,
     count_values,
     effective_rate,
-    effective_rate_from_counts,
     make_environment,
-    posterior_mean,
-    posterior_means,
     q_step,
     run_trajectory,
-    softmax_policy,
 )
 
 RATES = LearningRateSet(0.2, 0.1, 0.1, 0.3)
@@ -84,21 +76,33 @@ def test_steps_on_arrays_equal_scalar_steps():
         assert tuple(float(v[i]) for v in count_values(*got)) == count_values(*want)
 
 
-def test_softmax_example_and_symmetry():
-    p1 = softmax_policy(QState(0.8, 0.2), Policy(beta=5.0))
-    assert p1 == pytest.approx(0.952574, abs=1e-6)
-    for q1, q2, beta in ((0.8, 0.2, 5.0), (0.3, 0.9, 12.0), (0.5, 0.5, 3.0)):
-        pol = Policy(beta=beta)
-        s = softmax_policy(QState(q1, q2), pol) + softmax_policy(QState(q2, q1), pol)
-        assert s == pytest.approx(1.0, abs=1e-14)
-    assert softmax_policy(QState(0.9, 0.1), Policy(beta=0.0)) == 0.5
+def test_indifferent_softmax_chooses_arm_one_below_half():
+    # at beta = 0 arm 1 is chosen exactly when the trial's action draw is below 1/2
+    env = make_environment(0.7, 0.2, counterfactual=True, horizon=200)
+    agents = (QAgentSpec(RATES, Policy(beta=0.0)), BayesAgentSpec(Policy(beta=0.0)))
+    for agent in agents:
+        traj = run_trajectory(agent, env, RngStream(8, 2))
+        u = RngStream(8, 2).uniform_block((200, 3))
+        assert traj.values1[-1] != traj.values2[-1]
+        np.testing.assert_array_equal(traj.actions, np.where(u[:, 0] < 0.5, 1, 2))
 
 
 def test_greedy_policy_ties_to_arm_one():
-    g = Policy(beta=0.0, mode="greedy")
-    assert softmax_policy(QState(0.5, 0.5), g) == 1.0
-    assert softmax_policy(QState(0.4, 0.6), g) == 0.0
-    assert softmax_policy(QState(0.7, 0.6), g) == 1.0
+    # equal starting values choose arm 1; after that the larger value wins
+    env = make_environment(0.5, 0.5, counterfactual=True, horizon=60)
+    rates = LearningRateSet.constant(0.3)
+    agents = (QAgentSpec(rates, Policy(mode="greedy")),
+              QAgentSpec(rates, Policy(mode="greedy"), q_init=(0.3, 0.3)),
+              BayesAgentSpec(Policy(mode="greedy")))
+    for agent in agents:
+        traj = run_trajectory(agent, env, RngStream(4, 0))
+        v1, v2 = traj.values1[:-1], traj.values2[:-1]
+        np.testing.assert_array_equal(traj.actions, np.where(v1 >= v2, 1, 2))
+        assert traj.actions[0] == 1
+        assert np.any(v1 < v2) and np.any(v1 > v2)
+    # the last agent, Bayesian, ties again whenever both arms share counts
+    tied = v1 == v2
+    assert tied[1:].any() and np.all(traj.actions[tied] == 1)
 
 
 def test_policy_validation():
@@ -116,29 +120,11 @@ def test_belief_update_examples():
     assert count_values(2, 3, 9, 9) == (3 / 5, 10 / 11)
 
 
-def test_posterior_means():
-    assert posterior_mean(BeliefState(0, 0, 0, 0), 1) == 0.5
-    assert posterior_mean(BeliefState(2, 1, 0, 0), 1) == pytest.approx(3 / 5)
-    assert posterior_mean(BeliefState(9, 0, 0, 0), 1) == pytest.approx(10 / 11)
-    assert posterior_means(BeliefState(2, 1, 9, 0)) == (
-        pytest.approx(3 / 5), pytest.approx(10 / 11))
-
-
 def test_effective_rates():
     assert effective_rate(0) == pytest.approx(1 / 3)
     assert effective_rate(7) == pytest.approx(0.1)
-    assert effective_rate_from_counts(4, 3) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         effective_rate(-1)
-
-
-def test_bayes_greedy_action():
-    assert bayes_greedy_action(BeliefState(3, 1, 1, 2)) == 1
-    assert bayes_greedy_action(BeliefState(0, 0, 0, 0)) == 1  # tie -> arm 1
-    assert bayes_greedy_action(BeliefState(0, 3, 2, 0)) == 2
-    p = bayes_choice_prob(BeliefState(2, 1, 0, 0), Policy(beta=5.0))
-    q = softmax_policy(QState(3 / 5, 1 / 2), Policy(beta=5.0))
-    assert p == pytest.approx(q, abs=1e-15)
 
 
 def test_rate_set_validation_and_constructors():
@@ -148,8 +134,6 @@ def test_rate_set_validation_and_constructors():
         LearningRateSet(0.1, -0.2, 0.1, 0.1)
     c = LearningRateSet.constant(0.25)
     assert c.at(0) == (0.25,) * 4
-    conf = LearningRateSet.confirmation(0.3, 0.1)
-    assert conf.at(5) == (0.3, 0.1, 0.1, 0.3)
 
 
 def test_schedules_override_all_rates():
@@ -162,8 +146,6 @@ def test_schedules_override_all_rates():
     assert bs.schedule == BayesSchedule()
     assert bs.at(0) == (1 / 3,) * 4
     assert bs.at(7) == (0.1,) * 4
-    custom = LearningRateSet(0, 0, 0, 0, schedule=lambda t: 0.05)
-    assert custom.at(3) == (0.05,) * 4
 
 
 def test_unchosen_zero_property():
@@ -187,10 +169,11 @@ def test_trajectory_shapes_and_records():
 def test_bayes_trajectory_counts_both_arms():
     env = make_environment(0.5, 0.5, counterfactual=True, horizon=20)
     traj = run_trajectory(BayesAgentSpec(Policy(beta=2.0)), env, RngStream(3, 1))
-    assert traj.beliefs is not None
-    for t in range(21):
-        a1, b1, a2, b2 = traj.beliefs[t]
-        assert a1 + b1 == t and a2 + b2 == t
+    s1, n1, s2, n2 = traj.counts
+    np.testing.assert_array_equal(n1, np.arange(21))
+    np.testing.assert_array_equal(n2, np.arange(21))
+    np.testing.assert_array_equal(traj.values1, (s1 + 1.0) / (n1 + 2.0))
+    assert run_trajectory(QAgentSpec(RATES, Policy()), env, RngStream(3, 1)).counts is None
 
 
 def test_no_counterfactual_requires_zero_unchosen_rates():

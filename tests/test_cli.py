@@ -79,6 +79,10 @@ def test_validate_reports_each_problem(tmp_path, capsys):
     assert "agent.rates.a_plus_c" in out
     assert "no unchosen-arm feedback" in out
     assert "output.sessions" in out
+    # one draw leaves the transfer curve's standard errors undefined
+    cfg = dict(CONFIGS["new-arm"], reps=1)
+    assert main(["validate", write_cfg(tmp_path, cfg)]) == 2
+    assert "reps: must be an integer of at least 2, got 1" in capsys.readouterr().out
 
 
 def test_validate_missing_and_malformed_files(tmp_path, capsys):
@@ -324,6 +328,20 @@ def test_fit_missing_sessions_file_fails_cleanly(tmp_path, capsys):
     rc = main(["fit", write_cfg(tmp_path, fit_cfg)])
     assert rc == 1
     assert "error: fit failed" in capsys.readouterr().err
+
+
+def test_sessions_file_without_subjects_fails_cleanly(tmp_path, capsys):
+    # a header and no rows: both fitting scenarios name the file, exit 1
+    # and write no fit files
+    sessions = tmp_path / "empty.csv"
+    sessions.write_text("# seed=0\nsubject_id,trial,action,r_chosen,r_unchosen\n")
+    for kind in ("fit", "new-arm"):
+        cfg = dict(CONFIGS[kind], sessions=str(sessions))
+        out = tmp_path / kind
+        assert main([kind, write_cfg(tmp_path, cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {kind} failed: {sessions}: no subject" in err
+        assert list(out.iterdir()) == []
 
 
 def test_recover_scenario_writes_report(tmp_path):

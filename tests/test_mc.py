@@ -79,7 +79,7 @@ def test_ensemble_moments_equal_direct_averages():
     assert np.all(mom.mean11 >= mom.mean1**2 - 1e-12)
 
 
-def test_bayes_chunk_counts_match_scalar_beliefs():
+def test_bayes_chunk_counts_match_scalar_counts():
     # under partial feedback only the chosen arm's counts grow
     env = Environment(p1=0.6, p2=0.4, counterfactual=False, horizon=10)
     agent = BayesAgentSpec(Policy(beta=5.0))
@@ -87,9 +87,9 @@ def test_bayes_chunk_counts_match_scalar_beliefs():
     s1, n1, s2, n2 = chunk.counts
     np.testing.assert_array_equal(n1 + n2, np.broadcast_to(np.arange(11), (4, 11)))
     for i in range(4):
-        beliefs = run_trajectory(agent, env, RngStream(0, i)).beliefs
-        np.testing.assert_array_equal(beliefs, np.stack(
-            [s1[i], n1[i] - s1[i], s2[i], n2[i] - s2[i]], axis=1))
+        counts = run_trajectory(agent, env, RngStream(0, i)).counts
+        np.testing.assert_array_equal(counts, chunk.counts[:, i])
+        assert counts.dtype == chunk.counts.dtype
     assert next(iter_value_chunks(QAgentSpec(LearningRateSet(0.1, 0.1, 0, 0), Policy()),
                                   env, 4, seed=0)).counts is None
 

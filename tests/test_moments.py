@@ -17,7 +17,6 @@ from banditlab import (
     propagate_moments_bayes,
     q_step,
     steady_state_delta,
-    steady_state_delta_const,
     steady_state_delta_quadratic,
     steady_state_moments,
     step_delta,
@@ -163,20 +162,6 @@ def test_delta_series_consistency():
         m = step_moments_bayes(m, alpha, p)
         d = step_delta(d, alpha, p)
         assert m.delta == pytest.approx(d, abs=1e-12)
-
-
-def test_const_steady_state_formula():
-    for alpha in (0.01, 0.1, 0.5, 0.9):
-        for p in (0.1, 0.5, 0.9):
-            ss = steady_state_delta_const(alpha, p)
-            assert ss.delta == pytest.approx(p * (1 - p) * alpha / (2 - alpha),
-                                             abs=1e-14)
-            assert ss.relaxation_time == pytest.approx(1 / (alpha * (2 - alpha)),
-                                                       abs=1e-12)
-    with pytest.raises(ValueError):
-        steady_state_delta_const(0.0, 0.5)
-    with pytest.raises(ValueError):
-        steady_state_delta_const(1.2, 0.5)
 
 
 def test_iterated_delta_recursion_converges_to_formula():

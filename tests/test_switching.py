@@ -13,7 +13,6 @@ from banditlab import (
     QState,
     StepSchedule,
     ensemble_switch_rate,
-    min_switch_vs_taucut,
     switch_prob,
 )
 
@@ -135,13 +134,3 @@ def test_rate_drop_schedule_suppresses_late_switching():
     # with the rate frozen low, value spreads wash out and switching creeps up
     assert s_slow.analytic_mean[-1] > s_slow.analytic_mean[tau]
 
-
-def test_min_switch_grid_shares_streams():
-    pts = min_switch_vs_taucut([0.2, 0.4], 0.05, [5, 10], p=0.5, beta=5.0,
-                               n_replicas=800, seed=9, horizon=20)
-    assert len(pts) == 4
-    for pt in pts:
-        assert 0.0 <= pt.k_min <= 1.0
-        assert 0 <= pt.t_min < 20
-        assert pt.alpha1 in (0.2, 0.4)
-        assert pt.tau_c in (5, 10)
