@@ -219,18 +219,6 @@ class Trajectory:
     def reward_unchosen(self) -> np.ndarray:
         return np.where(self.actions == 1, self.rewards2, self.rewards1)
 
-    def csv_rows(self, replica: int = 0) -> list[tuple]:
-        """Rows (replica, t, action, r_chosen, r_unchosen, v1, v2); the
-        unchosen reward is blank when feedback hides it."""
-        rc = self.reward_chosen()
-        ru = self.reward_unchosen()
-        rows = []
-        for t in range(self.n_trials):
-            hidden = "" if not self.counterfactual else int(ru[t])
-            rows.append((replica, t, int(self.actions[t]), int(rc[t]), hidden,
-                         float(self.values1[t]), float(self.values2[t])))
-        return rows
-
 
 def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
     """The simulation loop behind run_trajectory and the vectorized ensembles.

@@ -3,21 +3,21 @@
 Each run reads one JSON config describing a scenario, writes its data
 artifacts plus a manifest into the output directory, and is
 reproducible: identical config and seed give byte-identical data files
-(the manifest's timestamps are the only thing that varies).  Floats are
-written with 17 significant digits so the CSVs round-trip exactly.
+(the manifest's timestamps are the only thing that varies).  CSVs are
+written by ``sessions.write_csv``; JSON records are the results'
+dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -32,7 +32,8 @@ from .fitting import (BETA_MAX, MODEL_FAMILIES, FitError, best_model, fit_famili
                       fit_subject, new_arm_curve, recover_bias)
 from .moments import (ConvergenceError, MomentState, propagate_moments,
                       propagate_moments_bayes, steady_state_delta, x_curve_rates)
-from .sessions import read_sessions, session_from_trajectory, write_sessions
+from .sessions import (read_sessions, session_from_trajectory, trial_cells, write_csv,
+                       write_sessions)
 from .switching import ensemble_switch_rate
 
 OUT_DIR_ENV = "BANDITLAB_OUT_DIR"
@@ -276,29 +277,6 @@ def _env_from_cfg(env) -> Environment:
 
 # ------------------------------------------------------------------- writers
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
-
-
-def _write_csv(path, seed: int, header, rows) -> int:
-    """Write any iterable of rows; returns how many it wrote."""
-    n = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# seed={seed}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-            n += 1
-    return n
-
-
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -318,14 +296,17 @@ def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
         # one replica at a time, so no more than one trajectory is held
         for r in range(replicas):
             traj = run_trajectory(agent, env, RngStream(seed, r))
-            yield from traj.csv_rows(replica=r)
+            session = session_from_trajectory(traj, f"S{r:04d}")
+            for (t, a, rc, ru), v1, v2 in zip(trial_cells(session), traj.values1.tolist(),
+                                              traj.values2.tolist()):
+                yield r, t, a, rc, ru, v1, v2
             if want_sessions:
-                sessions.append(session_from_trajectory(traj, f"S{r:04d}"))
+                sessions.append(session)
 
     files = [("trajectories.csv",
-              _write_csv(out_dir / "trajectories.csv", seed,
-                         ["replica", "t", "action", "r_chosen", "r_unchosen",
-                          "q1", "q2"], rows()))]
+              write_csv(out_dir / "trajectories.csv",
+                        ["replica", "t", "action", "r_chosen", "r_unchosen",
+                         "q1", "q2"], rows(), seed))]
     if want_sessions:
         n = write_sessions(out_dir / "sessions.csv", sessions, seed=seed)
         files.append(("sessions.csv", n))
@@ -343,8 +324,7 @@ def _run_propagate(cfg, seed: int, out_dir: Path, threads: int):
         rates = _rates_from_cfg(cfg["rates"], sched)
         series = propagate_moments(m0, rates, p, cfg["beta"], n_steps)
     rows = [(t, m.m1, m.m11, m.m12, m.delta) for t, m in enumerate(series)]
-    n = _write_csv(out_dir / "moments.csv", seed,
-                   ["t", "m1", "m11", "m12", "delta"], rows)
+    n = write_csv(out_dir / "moments.csv", ["t", "m1", "m11", "m12", "delta"], rows, seed)
     return [("moments.csv", n)], {}
 
 
@@ -359,8 +339,7 @@ def _run_sweep_delta(cfg, seed: int, out_dir: Path, threads: int):
             except ConvergenceError:  # no steady state: a blank cell
                 rows.append((x, beta, p, ""))
                 failed.append(f"x={x}/beta={beta}")
-    n = _write_csv(out_dir / "delta_star.csv", seed,
-                   ["x", "beta", "p", "delta_star"], rows)
+    n = write_csv(out_dir / "delta_star.csv", ["x", "beta", "p", "delta_star"], rows, seed)
     return [("delta_star.csv", n)], {"not_converged": failed}
 
 
@@ -370,9 +349,9 @@ def _run_switch_rate(cfg, seed: int, out_dir: Path, threads: int):
     series = ensemble_switch_rate(agent, env, cfg["ensemble"]["replicas"], seed)
     rows = list(zip(series.t, series.analytic_mean, series.analytic_se,
                     series.empirical_mean, series.empirical_se))
-    n = _write_csv(out_dir / "switch_rate.csv", seed,
-                   ["t", "analytic_mean", "analytic_se",
-                    "empirical_mean", "empirical_se"], rows)
+    n = write_csv(out_dir / "switch_rate.csv",
+                  ["t", "analytic_mean", "analytic_se", "empirical_mean", "empirical_se"],
+                  rows, seed)
     return [("switch_rate.csv", n)], {}
 
 
@@ -405,7 +384,7 @@ def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
     best = ({sid: best_model(fits) for sid, fits in by_subject.items()}
             if len(families) > 1 else {})
     _write_json(out_dir / "fits.json",
-                {"seed": seed, "results": [f.to_dict() for f in results],
+                {"seed": seed, "results": [asdict(f) for f in results],
                  "best": best})
 
     summary = []
@@ -415,9 +394,8 @@ def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
                         float(np.mean([f.nll for f in fam_fits])),
                         float(np.mean([f.bic for f in fam_fits])),
                         sum(1 for b in best.values() if b == fam)))
-    n = _write_csv(out_dir / "fit_summary.csv", seed,
-                   ["model", "n_subjects", "mean_nll", "mean_bic", "n_best"],
-                   summary)
+    n = write_csv(out_dir / "fit_summary.csv",
+                  ["model", "n_subjects", "mean_nll", "mean_bic", "n_best"], summary, seed)
     return [("fits.json", len(results)), ("fit_summary.csv", n)], _fit_health(results)
 
 
@@ -427,7 +405,7 @@ def _run_recover(cfg, seed: int, out_dir: Path, threads: int):
                           generator=cfg["generator"],
                           generator_alpha=cfg["generator_alpha"],
                           restarts=cfg["restarts"], policy_mode=cfg["policy"])
-    _write_json(out_dir / "recovery.json", {"seed": seed, **report.to_dict()})
+    _write_json(out_dir / "recovery.json", {"seed": seed, **asdict(report)})
     return [("recovery.json", report.n_agents)], _fit_health(report.fits)
 
 
@@ -452,9 +430,9 @@ def _run_new_arm(cfg, seed: int, out_dir: Path, threads: int):
     curve = new_arm_curve(fit_b, fit_q, session, cfg["p3_grid"], n3=cfg["n3"],
                           reps=cfg["reps"], seed=seed)
     _write_json(out_dir / "new_arm_fits.json",
-                {"seed": seed, "fits": [fit_b.to_dict(), fit_q.to_dict()]})
-    n = _write_csv(out_dir / "new_arm.csv", seed,
-                   ["model", "p3", "choice_prob", "stderr"], curve)
+                {"seed": seed, "fits": [asdict(fit_b), asdict(fit_q)]})
+    n = write_csv(out_dir / "new_arm.csv", ["model", "p3", "choice_prob", "stderr"],
+                  curve, seed)
     return [("new_arm_fits.json", 2), ("new_arm.csv", n)], _fit_health(fits)
 
 

@@ -94,13 +94,6 @@ class FitResult:
     clamped: bool = False
     n_evals: int = 0
 
-    def to_dict(self) -> dict:
-        return {"subject_id": self.subject_id, "model": self.model,
-                "params": {k: float(v) for k, v in self.params.items()},
-                "nll": float(self.nll), "bic": float(self.bic),
-                "converged": self.converged, "restarts_used": self.restarts_used,
-                "clamped": self.clamped, "n_evals": self.n_evals}
-
 
 class FitError(Exception):
     """No restart converged; ``best`` holds the best point found anyway."""
@@ -376,8 +369,7 @@ def _embed(target: str, source: str, params: Mapping[str, float]) -> dict:
 
 
 def _fit_batch(family: str, tab: _Tables, streams: Sequence[int], restarts: int,
-               seed: int, fatol: float = _FATOL, xatol: float = _XATOL,
-               warm: Optional[Sequence[Sequence[Mapping[str, float]]]] = None
+               seed: int, warm: Optional[Sequence[Sequence[Mapping[str, float]]]] = None
                ) -> list[FitResult]:
     """Fit one family to every session of ``tab`` in one lockstep.
 
@@ -419,7 +411,7 @@ def _fit_batch(family: str, tab: _Tables, streams: Sequence[int], restarts: int,
         def objective(points, lanes):
             return _evaluate(tab, family, lane_sess[lanes], _unpack(points))[0]
 
-        x, fun, f0, nfev, ok = _nelder_mead(objective, x0, fatol, xatol)
+        x, fun, f0, nfev, ok = _nelder_mead(objective, x0, _FATOL, _XATOL)
         # each restart offers its start, then its optimum; the first strict
         # minimum over that sequence wins
         cand_f = np.stack([f0, fun], axis=1).reshape(S, -1)
@@ -436,24 +428,19 @@ def _fit_batch(family: str, tab: _Tables, streams: Sequence[int], restarts: int,
 
 
 def fit_subject(family: str, session: SessionData, restarts: int = 20,
-                seed: int = 0, stream_index: int = 0,
-                fatol: float = _FATOL, xatol: float = _XATOL,
-                extra_starts: Optional[Sequence[Mapping[str, float]]] = None) -> FitResult:
+                seed: int = 0, stream_index: int = 0) -> FitResult:
     """Fit one family to one session by restarted simplex search.
 
     Rates are optimized through a logistic transform and beta through a
     log transform capped at 50.  The one-parameter bayes family uses a
     deterministic grid-plus-refine line search instead, so its result
-    does not depend on the restart draws at all.  ``extra_starts`` adds
-    restart points at given parameter values, e.g. a nested family's
-    optimum.  Deterministic given (session, family, seed, stream_index,
-    extra_starts).  Raises :class:`FitError`, carrying the best point,
-    when no restart converged.
+    does not depend on the restart draws at all.  Deterministic given
+    (session, family, seed, stream_index).  Raises :class:`FitError`,
+    carrying the best point, when no restart converged.
     """
     if family not in MODEL_FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
-    result = _fit_batch(family, _Tables([session]), [stream_index], restarts, seed,
-                        fatol, xatol, warm=[list(extra_starts or ())])[0]
+    result = _fit_batch(family, _Tables([session]), [stream_index], restarts, seed)[0]
     if not result.converged:
         raise FitError(f"no simplex restart converged for subject "
                        f"{session.subject_id!r}, family {family!r}", result)
@@ -462,8 +449,7 @@ def fit_subject(family: str, session: SessionData, restarts: int = 20,
 
 def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
                  families: Optional[Sequence[str]] = None,
-                 restarts: int = 20, seed: int = 0, stream_index: int = 0,
-                 fatol: float = _FATOL, xatol: float = _XATOL):
+                 restarts: int = 20, seed: int = 0, stream_index: int = 0):
     """Fit several families to one session or a batch, warm-starting nested ones.
 
     Each larger family receives the smaller families' optima as extra
@@ -492,8 +478,7 @@ def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
             warm = [[_embed(fam, s, fits[s].params) for s in smaller if s in fits]
                     for fits in out]
             streams = [stream_index + len(FAMILY_ORDER) * i + k for i in range(len(batch))]
-            for fits, r in zip(out, _fit_batch(fam, tab, streams, restarts, seed,
-                                               fatol, xatol, warm)):
+            for fits, r in zip(out, _fit_batch(fam, tab, streams, restarts, seed, warm)):
                 fits[fam] = r
     return out[0] if isinstance(sessions, SessionData) else out
 
@@ -549,27 +534,11 @@ class RecoveryReport:
     frac_not_converged: float
     frac_rate_at_edge: float
 
-    def to_dict(self) -> dict:
-        return {"n_agents": self.n_agents, "generator": self.generator,
-                "beta_gen": self.beta_gen, "policy_mode": self.policy_mode,
-                "fit_family": self.fit_family,
-                "mean_rates": {k: float(v) for k, v in self.mean_rates.items()},
-                "frac_positivity": float(self.frac_positivity),
-                "frac_confirmation": float(self.frac_confirmation),
-                "p_value_chosen": self.p_value_chosen,
-                "p_value_unchosen": self.p_value_unchosen,
-                "sign_counts": dict(self.sign_counts),
-                "frac_beta_at_cap": float(self.frac_beta_at_cap),
-                "frac_not_converged": float(self.frac_not_converged),
-                "frac_rate_at_edge": float(self.frac_rate_at_edge),
-                "fits": [f.to_dict() for f in self.fits]}
-
 
 def recover_bias(n_agents: int, env: Environment, beta_gen: float, seed: int = 0,
                  generator: str = "bayes", generator_alpha: float = 0.3,
-                 restarts: int = 20, policy_mode: str = "softmax",
-                 fit_family: str = "full") -> RecoveryReport:
-    """Simulate agents, fit each with an asymmetric-rate family, and test
+                 restarts: int = 20, policy_mode: str = "softmax") -> RecoveryReport:
+    """Simulate agents, fit each with the full four-rate family, and test
     whether the fitted rates are systematically asymmetric.
 
     ``generator="bayes"`` runs Bayesian agents (softmax or greedy over the
@@ -588,8 +557,7 @@ def recover_bias(n_agents: int, env: Environment, beta_gen: float, seed: int = 0
     """
     if not env.counterfactual:
         raise ValueError("bias recovery is defined for counterfactual feedback")
-    if fit_family not in _RATE_COLUMNS:
-        raise ValueError(f"family {fit_family!r} has no rate parameters")
+    fit_family = "full"
     policy = Policy(beta=beta_gen, mode=policy_mode)
     if generator == "bayes":
         agent = BayesAgentSpec(policy)

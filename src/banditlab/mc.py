@@ -90,29 +90,26 @@ def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int) -> tuple[np.ndarra
 
 
 def ensemble_value_moments(agent, env: Environment, n_replicas: int, seed: int,
-                           horizon: Optional[int] = None,
                            chunk_size: int = DEFAULT_CHUNK) -> EnsembleMoments:
     """Monte-Carlo estimates of <Q1>, <Q1**2> and <Q1Q2> before each trial
     (terminal state included)."""
-    horizon = env.horizon if horizon is None else horizon
-    shape = horizon + 1
+    shape = env.horizon + 1
     s1 = np.zeros(shape)
-    s1_sq = np.zeros(shape)
+    # s11 sums Q1**2: the mean <Q1**2>, and the second moment behind <Q1>'s SE
     s11 = np.zeros(shape)
     s11_sq = np.zeros(shape)
     s12 = np.zeros(shape)
     s12_sq = np.zeros(shape)
-    for chunk in iter_value_chunks(agent, env, n_replicas, seed, horizon, chunk_size):
+    for chunk in iter_value_chunks(agent, env, n_replicas, seed, chunk_size=chunk_size):
         q1, q2 = chunk.q1, chunk.q2
         sq = q1 * q1
         cross = q1 * q2
         s1 += q1.sum(axis=0)
-        s1_sq += sq.sum(axis=0)
         s11 += sq.sum(axis=0)
         s11_sq += (sq * sq).sum(axis=0)
         s12 += cross.sum(axis=0)
         s12_sq += (cross * cross).sum(axis=0)
-    mean1, se1 = _mean_se(s1, s1_sq, n_replicas)
+    mean1, se1 = _mean_se(s1, s11, n_replicas)
     mean11, se11 = _mean_se(s11, s11_sq, n_replicas)
     mean12, se12 = _mean_se(s12, s12_sq, n_replicas)
     return EnsembleMoments(np.arange(shape), mean1, se1, mean11, se11,

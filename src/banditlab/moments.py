@@ -302,13 +302,14 @@ class BiasSensitivity(NamedTuple):
     d2_delta_dbeta_dbias: float
 
 
-def bias_sensitivity(x: float, p: float, beta: float,
-                     dx: float = 1e-4, dbeta: float = 0.05) -> BiasSensitivity:
+def bias_sensitivity(x: float, p: float, beta: float) -> BiasSensitivity:
     """Finite-difference sensitivities of the steady-state gap to bias.
 
     Differentiates Delta* along the x-curve (where the confirmation index
-    equals x - 1, so d/dbias = d/dx) and mixed with beta.
+    equals x - 1, so d/dbias = d/dx) with central steps of 1e-4 in x, and
+    mixed with beta with central steps of 0.05 in beta.
     """
+    dx, dbeta = 1e-4, 0.05
     if not 0.0 < p < 1.0:
         raise ValueError("sensitivity undefined at p in {0, 1}: no reward variance")
 

@@ -4,15 +4,15 @@ A session is what a fitting procedure sees: the chosen actions, the
 rewards the subject observed, and — when the task reveals it — the
 reward of the unchosen arm.  The CSV schema is one row per trial with
 columns ``subject_id, trial, action, r_chosen, r_unchosen``; the last
-column is left empty for subjects whose task hid it.
+column is left empty for subjects whose task hid it.  :func:`write_csv`
+writes every CSV artifact of the package, sessions included.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -72,54 +72,82 @@ def synthesize_sessions(agent: AgentSpec, env: Environment, n_subjects: int,
     return out
 
 
+def write_csv(path, header, rows, seed=None) -> int:
+    """Write a header and any iterable of rows as CSV; returns how many rows.
+
+    When ``seed`` is given it goes first, as a ``# seed=`` comment line.
+    A float is written with 17 significant digits, so it reads back
+    exactly; every other cell (ints, strings, blanks) is left to ``csv``.
+    """
+    n = 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if seed is not None:
+            fh.write(f"# seed={seed}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+            n += 1
+    return n
+
+
+def trial_cells(session: SessionData):
+    """The cells ``trial, action, r_chosen, r_unchosen`` of each of a
+    session's trials; ``r_unchosen`` is blank when feedback hides it."""
+    n = session.n_trials
+    ru = session.r_unchosen.tolist() if session.counterfactual else [""] * n
+    return zip(range(n), session.actions.tolist(), session.r_chosen.tolist(), ru)
+
+
+def _session_rows(sessions):
+    for s in sessions:
+        s.validate()
+        for cells in trial_cells(s):
+            yield (s.subject_id, *cells)
+
+
 def write_sessions(path, sessions: list[SessionData], seed=None) -> int:
     """Write sessions to CSV; returns the number of data rows.
 
     When `seed` is given it is recorded as a leading comment line, which
     `read_sessions` skips.
     """
-    rows = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if seed is not None:
-            fh.write(f"# seed={seed}\n")
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for s in sessions:
-            s.validate()
-            for t in range(s.n_trials):
-                ru = int(s.r_unchosen[t]) if s.counterfactual else ""
-                w.writerow([s.subject_id, t, int(s.actions[t]), int(s.r_chosen[t]), ru])
-                rows += 1
-    return rows
+    return write_csv(path, CSV_HEADER, _session_rows(sessions), seed)
 
 
 def read_sessions(path) -> list[SessionData]:
-    """Read sessions back, in file order; lines starting with '#' are skipped.
+    """Read sessions back, in file order; lines starting with '#' before
+    the header are skipped.
 
     Enforces the header, at least one subject, contiguous trial indices
     from 0 within each subject, and an all-or-nothing unchosen-reward
     column per subject.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ValueError(f"expected header {CSV_HEADER}, got {header}")
     order: list[str] = []
     by_subject: dict[str, list[tuple[int, int, int, Optional[int]]]] = {}
-    for ln, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ValueError(f"line {ln}: expected 5 columns, got {len(row)}")
-        sid, trial, action, rc, ru = row
-        if sid not in by_subject:
-            by_subject[sid] = []
-            order.append(sid)
-        by_subject[sid].append((int(trial), int(action), int(rc),
-                                int(ru) if ru != "" else None))
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        # comments come only before the header: after it, a '#' may begin a
+        # subject ID, and a quoted cell may span lines
+        comments, start = 0, fh.tell()
+        while fh.readline().startswith("#"):
+            comments, start = comments + 1, fh.tell()
+        fh.seek(start)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise ValueError(f"expected header {CSV_HEADER}, got {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 5:
+                raise ValueError(f"line {comments + reader.line_num}: "
+                                 f"expected 5 columns, got {len(row)}")
+            sid, trial, action, rc, ru = row
+            if sid not in by_subject:
+                by_subject[sid] = []
+                order.append(sid)
+            by_subject[sid].append((int(trial), int(action), int(rc),
+                                    int(ru) if ru != "" else None))
     if not order:
         raise ValueError(f"{path}: no subject's trials after the header")
     out = []

@@ -15,15 +15,14 @@ simulated replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
-from .agents import (BayesAgentSpec, LearningRateSet, Policy, QAgentSpec,
-                     QState, count_step, count_values, q_step)
+from .agents import (BayesAgentSpec, LearningRateSet, QAgentSpec, QState, count_step,
+                     count_values, q_step)
 from .env import Environment
-from .mc import DEFAULT_CHUNK, _mean_se, iter_value_chunks
+from .mc import _mean_se, iter_value_chunks
 
 
 def _k_mixture(v1, v2, after, p1, p2, beta):
@@ -82,20 +81,14 @@ class SwitchRateSeries:
     n_replicas: int
 
 
-def ensemble_switch_rate(agent, env: Environment, n_replicas: int, seed: int,
-                         horizon: Optional[int] = None, beta: Optional[float] = None,
-                         chunk_size: int = DEFAULT_CHUNK) -> SwitchRateSeries:
+def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
+                         seed: int) -> SwitchRateSeries:
     """<K>_t for t = 0..horizon-1 from n_replicas simulated trajectories.
 
     Simulates one extra trial so the realized-switch estimator covers the
-    same trials as the analytic one.  ``beta`` overrides the agent's
-    softmax temperature.
+    same trials as the analytic one.
     """
-    horizon = env.horizon if horizon is None else horizon
-    if beta is not None:
-        policy = Policy(beta=beta, mode=agent.policy.mode)
-        agent = (QAgentSpec(agent.rates, policy, agent.q_init)
-                 if isinstance(agent, QAgentSpec) else BayesAgentSpec(policy))
+    horizon = env.horizon
     if not isinstance(agent, (QAgentSpec, BayesAgentSpec)):
         raise TypeError(f"unknown agent spec {type(agent).__name__}")
     if agent.policy.mode != "softmax":
@@ -106,7 +99,7 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int, seed: int,
     k_sum = np.zeros(horizon)
     k_sqsum = np.zeros(horizon)
     switches = np.zeros(horizon)
-    for chunk in iter_value_chunks(agent, env, n_replicas, seed, horizon + 1, chunk_size):
+    for chunk in iter_value_chunks(agent, env, n_replicas, seed, horizon + 1):
         for t in range(horizon):
             v1, v2 = chunk.q1[:, t], chunk.q2[:, t]
             if chunk.counts is None:

@@ -162,8 +162,6 @@ def test_trajectory_shapes_and_records():
     assert traj.values1.shape == (31,)
     assert traj.values1[0] == 0.5
     assert set(np.unique(traj.actions)) <= {1, 2}
-    rows = traj.csv_rows(replica=4)
-    assert rows[0][0] == 4 and len(rows) == 30
 
 
 def test_bayes_trajectory_counts_both_arms():

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -431,7 +432,7 @@ def test_fit_batches_match_single_subject_fits(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     batch = banditlab.fit_families(sessions, restarts=3, seed=4)
     results = json.loads((outs[0] / "fits.json").read_text())["results"]
-    assert [f.to_dict() for fits in batch for f in fits.values()] == results
+    assert [asdict(f) for fits in batch for f in fits.values()] == results
     for i, s in enumerate(sessions):
         assert banditlab.fit_families(s, restarts=3, seed=4, stream_index=4 * i) == batch[i]
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ def test_recovery_report_counts_signs_and_capped_betas():
     rates = np.array([[q[k] for k in ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")]
                       for q in params])
     assert report.frac_rate_at_edge == np.mean((rates < 1e-6) | (rates > 1 - 1e-6))
-    d = report.to_dict()
+    d = asdict(report)
     assert d["sign_counts"] == signs and d["frac_beta_at_cap"] == report.frac_beta_at_cap
     assert (d["frac_not_converged"], d["frac_rate_at_edge"]) == (
         report.frac_not_converged, report.frac_rate_at_edge)
@@ -232,7 +233,7 @@ def test_single_agent_recovery_has_no_significance():
     assert report.p_value_chosen is None
     assert report.p_value_unchosen is None
     assert report.n_agents == 1
-    d = report.to_dict()
+    d = asdict(report)
     assert d["p_value_chosen"] is None
 
 
