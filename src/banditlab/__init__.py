@@ -21,7 +21,6 @@ from .agents import (
     LearningRateSet,
     Policy,
     QAgentSpec,
-    QState,
     StepSchedule,
     Trajectory,
     count_step,
@@ -49,7 +48,7 @@ from .moments import (
     x_curve_rates,
 )
 from .mc import EnsembleMoments, ensemble_value_moments, iter_value_chunks
-from .switching import SwitchRateSeries, ensemble_switch_rate, switch_prob
+from .switching import SwitchRateSeries, ensemble_switch_rate
 from .sessions import (
     SessionData,
     read_sessions,

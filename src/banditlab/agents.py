@@ -6,7 +6,8 @@ negative errors, chosen and unchosen arm), which a :class:`StepSchedule`
 or :class:`BayesSchedule` may replace by one time-dependent rate.  A
 :class:`BayesAgentSpec` keeps each arm's success and outcome counts and
 acts on their posterior means, :func:`count_values`.  Both act through a
-:class:`Policy`, softmax or greedy.  With full feedback the posterior
+:class:`Policy`, softmax or greedy, whose :meth:`Policy.choice_prob` is
+the one choice rule of the package.  With full feedback the posterior
 means follow exactly a symmetric Q-update with the decaying rate
 :func:`effective_rate`, 1/(t+3), the rate the Bayesian schedule uses.
 
@@ -25,17 +26,12 @@ differently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import expit
 
 from .env import Environment, RngStream
-
-
-class QState(NamedTuple):
-    q1: float
-    q2: float
 
 
 def effective_rate(t: int) -> float:
@@ -130,6 +126,16 @@ class Policy:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.mode not in ("softmax", "greedy"):
             raise ValueError(f"unknown policy mode {self.mode!r}")
+
+    def choice_prob(self, v1, v2):
+        """Probability of choosing arm 1 at values (v1, v2): expit(beta *
+        (v1 - v2)) for softmax, 1.0 where v1 >= v2 (ties to arm 1) and 0.0
+        elsewhere for greedy.  Arrays give an array; Python floats give a
+        Python float, so a single replica stays in Python scalars."""
+        if self.mode == "greedy":
+            return (v1 >= v2) * 1.0
+        p = expit(self.beta * (v1 - v2))
+        return p if isinstance(p, np.ndarray) else float(p)
 
 
 def q_step(v1, v2, chose1, r1, r2, apc, amc, apu, amu):
@@ -247,15 +253,13 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
     zero = np.zeros(shape, dtype=np.int64) if shape else 0
     s1 = n1 = s2 = n2 = zero
     v1, v2 = count_values(s1, n1, s2, n2) if bayes else (zero + q for q in agent.q_init)
-    beta = agent.policy.beta
-    greedy = agent.policy.mode == "greedy"
-    # expit keeps both paths bit-identical; float() keeps one replica in Python scalars
-    sigmoid = expit if shape else lambda d: float(expit(d))
+    policy = agent.policy
     for t, (ua, u1, u2) in enumerate(draws):
         values1[..., t], values2[..., t] = v1, v2
         if bayes:
             counts[..., t] = s1, n1, s2, n2
-        chose1 = v1 >= v2 if greedy else ua < sigmoid(beta * (v1 - v2))
+        # uniforms lie in [0, 1), so a greedy probability of 1 or 0 decides alone
+        chose1 = ua < policy.choice_prob(v1, v2)
         r1 = u1 < env.p1
         r2 = u2 < env.p2
         if bayes:

@@ -224,8 +224,6 @@ def check_config(cfg) -> tuple[Optional[dict], list[str]]:
         if kind == "recover":
             diags.append("environment.counterfactual: bias recovery requires "
                          "counterfactual feedback")
-    if kind == "switch-rate" and agent.get("policy") == "greedy":
-        diags.append("agent.policy: switching series requires a softmax policy")
     return c, diags
 
 

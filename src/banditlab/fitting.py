@@ -619,23 +619,21 @@ def new_arm_curve(fit_bayes: FitResult, fit_q: FitResult, session: SessionData,
         float(_evaluate(tab, f.model, [0], _params_array(f.model, [f.params]))[2][0])
         for f in (fit_bayes, fit_q))
     apc, amc, _, _ = _rates_of(fit_q.model, fit_q.params)
-    beta_b = fit_bayes.params["beta"]
-    beta_q = fit_q.params["beta"]
+    policy_b = Policy(fit_bayes.params["beta"])
+    policy_q = Policy(fit_q.params["beta"])
 
     out = []
     for j, p3 in enumerate(p3_grid):
-        gen = np.random.Generator(np.random.Philox(
-            key=np.array([seed % 2**64, (1 << 32) + j], dtype=np.uint64)))
-        r = gen.random((reps, n3)) < p3
-        v3 = (r.sum(axis=1) + 1.0) / (n3 + 2.0)
-        pb = expit(beta_b * (v3 - v1_bayes))
+        r = RngStream(seed, (1 << 32) + j).uniform_block((reps, n3)) < p3
+        v3, _ = count_values(r.sum(axis=1), n3, 0, 0)
+        pb = policy_b.choice_prob(v3, v1_bayes)
         out.append(NewArmPoint("bayes", float(p3), float(pb.mean()),
                                float(pb.std(ddof=1) / math.sqrt(reps))))
         v = np.full(reps, 0.5)
         for t in range(n3):
             # the new arm is always the chosen one; the other arm is a dummy
             v, _ = q_step(v, 0.5, 1, r[:, t], 0, apc, amc, 0.0, 0.0)
-        pq = expit(beta_q * (v - v1_q))
+        pq = policy_q.choice_prob(v, v1_q)
         out.append(NewArmPoint(fit_q.model, float(p3), float(pq.mean()),
                                float(pq.std(ddof=1) / math.sqrt(reps))))
     return out

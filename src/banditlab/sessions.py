@@ -115,13 +115,23 @@ def write_sessions(path, sessions: list[SessionData], seed=None) -> int:
     return write_csv(path, CSV_HEADER, _session_rows(sessions), seed)
 
 
+def _parses_as_int(cell: str) -> bool:
+    try:
+        int(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_sessions(path) -> list[SessionData]:
     """Read sessions back, in file order; lines starting with '#' before
     the header are skipped.
 
-    Enforces the header, at least one subject, contiguous trial indices
-    from 0 within each subject, and an all-or-nothing unchosen-reward
-    column per subject.
+    Enforces the header, integer trial, action and reward cells (the
+    unchosen reward may be blank), at least one subject, contiguous trial
+    indices from 0 within each subject, and an all-or-nothing
+    unchosen-reward column per subject.  A bad row's error names the file
+    and its physical line.
     """
     order: list[str] = []
     by_subject: dict[str, list[tuple[int, int, int, Optional[int]]]] = {}
@@ -135,19 +145,26 @@ def read_sessions(path) -> list[SessionData]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:
-            raise ValueError(f"expected header {CSV_HEADER}, got {header}")
+            raise ValueError(f"{path}: expected header {CSV_HEADER}, got {header}")
         for row in reader:
             if not row:
                 continue
+            line = comments + reader.line_num
             if len(row) != 5:
-                raise ValueError(f"line {comments + reader.line_num}: "
-                                 f"expected 5 columns, got {len(row)}")
+                raise ValueError(f"{path}: line {line}: expected 5 columns, got {len(row)}")
             sid, trial, action, rc, ru = row
             if sid not in by_subject:
                 by_subject[sid] = []
                 order.append(sid)
-            by_subject[sid].append((int(trial), int(action), int(rc),
-                                    int(ru) if ru != "" else None))
+            try:
+                rec = (int(trial), int(action), int(rc), int(ru) if ru != "" else None)
+            except ValueError:
+                column, cell = next(
+                    (c, v) for c, v in zip(CSV_HEADER[1:], row[1:])
+                    if not _parses_as_int(v) and not (c == "r_unchosen" and v == ""))
+                raise ValueError(f"{path}: line {line}: {column} must be an integer, "
+                                 f"got {cell!r}") from None
+            by_subject[sid].append(rec)
     if not order:
         raise ValueError(f"{path}: no subject's trials after the header")
     out = []

@@ -9,7 +9,8 @@ learning steps: ``q_step`` for Q-agents and ``count_step`` on the
 per-arm counts for Bayesian agents, so Bayesian ensembles work under
 partial feedback too.  Ensemble averages <K>_t pair this analytic
 per-state value with the realized switch frequency of the same
-simulated replicas.
+simulated replicas.  The per-state K uses the agent's own
+``Policy.choice_prob``, so it holds for softmax and greedy choice alike.
 """
 
 from __future__ import annotations
@@ -17,21 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .agents import (BayesAgentSpec, LearningRateSet, QAgentSpec, QState, count_step,
-                     count_values, q_step)
+from .agents import LearningRateSet, Policy, count_step, count_values, q_step
 from .env import Environment
 from .mc import _mean_se, iter_value_chunks
 
 
-def _k_mixture(v1, v2, after, p1, p2, beta):
+def _k_mixture(v1, v2, after, p1, p2, policy: Policy):
     """K for scalar or array value states; exact eight-outcome sum.
 
     ``after(chose1, r1, r2)`` returns the values after one trial with that
     action and those rewards.
     """
-    pi1 = expit(beta * (v1 - v2))
+    pi1 = policy.choice_prob(v1, v2)
     k = 0.0
     for chose1 in (1, 0):
         pc, pu = (p1, p2) if chose1 else (p2, p1)
@@ -39,7 +38,7 @@ def _k_mixture(v1, v2, after, p1, p2, beta):
             for ru in (0, 1):
                 w = (pc if rc else 1.0 - pc) * (pu if ru else 1.0 - pu)
                 n1, n2 = after(chose1, rc, ru) if chose1 else after(chose1, ru, rc)
-                stay1 = expit(beta * (n1 - n2))
+                stay1 = policy.choice_prob(n1, n2)
                 if chose1:
                     k = k + pi1 * w * (1.0 - stay1)
                 else:
@@ -51,17 +50,6 @@ def _q_after(v1, v2, rates: LearningRateSet, t: int, counterfactual: bool):
     apc, amc, apu, amu = rates.at(t)
     apu, amu = apu * counterfactual, amu * counterfactual
     return lambda c, r1, r2: q_step(v1, v2, c, r1, r2, apc, amc, apu, amu)
-
-
-def switch_prob(q: QState, rates: LearningRateSet, p1: float, p2: float,
-                beta: float, t: int = 0, counterfactual: bool = True) -> float:
-    """Probability that the next action differs from the current one.
-
-    Marginalises over the action taken at the state q and both arms'
-    rewards; ``t`` selects scheduled rates when present.
-    """
-    after = _q_after(q.q1, q.q2, rates, t, counterfactual)
-    return float(_k_mixture(q.q1, q.q2, after, p1, p2, beta))
 
 
 @dataclass
@@ -89,11 +77,6 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
     same trials as the analytic one.
     """
     horizon = env.horizon
-    if not isinstance(agent, (QAgentSpec, BayesAgentSpec)):
-        raise TypeError(f"unknown agent spec {type(agent).__name__}")
-    if agent.policy.mode != "softmax":
-        raise ValueError("switching series is defined for softmax policies")
-    b = agent.policy.beta
     cf = env.counterfactual
 
     k_sum = np.zeros(horizon)
@@ -109,7 +92,7 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
                 s1, n1, s2, n2 = chunk.counts[:, :, t].astype(np.int64)
                 after = lambda c, r1, r2: count_values(
                     *count_step(s1, n1, s2, n2, c, r1, r2, cf))
-            k = _k_mixture(v1, v2, after, env.p1, env.p2, b)
+            k = _k_mixture(v1, v2, after, env.p1, env.p2, agent.policy)
             k_sum[t] += k.sum()
             k_sqsum[t] += (k * k).sum()
         switches += (chunk.actions[:, 1:] != chunk.actions[:, :-1]).sum(axis=0)

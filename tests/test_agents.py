@@ -105,6 +105,19 @@ def test_greedy_policy_ties_to_arm_one():
     assert tied[1:].any() and np.all(traj.actions[tied] == 1)
 
 
+def test_choice_prob_keeps_scalars_and_arrays():
+    soft, greedy = Policy(beta=2.0), Policy(beta=2.0, mode="greedy")
+    p = soft.choice_prob(0.7, 0.2)
+    assert type(p) is float and p == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-15)
+    assert soft.choice_prob(0.2, 0.7) == pytest.approx(1.0 - p, abs=1e-15)
+    assert [greedy.choice_prob(*v) for v in ((0.7, 0.2), (0.5, 0.5), (0.2, 0.7))] == [1.0, 1.0, 0.0]
+    assert type(greedy.choice_prob(0.2, 0.7)) is float
+    v1, v2 = np.array([0.7, 0.5, 0.2]), np.array([0.2, 0.5, 0.7])
+    np.testing.assert_array_equal(greedy.choice_prob(v1, v2), [1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(soft.choice_prob(v1, v2),
+                                  [soft.choice_prob(a, b) for a, b in zip(v1, v2)])
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         Policy(beta=-1.0)

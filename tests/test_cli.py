@@ -292,6 +292,31 @@ def test_switch_rate_run(tmp_path):
     assert len(lines) == 2 + 8
 
 
+def test_switch_rate_reproduces_readme_switching_column(tmp_path):
+    # late-session switch probability (trials 16-23 of 24) of 2,000 agents:
+    # Bayesian agents switch less than the alpha = 0.3 control under greedy
+    # choice and more under softmax
+    readme = {("greedy", "bayes"): 0.067, ("greedy", "q"): 0.216,
+              ("softmax", "bayes"): 0.362, ("softmax", "q"): 0.327}
+    analytic = {}
+    for (policy, kind), want in readme.items():
+        agent = {"type": kind, "beta": 10.0, "policy": policy}
+        if kind == "q":
+            agent["rates"] = {k: 0.3 for k in RATES}
+        cfg = {"kind": "switch-rate",
+               "environment": {"p1": 0.5, "p2": 0.5, "counterfactual": True, "horizon": 24},
+               "agent": agent, "ensemble": {"replicas": 2000, "seed": 0}}
+        path = write_cfg(tmp_path, cfg, f"{policy}-{kind}.json")
+        assert validate_config_data(cfg) == []
+        out = tmp_path / f"{policy}-{kind}"
+        assert main(["switch-rate", path, "--out-dir", str(out)]) == 0
+        series = np.loadtxt(out / "switch_rate.csv", delimiter=",", skiprows=2)
+        assert round(series[15:23, 3].mean(), 3) == want, (policy, kind)
+        analytic[policy, kind] = series[15:23, 1].mean()
+    assert analytic["greedy", "bayes"] < analytic["greedy", "q"]
+    assert analytic["softmax", "bayes"] > analytic["softmax", "q"]
+
+
 def test_switch_rate_runs_bayes_agents_without_counterfactual(tmp_path):
     cfg = {"kind": "switch-rate",
            "environment": {"p1": 0.6, "p2": 0.4, "counterfactual": False,
@@ -343,6 +368,19 @@ def test_sessions_file_without_subjects_fails_cleanly(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"error: {kind} failed: {sessions}: no subject" in err
         assert list(out.iterdir()) == []
+
+
+def test_non_integer_cells_name_their_line_and_column(tmp_path, capsys):
+    header = "subject_id,trial,action,r_chosen,r_unchosen\n"
+    cases = [("", "S1,0,1,1,0\nS1,x,2,0,1\n", "line 3: trial must be an integer, got 'x'"),
+             ("# seed=0\n", "S1,0,1,1,0\nS1,1,2,0,1.5\n",
+              "line 4: r_unchosen must be an integer, got '1.5'")]
+    for i, (comment, rows, want) in enumerate(cases):
+        sessions = tmp_path / f"bad{i}.csv"
+        sessions.write_text(comment + header + rows)
+        cfg = dict(CONFIGS["fit"], sessions=str(sessions))
+        assert main(["fit", write_cfg(tmp_path, cfg), "--out-dir", str(tmp_path / str(i))]) == 1
+        assert f"error: fit failed: {sessions}: {want}" in capsys.readouterr().err
 
 
 def test_recover_scenario_writes_report(tmp_path):

@@ -10,11 +10,16 @@ from banditlab import (
     LearningRateSet,
     Policy,
     QAgentSpec,
-    QState,
     StepSchedule,
     ensemble_switch_rate,
-    switch_prob,
 )
+from banditlab.switching import _k_mixture, _q_after
+
+
+def k_at(q1, q2, rates, p1, p2, beta, t=0, counterfactual=True, mode="softmax"):
+    """The exact one-step switching probability of a Q-agent at values (q1, q2)."""
+    return _k_mixture(q1, q2, _q_after(q1, q2, rates, t, counterfactual), p1, p2,
+                      Policy(beta, mode))
 
 
 def mc_one_step(q1, q2, apc, amc, apu, amu, p1, p2, beta, n, seed):
@@ -41,23 +46,23 @@ def mc_one_step(q1, q2, apc, amc, apu, amu, p1, p2, beta, n, seed):
 
 def test_indifferent_policy_switches_half_the_time():
     rates = LearningRateSet(0.3, 0.1, 0.05, 0.2)
-    for q in (QState(0.5, 0.5), QState(0.9, 0.1), QState(0.2, 0.7)):
-        assert switch_prob(q, rates, 0.8, 0.3, beta=0.0) == pytest.approx(0.5)
+    for q in ((0.5, 0.5), (0.9, 0.1), (0.2, 0.7)):
+        assert k_at(*q, rates, 0.8, 0.3, beta=0.0) == pytest.approx(0.5)
 
 
 def test_frozen_values_switch_like_two_coin_flips():
     rates = LearningRateSet(0.0, 0.0, 0.0, 0.0)
     for beta in (0.5, 3.0, 10.0):
-        for q in (QState(0.6, 0.4), QState(0.5, 0.5), QState(0.1, 0.8)):
-            pi1 = expit(beta * (q.q1 - q.q2))
+        for q1, q2 in ((0.6, 0.4), (0.5, 0.5), (0.1, 0.8)):
+            pi1 = expit(beta * (q1 - q2))
             want = 2.0 * pi1 * (1.0 - pi1)
-            assert switch_prob(q, rates, 0.5, 0.5, beta) == pytest.approx(want, abs=1e-14)
+            assert k_at(q1, q2, rates, 0.5, 0.5, beta) == pytest.approx(want, abs=1e-14)
 
 
-def test_switch_prob_matches_monte_carlo():
+def test_k_mixture_matches_monte_carlo():
     q1, q2, beta = 0.6, 0.4, 5.0
     rates = LearningRateSet(0.1, 0.1, 0.1, 0.1)
-    k = switch_prob(QState(q1, q2), rates, 0.5, 0.5, beta)
+    k = k_at(q1, q2, rates, 0.5, 0.5, beta)
     n = 1_000_000
     k_hat = mc_one_step(q1, q2, 0.1, 0.1, 0.1, 0.1, 0.5, 0.5, beta, n, seed=7)
     se = np.sqrt(k * (1 - k) / n)
@@ -65,28 +70,61 @@ def test_switch_prob_matches_monte_carlo():
 
 
 def test_no_feedback_on_unchosen_equals_zero_rates():
-    q = QState(0.55, 0.35)
+    q = (0.55, 0.35)
     full = LearningRateSet(0.2, 0.1, 0.15, 0.25)
     zeroed = LearningRateSet(0.2, 0.1, 0.0, 0.0)
-    a = switch_prob(q, full, 0.7, 0.4, beta=4.0, counterfactual=False)
-    b = switch_prob(q, zeroed, 0.7, 0.4, beta=4.0, counterfactual=True)
+    a = k_at(*q, full, 0.7, 0.4, beta=4.0, counterfactual=False)
+    b = k_at(*q, zeroed, 0.7, 0.4, beta=4.0, counterfactual=True)
     assert a == pytest.approx(b, abs=1e-15)
 
 
-def test_switch_prob_monotone_in_each_rate():
+def test_k_mixture_monotone_in_each_rate():
     # stabilising rates push K down, destabilising rates push it up
     rng = np.random.default_rng(42)
     base = (0.2, 0.2, 0.2, 0.2)
     for _ in range(50):
-        q = QState(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
+        q = (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         p1, p2 = rng.uniform(0.1, 0.9, size=2)
         beta = rng.uniform(0.5, 8.0)
-        k0 = switch_prob(q, LearningRateSet(*base), p1, p2, beta)
+        k0 = k_at(*q, LearningRateSet(*base), p1, p2, beta)
         for i, sign in enumerate([-1, +1, +1, -1]):  # apc, amc, apu, amu
             bumped = list(base)
             bumped[i] += 0.15
-            k1 = switch_prob(q, LearningRateSet(*bumped), p1, p2, beta)
+            k1 = k_at(*q, LearningRateSet(*bumped), p1, p2, beta)
             assert sign * (k1 - k0) >= -1e-12
+
+
+def test_greedy_k_mixture_enumerates_reward_pairs():
+    # greedy choice is deterministic, so K is the probability of the reward
+    # pairs after which the other arm's value is strictly higher
+    apc, amc, apu, amu = 0.3, 0.1, 0.1, 0.3
+    rates = LearningRateSet(apc, amc, apu, amu)
+    p1, p2 = 0.7, 0.4
+
+    def moved(q, r, a_plus, a_minus):
+        return q + (a_plus if r else a_minus) * (r - q)
+
+    for q1, q2 in ((0.55, 0.45), (0.45, 0.55), (0.5, 0.5), (0.9, 0.1), (0.3, 0.32)):
+        arm1 = q1 >= q2
+        want = 0.0
+        for r1 in (0, 1):
+            for r2 in (0, 1):
+                w = (p1 if r1 else 1 - p1) * (p2 if r2 else 1 - p2)
+                if arm1:
+                    n1, n2 = moved(q1, r1, apc, amc), moved(q2, r2, apu, amu)
+                else:
+                    n1, n2 = moved(q1, r1, apu, amu), moved(q2, r2, apc, amc)
+                want += w * ((n1 >= n2) != arm1)
+        k = k_at(q1, q2, rates, p1, p2, beta=5.0, mode="greedy")
+        assert k == pytest.approx(want, abs=1e-15)
+    # (0.55, 0.45) keeps arm 1 unless arm 1 fails and arm 2 pays: 0.3 * 0.4
+    assert k_at(0.55, 0.45, rates, p1, p2, 5.0, mode="greedy") == pytest.approx(0.12)
+
+
+def assert_analytic_tracks_realized(series):
+    resid = series.analytic_mean - series.empirical_mean
+    se = np.sqrt(series.analytic_se**2 + series.empirical_se**2)
+    assert np.all(np.abs(resid) <= 5 * se)
 
 
 def test_ensemble_analytic_tracks_realized_switches():
@@ -94,9 +132,7 @@ def test_ensemble_analytic_tracks_realized_switches():
     agent = QAgentSpec(LearningRateSet.constant(0.15), Policy(beta=5.0))
     series = ensemble_switch_rate(agent, env, n_replicas=4000, seed=11)
     assert series.t.shape == (30,)
-    resid = series.analytic_mean - series.empirical_mean
-    se = np.sqrt(series.analytic_se**2 + series.empirical_se**2)
-    assert np.all(np.abs(resid) < 5 * se)
+    assert_analytic_tracks_realized(series)
     # learning suppresses switching relative to the first trials
     assert series.analytic_mean[-1] < series.analytic_mean[0]
 
@@ -106,16 +142,29 @@ def test_ensemble_supports_bayes_agents(counterfactual):
     env = Environment(p1=0.5, p2=0.5, counterfactual=counterfactual, horizon=25)
     series = ensemble_switch_rate(BayesAgentSpec(Policy(beta=8.0)), env,
                                   n_replicas=4000, seed=3)
-    resid = series.analytic_mean - series.empirical_mean
-    se = np.sqrt(series.analytic_se**2 + series.empirical_se**2)
-    assert np.all(np.abs(resid) < 5 * se)
+    assert_analytic_tracks_realized(series)
 
 
-def test_greedy_policy_has_no_switch_series():
-    env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=10)
-    agent = QAgentSpec(LearningRateSet.constant(0.1), Policy(beta=5.0, mode="greedy"))
-    with pytest.raises(ValueError):
-        ensemble_switch_rate(agent, env, n_replicas=10, seed=0)
+GREEDY = Policy(beta=5.0, mode="greedy")
+
+
+@pytest.mark.parametrize("rates", [LearningRateSet.constant(0.15),
+                                   LearningRateSet.constant(0.3, StepSchedule(0.3, 0.02, 20))],
+                         ids=["constant", "step"])
+def test_greedy_q_ensembles_track_realized_switches(rates):
+    env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=40)
+    series = ensemble_switch_rate(QAgentSpec(rates, GREEDY), env, n_replicas=4000, seed=11)
+    assert_analytic_tracks_realized(series)
+    # the first trial's state is shared, so its K is exact: arm 1 is kept
+    # unless it fails while arm 2 pays
+    assert series.analytic_mean[0] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("counterfactual", [True, False])
+def test_greedy_bayes_ensembles_track_realized_switches(counterfactual):
+    env = Environment(p1=0.5, p2=0.5, counterfactual=counterfactual, horizon=25)
+    series = ensemble_switch_rate(BayesAgentSpec(GREEDY), env, n_replicas=4000, seed=3)
+    assert_analytic_tracks_realized(series)
 
 
 def test_rate_drop_schedule_suppresses_late_switching():

@@ -49,6 +49,10 @@ def cases(work: Path):
     sw = {"kind": "switch-rate", "ensemble": {"replicas": 200}}
     yield "switch-rate", "q", {**sw, "environment": _env(True), "agent": q_cf}
     yield "switch-rate", "bayes-partial", {**sw, "environment": _env(False), "agent": bayes}
+    yield "switch-rate", "q-greedy", {**sw, "environment": _env(True),
+                                      "agent": {**q_cf, "policy": "greedy"}}
+    yield "switch-rate", "bayes-partial-greedy", {**sw, "environment": _env(False),
+                                                  "agent": {**bayes, "policy": "greedy"}}
     for case in ("q-counterfactual", "bayes-partial"):
         yield "fit", case, {"kind": "fit", "sessions": str(work / "simulate" / case / "sessions.csv"),
                             "restarts": 3, "seed": 2}
