@@ -31,13 +31,8 @@ def main():
     sessions = synthesize_sessions(BayesAgentSpec(Policy(beta=10.0)), env,
                                    N_SUBJECTS, seed=SEED)
 
-    winners = []
-    all_fits = []
-    for i, s in enumerate(sessions):
-        fits = fit_families(s, restarts=8, seed=0, stream_index=i * 4)
-        all_fits.append(fits)
-        winners.append(best_model(list(fits.values())))
-    counts = Counter(winners)
+    all_fits = fit_families(sessions, restarts=8, seed=0)
+    counts = Counter(best_model(list(fits.values())) for fits in all_fits)
     print(f"best model by BIC over {N_SUBJECTS} Bayesian sessions "
           f"(T={HORIZON}):")
     for fam in ("bayes", "const", "conf", "full"):

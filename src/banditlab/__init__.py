@@ -44,7 +44,6 @@ from .moments import (
     steady_state_moments,
     step_delta,
     step_moments,
-    step_moments_bayes,
     x_curve_rates,
 )
 from .mc import EnsembleMoments, ensemble_value_moments, iter_value_chunks

@@ -178,11 +178,11 @@ def count_values(s1, n1, s2, n2):
 
 @dataclass(frozen=True)
 class QAgentSpec:
-    """A Q-learning agent: rate set, decision policy, and initial values."""
+    """A Q-learning agent: rate set and decision policy; both Q-values
+    start at 1/2, the value the likelihood and the moment dynamics assume."""
 
     rates: LearningRateSet
     policy: Policy
-    q_init: tuple[float, float] = (0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
     counts = np.empty((4,) + shape + (T + 1,), dtype=np.min_scalar_type(T)) if bayes else None
     zero = np.zeros(shape, dtype=np.int64) if shape else 0
     s1 = n1 = s2 = n2 = zero
-    v1, v2 = count_values(s1, n1, s2, n2) if bayes else (zero + q for q in agent.q_init)
+    v1, v2 = count_values(s1, n1, s2, n2) if bayes else (zero + 0.5, zero + 0.5)
     policy = agent.policy
     for t, (ua, u1, u2) in enumerate(draws):
         values1[..., t], values2[..., t] = v1, v2

@@ -365,7 +365,7 @@ def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
     families, restarts = cfg["families"], cfg["restarts"]
     # each worker fits a contiguous share of the subjects as one batch;
     # subject i keeps restart streams 4 i + k whatever the share
-    shares = [ix for ix in np.array_split(np.arange(len(sessions)), max(threads, 1))
+    shares = [ix for ix in np.array_split(np.arange(len(sessions)), threads)
               if ix.size]
     jobs = [(sessions[ix[0]:ix[-1] + 1], families, restarts, seed,
              int(ix[0]) * len(MODEL_FAMILIES)) for ix in shares]
@@ -495,6 +495,9 @@ def main(argv=None) -> int:
             print("ok")
         return 0 if not diags else 2
 
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 2
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

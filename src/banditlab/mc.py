@@ -36,7 +36,6 @@ class ChunkTrajectories:
     Q-agents.
     """
 
-    start: int
     q1: np.ndarray
     q2: np.ndarray
     actions: np.ndarray
@@ -64,7 +63,7 @@ def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
         count = min(chunk_size, n_replicas - start)
         u = _chunk_uniforms(seed, start, count, horizon)
         # trial-major draws: each trial yields (action, r1, r2) rows over replicas
-        yield ChunkTrajectories(start, *_simulate(agent, env, u.transpose(1, 2, 0), (count,)))
+        yield ChunkTrajectories(*_simulate(agent, env, u.transpose(1, 2, 0), (count,)))
 
 
 @dataclass

@@ -12,8 +12,9 @@ second-order Taylor closure around the mean gives
     <pi Q1**2> = <Q1**2>/2 + (beta/2) * <Q1> * Delta
 
 with Delta = <Q1**2> - <Q1Q2> = <(Q1-Q2)**2>/2, closing the system.
-For equal (unbiased) rates every beta-dependent term cancels and the
-closure is exact; that special case is :func:`step_moments_bayes`.
+For equal (unbiased) rates every beta-dependent coefficient is exactly
+zero and the closure is the exact recursion; :func:`propagate_moments_bayes`
+runs it at the Bayesian agent's rates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .agents import LearningRateSet, effective_rate
+from .agents import LearningRateSet
 
 # damped fixed-point iteration of the steady state: residual bound, budget, step
 _TOL = 1e-12
@@ -90,12 +91,7 @@ class MomentCoefficients(NamedTuple):
 
 
 class ConvergenceError(Exception):
-    """Fixed-point iteration failed; carries the last iterate."""
-
-    def __init__(self, message: str, last_state: MomentState, iterations: int):
-        super().__init__(message)
-        self.last_state = last_state
-        self.iterations = iterations
+    """The closed moment system has no admissible steady state."""
 
 
 def compute_coefficients(rates: LearningRateSet, p: float, t: int = 0) -> MomentCoefficients:
@@ -148,20 +144,6 @@ def step_moments(m: MomentState, rates: LearningRateSet, p: float, beta: float,
     return MomentState(m1n, m11n, m12n)
 
 
-def step_moments_bayes(m: MomentState, alpha_t: float, p: float) -> MomentState:
-    """One exact moment step for unbiased agents at a common rate alpha_t.
-
-    Equal rates decouple the moments from action selection, so no closure
-    is involved; with alpha_t = 1/(t+3) this is the Bayesian agent.
-    """
-    a = alpha_t
-    k = 1.0 - a
-    m1n = k * m.m1 + p * a
-    m12n = k * k * m.m12 + 2 * p * a * k * m.m1 + p * p * a * a
-    m11n = k * k * m.m11 + 2 * p * a * k * m.m1 + p * a * a
-    return MomentState(m1n, m11n, m12n)
-
-
 def step_delta(delta: float, alpha_t: float, p: float) -> float:
     """One step of the value-gap recursion: decay plus reward-noise injection."""
     return (1.0 - alpha_t) ** 2 * delta + p * (1.0 - p) * alpha_t * alpha_t
@@ -177,12 +159,9 @@ def propagate_moments(m0: MomentState, rates: LearningRateSet, p: float, beta: f
 
 
 def propagate_moments_bayes(m0: MomentState, p: float, n_steps: int) -> list[MomentState]:
-    """Exact trajectory of the Bayesian agent, at the 1/(t+3) rate of
-    :func:`~banditlab.agents.effective_rate`."""
-    out = [m0]
-    for t in range(n_steps):
-        out.append(step_moments_bayes(out[-1], effective_rate(t), p))
-    return out
+    """Exact trajectory of the Bayesian agent: the closure at its equal
+    1/(t+3) rates, where no policy-coupled term survives."""
+    return propagate_moments(m0, LearningRateSet.bayes(), p, 0.0, n_steps)
 
 
 def _quadratic_pieces(rates: LearningRateSet, p: float, beta: float):
@@ -216,22 +195,21 @@ def steady_state_delta_quadratic(rates: LearningRateSet, p: float, beta: float) 
 
     Picks the smallest root in [0, 1/4], the branch the dynamics reach
     from a point-mass start.  Serves as a cross-check on the iterative
-    solver.
+    solver.  The roots are qc/q and q/qa with q = -(qb + sign(qb)*sqrt(disc))/2,
+    which never subtracts nearly equal numbers, so they stay accurate as
+    qa -> 0 near unbiased rates; at qa = 0 (p = 1/2 on the x-curve) only
+    the linear root qc/q = -qc/qb remains.
     """
     qa, qb, qc = _quadratic_pieces(rates, p, beta)
-    if abs(qa) < 1e-14:
-        return -qc / qb
     disc = qb * qb - 4.0 * qa * qc
     if disc < 0:
-        raise ConvergenceError("steady-state quadratic has no real root",
-                               MomentState.point_mass(), 0)
-    root = math.sqrt(disc)
+        raise ConvergenceError("steady-state quadratic has no real root")
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    roots = (qc / q, q / qa) if qa else (qc / q,)
     slack = 1e-9
-    candidates = sorted(x for x in ((-qb - root) / (2 * qa), (-qb + root) / (2 * qa))
-                        if -slack <= x <= 0.25 + slack)
+    candidates = sorted(x for x in roots if -slack <= x <= 0.25 + slack)
     if not candidates:
-        raise ConvergenceError("no admissible steady-state root in [0, 1/4]",
-                               MomentState.point_mass(), 0)
+        raise ConvergenceError("no admissible steady-state root in [0, 1/4]")
     return candidates[0]
 
 
@@ -254,29 +232,25 @@ def steady_state_moments(rates: LearningRateSet, p: float, beta: float) -> Momen
                 and -0.5 < nxt.m11 < 1.5 and -0.5 < nxt.m12 < 1.5):
             raise ConvergenceError(
                 f"moment iteration diverged after {it + 1} iterations; the "
-                "closed system has no admissible steady state here", m, it + 1)
+                "closed system has no admissible steady state here")
         m = MomentState(m.m1 + _DAMPING * (nxt.m1 - m.m1),
                         m.m11 + _DAMPING * (nxt.m11 - m.m11),
                         m.m12 + _DAMPING * (nxt.m12 - m.m12))
     raise ConvergenceError(
-        f"no fixed point within {_MAX_ITER} iterations (residual {res:.3e})", m, _MAX_ITER)
+        f"no fixed point within {_MAX_ITER} iterations (residual {res:.3e})")
 
 
-def steady_state_delta(rates: LearningRateSet, p: float, beta: float,
-                       cross_check: bool = True) -> float:
+def steady_state_delta(rates: LearningRateSet, p: float, beta: float) -> float:
     """Steady-state value gap Delta* of the closed moment system.
 
-    Solved by damped fixed-point iteration; by default the result is
-    cross-validated against the eliminated quadratic.
+    Solved by damped fixed-point iteration and accepted only where it
+    matches the eliminated quadratic's admissible root in [0, 1/4].
     """
-    m = steady_state_moments(rates, p, beta)
-    d = m.delta
-    if cross_check:
-        dq = steady_state_delta_quadratic(rates, p, beta)
-        if abs(d - dq) > 1e-8:
-            raise ConvergenceError(
-                f"iterative steady state {d!r} disagrees with quadratic root {dq!r}",
-                m, _MAX_ITER)
+    d = steady_state_moments(rates, p, beta).delta
+    dq = steady_state_delta_quadratic(rates, p, beta)
+    if abs(d - dq) > 1e-8:
+        raise ConvergenceError(
+            f"iterative steady state {d!r} disagrees with quadratic root {dq!r}")
     return d
 
 
@@ -314,7 +288,7 @@ def bias_sensitivity(x: float, p: float, beta: float) -> BiasSensitivity:
         raise ValueError("sensitivity undefined at p in {0, 1}: no reward variance")
 
     def dstar(xx: float, bb: float) -> float:
-        return steady_state_delta(x_curve_rates(xx), p, bb, cross_check=False)
+        return steady_state_delta(x_curve_rates(xx), p, bb)
 
     def slope(bb: float) -> float:
         return (dstar(x + dx, bb) - dstar(x - dx, bb)) / (2.0 * dx)

@@ -91,9 +91,7 @@ def test_greedy_policy_ties_to_arm_one():
     # equal starting values choose arm 1; after that the larger value wins
     env = make_environment(0.5, 0.5, counterfactual=True, horizon=60)
     rates = LearningRateSet.constant(0.3)
-    agents = (QAgentSpec(rates, Policy(mode="greedy")),
-              QAgentSpec(rates, Policy(mode="greedy"), q_init=(0.3, 0.3)),
-              BayesAgentSpec(Policy(mode="greedy")))
+    agents = (QAgentSpec(rates, Policy(mode="greedy")), BayesAgentSpec(Policy(mode="greedy")))
     for agent in agents:
         traj = run_trajectory(agent, env, RngStream(4, 0))
         v1, v2 = traj.values1[:-1], traj.values2[:-1]

@@ -262,7 +262,7 @@ def test_sweep_delta_covers_the_grid(tmp_path, capsys):
     assert main(["sweep-delta", write_cfg(tmp_path, cfg), "--out-dir", str(out)]) == 0
     lines = (out / "delta_star.csv").read_text().splitlines()
     assert len(lines) == 2 + 4
-    from banditlab import steady_state_delta, x_curve_rates
+    from banditlab import steady_state_delta, steady_state_moments, x_curve_rates
     x, beta, p, d = lines[3].split(",")
     assert (float(x), float(beta)) == (1.0, 3.0)
     assert float(d) == steady_state_delta(x_curve_rates(1.0), 0.5, 3.0)
@@ -277,6 +277,16 @@ def test_sweep_delta_covers_the_grid(tmp_path, capsys):
     assert len(lines) == 2 + 4 and lines[-1] == "1.8,5,0.5,"
     assert all(ln.split(",")[3] for ln in lines[2:-1])
     assert json.loads((out / "manifest.json").read_text())["not_converged"] == ["x=1.8/beta=5.0"]
+
+    # near unbiased rates off p = 1/2 the steady state exists and is written
+    cfg = {"kind": "sweep-delta", "p": 0.3, "x_grid": [0.9999, 1.0], "beta_grid": [0.5]}
+    out = tmp_path / "near"
+    assert main(["sweep-delta", write_cfg(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    lines = (out / "delta_star.csv").read_text().splitlines()
+    assert len(lines) == 2 + 2
+    cells = [float(ln.split(",")[3]) for ln in lines[2:]]
+    assert cells[0] == steady_state_moments(x_curve_rates(0.9999), 0.3, 0.5).delta
+    assert cells[1] == pytest.approx(0.21 * 0.1 / 1.9, abs=1e-12)
 
 
 def test_switch_rate_run(tmp_path):
@@ -473,6 +483,15 @@ def test_fit_batches_match_single_subject_fits(tmp_path):
     assert [asdict(f) for fits in batch for f in fits.values()] == results
     for i, s in enumerate(sessions):
         assert banditlab.fit_families(s, restarts=3, seed=4, stream_index=4 * i) == batch[i]
+
+
+def test_threads_below_one_are_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, CONFIGS["sweep-delta"])
+    for threads in ("0", "-1"):
+        out = tmp_path / f"t{threads}"
+        assert main(["sweep-delta", cfg, "--out-dir", str(out), "--threads", threads]) == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_new_arm_scenario(tmp_path):

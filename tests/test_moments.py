@@ -21,9 +21,19 @@ from banditlab import (
     steady_state_moments,
     step_delta,
     step_moments,
-    step_moments_bayes,
     x_curve_rates,
 )
+
+
+def step_moments_bayes(m, alpha_t, p):
+    """Reference exact moment step for unbiased agents at a common rate
+    alpha_t: equal rates decouple the moments from action selection."""
+    a = alpha_t
+    k = 1.0 - a
+    m1n = k * m.m1 + p * a
+    m12n = k * k * m.m12 + 2 * p * a * k * m.m1 + p * p * a * a
+    m11n = k * k * m.m11 + 2 * p * a * k * m.m1 + p * a * a
+    return MomentState(m1n, m11n, m12n)
 
 
 def symmetric_pair_moments(a, b):
@@ -139,7 +149,9 @@ def test_unbiased_closure_reduces_to_bayes_recursion():
 def test_propagate_with_decaying_schedule_matches_bayes_propagation():
     series_q = propagate_moments(MomentState.point_mass(0.5),
                                  LearningRateSet.bayes(), 0.6, 5.0, 30)
-    series_b = propagate_moments_bayes(MomentState.point_mass(0.5), 0.6, 30)
+    series_b = [MomentState.point_mass(0.5)]
+    for t in range(30):
+        series_b.append(step_moments_bayes(series_b[-1], 1.0 / (t + 3), 0.6))
     for mq, mb in zip(series_q, series_b):
         np.testing.assert_allclose([mq.m1, mq.m11, mq.m12],
                                    [mb.m1, mb.m11, mb.m12], rtol=0, atol=1e-12)
@@ -180,6 +192,14 @@ def test_steady_state_iteration_agrees_with_quadratic():
             it = steady_state_moments(rates, 0.5, beta).delta
             quad = steady_state_delta_quadratic(rates, 0.5, beta)
             assert it == pytest.approx(quad, abs=1e-8)
+    # near unbiased rates off p = 1/2 the quadratic term vanishes; its roots
+    # must not lose digits to cancellation
+    for p, dx, sign, beta in product((0.3, 0.6), (1e-3, 1e-4, 1e-5), (-1, 1),
+                                     (0.1, 0.5, 3.0)):
+        rates = x_curve_rates(1.0 + sign * dx)
+        it = steady_state_moments(rates, p, beta).delta
+        quad = steady_state_delta_quadratic(rates, p, beta)
+        assert it == pytest.approx(quad, abs=1e-10)
 
 
 def test_steady_state_unbiased_is_beta_independent():
@@ -201,6 +221,12 @@ def test_confirmation_bias_raises_steady_state_gap():
 def test_steady_state_diverges_cleanly_when_feedback_too_strong():
     with pytest.raises(ConvergenceError):
         steady_state_delta(x_curve_rates(1.5), 0.5, 5.0)
+    # the iteration settles, but on a gap outside [0, 1/4] (<Q1Q2> < 0 here)
+    m = steady_state_moments(x_curve_rates(1.22), 0.5, 10.0)
+    assert m.delta > 0.25 and m.m12 < 0
+    for p in (0.4, 0.5):
+        with pytest.raises(ConvergenceError):
+            steady_state_delta(x_curve_rates(1.22), p, 10.0)
 
 
 def test_steady_state_rejects_degenerate_inputs():

@@ -46,6 +46,10 @@ def cases(work: Path):
     # an integer grid value, a huge beta and a cell with no steady state (blank)
     yield "sweep-delta", "grid", {"kind": "sweep-delta", "p": 0.5, "x_grid": [1, 1.2, 1.8],
                                   "beta_grid": [1.0, 5.0, 1e20]}
+    # near-unbiased rates off p = 1/2, where the steady-state quadratic degenerates
+    yield "sweep-delta", "near-unbiased", {"kind": "sweep-delta", "p": 0.3,
+                                           "x_grid": [0.999, 0.9999, 1.0001],
+                                           "beta_grid": [0.1, 0.5]}
     sw = {"kind": "switch-rate", "ensemble": {"replicas": 200}}
     yield "switch-rate", "q", {**sw, "environment": _env(True), "agent": q_cf}
     yield "switch-rate", "bayes-partial", {**sw, "environment": _env(False), "agent": bayes}
