@@ -49,8 +49,8 @@ class ConfigError(Exception):
 @dataclass
 class RunManifest:
     """What a run wrote, and what failed to converge: fits as
-    ``subject/family``, grid cells as ``x=X/beta=B``.  Runs that fit also
-    carry fit counters."""
+    ``subject/family``, grid cells as ``x=X/beta=B``.  Runs that fit carry
+    fit counters; runs that simulate count their replica-steps."""
 
     config_hash: str
     tool_version: str
@@ -308,7 +308,7 @@ def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
     if want_sessions:
         n = write_sessions(out_dir / "sessions.csv", sessions, seed=seed)
         files.append(("sessions.csv", n))
-    return files, {}
+    return files, {"counters": {"replica_steps": replicas * env.horizon}}
 
 
 def _run_propagate(cfg, seed: int, out_dir: Path, threads: int):
@@ -344,13 +344,16 @@ def _run_sweep_delta(cfg, seed: int, out_dir: Path, threads: int):
 def _run_switch_rate(cfg, seed: int, out_dir: Path, threads: int):
     env = _env_from_cfg(cfg["environment"])
     agent = _agent_from_cfg(cfg["agent"])
-    series = ensemble_switch_rate(agent, env, cfg["ensemble"]["replicas"], seed)
+    replicas = cfg["ensemble"]["replicas"]
+    series = ensemble_switch_rate(agent, env, replicas, seed)
     rows = list(zip(series.t, series.analytic_mean, series.analytic_se,
                     series.empirical_mean, series.empirical_se))
     n = write_csv(out_dir / "switch_rate.csv",
                   ["t", "analytic_mean", "analytic_se", "empirical_mean", "empirical_se"],
                   rows, seed)
-    return [("switch_rate.csv", n)], {}
+    # the switching ensemble runs one trial past the horizon
+    steps = replicas * (env.horizon + 1)
+    return [("switch_rate.csv", n)], {"counters": {"replica_steps": steps}}
 
 
 def _fit_job(args):

@@ -41,6 +41,16 @@ def make_environment(p1: float, p2: float, counterfactual: bool, horizon: int) -
                        horizon=int(horizon))
 
 
+_KEY_SPACE = 1 << 64  # a Philox key word is 64 bits: seeds wrap, replica indices must fit
+
+
+def _check_replicas(first: int, count: int) -> None:
+    if first < 0:
+        raise ValueError("replica_index must be nonnegative")
+    if first + count > _KEY_SPACE:
+        raise ValueError("replica_index must be below 2**64")
+
+
 class RngStream:
     """Counter-based random stream owned by one Monte-Carlo replica.
 
@@ -53,9 +63,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, replica_index: int = 0):
-        if replica_index < 0:
-            raise ValueError("replica_index must be nonnegative")
-        self.seed = int(seed) % (1 << 64)
+        _check_replicas(replica_index, 1)
+        self.seed = int(seed) % _KEY_SPACE
         self.replica_index = int(replica_index)
         self._gen = np.random.Generator(
             np.random.Philox(key=np.array([self.seed, self.replica_index], dtype=np.uint64))
@@ -64,3 +73,25 @@ class RngStream:
     def uniform_block(self, shape) -> np.ndarray:
         return self._gen.random(shape)
 
+
+def replica_uniforms(seed: int, first: int, count: int, shape) -> np.ndarray:
+    """Uniform blocks of the replicas ``first, ..., first + count - 1``, stacked.
+
+    Equals ``np.stack([RngStream(seed, first + i).uniform_block(shape) for i
+    in range(count)])`` bit for bit, shape ``(count, *shape)``.  Instead of
+    constructing a generator per replica, one Philox is re-keyed to
+    ``(seed, first + i)`` with a zero counter and an empty buffer, which is
+    the state a fresh ``RngStream`` starts from, and draws in place.
+    """
+    _check_replicas(first, count)
+    u = np.empty((count, *shape))
+    key = np.array([int(seed) % _KEY_SPACE, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # zero counter, buffer_pos 4: nothing buffered
+    state["state"]["key"] = key
+    for i in range(count):
+        key[1] = first + i
+        bitgen.state = state
+        gen.random(out=u[i])
+    return u

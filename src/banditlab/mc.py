@@ -7,9 +7,12 @@ trajectory runner, whose loop (``agents._simulate``, with ``q_step``
 for Q-agents and ``count_step`` for Bayesian agents) runs here on
 arrays, so replica r of an ensemble reproduces the single-trajectory
 simulation bit for bit for both agent kinds, both choice rules and both
-feedback modes.  Replicas are simulated in chunks to bound memory;
-chunking affects only the floating-point summation order of the
-accumulated statistics, never the trajectories.
+feedback modes.  A chunk draws its uniforms through
+``env.replica_uniforms``, which re-keys one Philox per replica rather
+than constructing each replica's ``RngStream``; the draws equal the
+constructed streams' bit for bit.  Replicas are simulated in chunks to
+bound memory; chunking affects only the floating-point summation order
+of the accumulated statistics, never the trajectories.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .agents import _simulate
-from .env import Environment, RngStream
+from .env import Environment, replica_uniforms
 
 DEFAULT_CHUNK = 8192
 
@@ -42,13 +45,6 @@ class ChunkTrajectories:
     counts: Optional[np.ndarray] = None
 
 
-def _chunk_uniforms(seed: int, start: int, count: int, horizon: int) -> np.ndarray:
-    u = np.empty((count, horizon, 3))
-    for i in range(count):
-        u[i] = RngStream(seed, start + i).uniform_block((horizon, 3))
-    return u
-
-
 def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
                       horizon: Optional[int] = None,
                       chunk_size: int = DEFAULT_CHUNK) -> Iterator[ChunkTrajectories]:
@@ -61,7 +57,7 @@ def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
     horizon = env.horizon if horizon is None else horizon
     for start in range(0, n_replicas, chunk_size):
         count = min(chunk_size, n_replicas - start)
-        u = _chunk_uniforms(seed, start, count, horizon)
+        u = replica_uniforms(seed, start, count, (horizon, 3))
         # trial-major draws: each trial yields (action, r1, r2) rows over replicas
         yield ChunkTrajectories(*_simulate(agent, env, u.transpose(1, 2, 0), (count,)))
 

@@ -194,6 +194,7 @@ def test_simulate_artifacts_and_manifest(tmp_path):
     rows = {f["path"]: f["rows"] for f in manifest["files"]}
     assert rows["trajectories.csv"] == 3 * 12
     assert rows["sessions.csv"] == 3 * 12
+    assert manifest["counters"] == {"replica_steps": 3 * 12}
     # values round-trip exactly through the %.17g format
     env = Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=12)
     agent = QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0))
@@ -300,6 +301,9 @@ def test_switch_rate_run(tmp_path):
     lines = (out / "switch_rate.csv").read_text().splitlines()
     assert lines[1].split(",")[:2] == ["t", "analytic_mean"]
     assert len(lines) == 2 + 8
+    # the switching ensemble simulates one trial past the horizon
+    counters = json.loads((out / "manifest.json").read_text())["counters"]
+    assert counters == {"replica_steps": 200 * 9}
 
 
 def test_switch_rate_reproduces_readme_switching_column(tmp_path):

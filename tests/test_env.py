@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from banditlab import RngStream, make_environment
+from banditlab.env import replica_uniforms
 
 
 def test_environment_validation():
@@ -35,3 +36,27 @@ def test_replica_streams_are_distinct():
     u1 = RngStream(5, 1).uniform_block((8,))
     assert not np.array_equal(u0, u1)
     np.testing.assert_array_equal(u0, RngStream(5).uniform_block((8,)))
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (101, 3)])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("first", [0, 37, 2**32])
+@pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 + 5])
+def test_replica_uniforms_equal_stacked_streams(seed, first, count, shape):
+    got = replica_uniforms(seed, first, count, shape)
+    want = np.stack([RngStream(seed, first + i).uniform_block(shape) for i in range(count)])
+    assert got.shape == want.shape == (count, *shape)
+    assert (got == want).all()
+
+
+def test_replica_indices_must_fit_the_key():
+    with pytest.raises(ValueError, match="nonnegative"):
+        RngStream(0, -1)
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        RngStream(0, 2**64)
+    with pytest.raises(ValueError, match="nonnegative"):
+        replica_uniforms(0, -1, 2, (1, 3))
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        replica_uniforms(0, 2**64 - 2, 3, (1, 3))
+    last = replica_uniforms(0, 2**64 - 2, 2, (1, 3))[1]
+    assert (last == RngStream(0, 2**64 - 1).uniform_block((1, 3))).all()

@@ -110,3 +110,15 @@ def test_no_counterfactual_chunks_match_scalar_runs():
         np.testing.assert_array_equal(q1[i], traj.values1)
         np.testing.assert_array_equal(q2[i], traj.values2)
         np.testing.assert_array_equal(actions[i], traj.actions)
+
+
+def test_chunks_match_scalar_runs_at_a_negative_seed():
+    # the seed wraps mod 2**64 in the stream key; 7 replicas fill chunks of 3 unevenly
+    env = Environment(p1=0.7, p2=0.2, counterfactual=True, horizon=30)
+    agent = QAgentSpec(LearningRateSet(0.25, 0.05, 0.1, 0.2), Policy(beta=4.0))
+    q1, q2, actions = collect(agent, env, 7, seed=-17, chunk_size=3)
+    for i in range(7):
+        traj = run_trajectory(agent, env, RngStream(-17, i))
+        np.testing.assert_array_equal(q1[i], traj.values1)
+        np.testing.assert_array_equal(q2[i], traj.values2)
+        np.testing.assert_array_equal(actions[i], traj.actions)
