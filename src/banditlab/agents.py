@@ -234,9 +234,9 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
     of ``shape`` for a chunk of replicas.  Both go through the same masked
     learning steps, so a chunk reproduces single runs bit for bit.
     Returns the values before each trial plus the terminal state (shape +
-    (T+1,) each), the actions (shape + (T,)) and, for Bayesian agents, the
-    counts (s1, n1, s2, n2) stacked as (4,) + shape + (T+1,); None for
-    Q-agents.
+    (T+1,) each), the actions and both arms' 0/1 rewards (shape + (T,)
+    each, int8) and, for Bayesian agents, the counts (s1, n1, s2, n2)
+    stacked as (4,) + shape + (T+1,); None for Q-agents.
     """
     bayes = isinstance(agent, BayesAgentSpec)
     if not bayes and not isinstance(agent, QAgentSpec):
@@ -248,6 +248,8 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
     values1 = np.empty(shape + (T + 1,))
     values2 = np.empty(shape + (T + 1,))
     actions = np.empty(shape + (T,), dtype=np.int8)
+    # trial-major, so that each trial's rewards are one contiguous write
+    rewards = np.empty((2, T) + shape, dtype=np.int8)
     # counts never exceed the horizon, so the smallest fitting dtype holds them
     counts = np.empty((4,) + shape + (T + 1,), dtype=np.min_scalar_type(T)) if bayes else None
     zero = np.zeros(shape, dtype=np.int64) if shape else 0
@@ -269,10 +271,12 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
             apc, amc, apu, amu = agent.rates.at(t)
             v1, v2 = q_step(v1, v2, chose1, r1, r2, apc, amc, apu * cf, amu * cf)
         actions[..., t] = 2 - chose1
+        rewards[0, t], rewards[1, t] = r1, r2
     values1[..., T], values2[..., T] = v1, v2
     if bayes:
         counts[..., T] = s1, n1, s2, n2
-    return values1, values2, actions, counts
+    rewards1, rewards2 = np.moveaxis(rewards, 1, -1)
+    return values1, values2, actions, rewards1, rewards2, counts
 
 
 def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajectory:
@@ -283,8 +287,6 @@ def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajec
     are comparable across agents and feedback conditions under shared
     randomness.
     """
-    u = rng.uniform_block((env.horizon, 3))
-    v1, v2, actions, counts = _simulate(agent, env, u.tolist())
-    return Trajectory(actions, (u[:, 1] < env.p1).astype(np.int8),
-                      (u[:, 2] < env.p2).astype(np.int8), env.counterfactual,
-                      v1, v2, counts)
+    v1, v2, actions, r1, r2, counts = _simulate(
+        agent, env, rng.uniform_block((env.horizon, 3)).tolist())
+    return Trajectory(actions, r1, r2, env.counterfactual, v1, v2, counts)

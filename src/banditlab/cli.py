@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -25,15 +26,17 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .agents import (BayesAgentSpec, BayesSchedule, LearningRateSet, Policy,
+# run_trajectory is the scalar reference the chunk engine reproduces; it stays
+# importable here because bench/tracing.py wraps it under this module's name
+from .agents import (BayesAgentSpec, BayesSchedule, LearningRateSet, Policy,  # noqa: F401
                      QAgentSpec, StepSchedule, run_trajectory)
-from .env import Environment, RngStream
+from .env import Environment
 from .fitting import (BETA_MAX, MODEL_FAMILIES, FitError, best_model, fit_families,
                       fit_subject, new_arm_curve, recover_bias)
 from .moments import (ConvergenceError, MomentState, propagate_moments,
                       propagate_moments_bayes, steady_state_delta, x_curve_rates)
-from .sessions import (read_sessions, session_from_trajectory, trial_cells, write_csv,
-                       write_sessions)
+from .sessions import (iter_session_blocks, read_sessions, row_blocks, trial_columns,
+                       write_csv, write_sessions)
 from .switching import ensemble_switch_rate
 
 OUT_DIR_ENV = "BANDITLAB_OUT_DIR"
@@ -50,7 +53,9 @@ class ConfigError(Exception):
 class RunManifest:
     """What a run wrote, and what failed to converge: fits as
     ``subject/family``, grid cells as ``x=X/beta=B``.  Runs that fit carry
-    fit counters; runs that simulate count their replica-steps."""
+    fit counters; runs that simulate count their replica-steps.  ``timings``
+    holds wall-clock seconds: ``run_s`` for the handler, and for
+    ``simulate`` its ``simulate_s`` and ``write_s`` shares."""
 
     config_hash: str
     tool_version: str
@@ -60,6 +65,7 @@ class RunManifest:
     files: list
     counters: Optional[dict] = None
     not_converged: list = field(default_factory=list)
+    timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {"config_hash": self.config_hash, "tool_version": self.tool_version,
@@ -69,6 +75,7 @@ class RunManifest:
         if self.counters is not None:
             out["counters"] = dict(self.counters)
         out["not_converged"] = list(self.not_converged)
+        out["timings"] = dict(self.timings)
         return out
 
 
@@ -283,32 +290,46 @@ def _write_json(path, obj) -> None:
 
 # ------------------------------------------------------------------ handlers
 
+def _timed(items, timings: dict, key: str):
+    """Yield from ``items``, adding the time spent producing each to ``timings[key]``."""
+    it = iter(items)
+    while True:
+        t0 = time.perf_counter()
+        item = next(it, None)
+        timings[key] += time.perf_counter() - t0
+        if item is None:
+            return
+        yield item
+
+
 def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
     env = _env_from_cfg(cfg["environment"])
     agent = _agent_from_cfg(cfg["agent"])
     replicas = cfg["ensemble"]["replicas"]
     sessions = []
     want_sessions = cfg["output"]["sessions"]
+    timings = {"simulate_s": 0.0}
 
-    def rows():
-        # one replica at a time, so no more than one trajectory is held
-        for r in range(replicas):
-            traj = run_trajectory(agent, env, RngStream(seed, r))
-            session = session_from_trajectory(traj, f"S{r:04d}")
-            for (t, a, rc, ru), v1, v2 in zip(trial_cells(session), traj.values1.tolist(),
-                                              traj.values2.tolist()):
-                yield r, t, a, rc, ru, v1, v2
+    def blocks():
+        # one block of whole replicas at a time, so only one block's rows are held
+        for first, chunk, block in _timed(iter_session_blocks(agent, env, replicas, seed),
+                                          timings, "simulate_s"):
+            yield (np.repeat(np.arange(first, first + len(block)), env.horizon),
+                   *trial_columns(block), chunk.q1[:, :-1].ravel(), chunk.q2[:, :-1].ravel())
             if want_sessions:
-                sessions.append(session)
+                sessions.extend(block)
 
+    t0 = time.perf_counter()
     files = [("trajectories.csv",
               write_csv(out_dir / "trajectories.csv",
                         ["replica", "t", "action", "r_chosen", "r_unchosen",
-                         "q1", "q2"], rows(), seed))]
+                         "q1", "q2"], blocks(), seed))]
     if want_sessions:
         n = write_sessions(out_dir / "sessions.csv", sessions, seed=seed)
         files.append(("sessions.csv", n))
-    return files, {"counters": {"replica_steps": replicas * env.horizon}}
+    timings["write_s"] = time.perf_counter() - t0 - timings["simulate_s"]
+    return files, {"counters": {"replica_steps": replicas * env.horizon},
+                   "timings": timings}
 
 
 def _run_propagate(cfg, seed: int, out_dir: Path, threads: int):
@@ -321,8 +342,9 @@ def _run_propagate(cfg, seed: int, out_dir: Path, threads: int):
         sched = _schedule_from_cfg(cfg["schedule"])
         rates = _rates_from_cfg(cfg["rates"], sched)
         series = propagate_moments(m0, rates, p, cfg["beta"], n_steps)
-    rows = [(t, m.m1, m.m11, m.m12, m.delta) for t, m in enumerate(series)]
-    n = write_csv(out_dir / "moments.csv", ["t", "m1", "m11", "m12", "delta"], rows, seed)
+    columns = (list(range(len(series))), [m.m1 for m in series], [m.m11 for m in series],
+               [m.m12 for m in series], [m.delta for m in series])
+    n = write_csv(out_dir / "moments.csv", ["t", "m1", "m11", "m12", "delta"], [columns], seed)
     return [("moments.csv", n)], {}
 
 
@@ -337,7 +359,9 @@ def _run_sweep_delta(cfg, seed: int, out_dir: Path, threads: int):
             except ConvergenceError:  # no steady state: a blank cell
                 rows.append((x, beta, p, ""))
                 failed.append(f"x={x}/beta={beta}")
-    n = write_csv(out_dir / "delta_star.csv", ["x", "beta", "p", "delta_star"], rows, seed)
+    # a grid value may be an int or a float, and a cell may be blank
+    n = write_csv(out_dir / "delta_star.csv", ["x", "beta", "p", "delta_star"],
+                  row_blocks(rows), seed)
     return [("delta_star.csv", n)], {"not_converged": failed}
 
 
@@ -346,11 +370,11 @@ def _run_switch_rate(cfg, seed: int, out_dir: Path, threads: int):
     agent = _agent_from_cfg(cfg["agent"])
     replicas = cfg["ensemble"]["replicas"]
     series = ensemble_switch_rate(agent, env, replicas, seed)
-    rows = list(zip(series.t, series.analytic_mean, series.analytic_se,
-                    series.empirical_mean, series.empirical_se))
+    columns = (series.t, series.analytic_mean, series.analytic_se,
+               series.empirical_mean, series.empirical_se)
     n = write_csv(out_dir / "switch_rate.csv",
                   ["t", "analytic_mean", "analytic_se", "empirical_mean", "empirical_se"],
-                  rows, seed)
+                  [columns], seed)
     # the switching ensemble runs one trial past the horizon
     steps = replicas * (env.horizon + 1)
     return [("switch_rate.csv", n)], {"counters": {"replica_steps": steps}}
@@ -396,7 +420,8 @@ def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
                         float(np.mean([f.bic for f in fam_fits])),
                         sum(1 for b in best.values() if b == fam)))
     n = write_csv(out_dir / "fit_summary.csv",
-                  ["model", "n_subjects", "mean_nll", "mean_bic", "n_best"], summary, seed)
+                  ["model", "n_subjects", "mean_nll", "mean_bic", "n_best"],
+                  [list(zip(*summary))], seed)
     return [("fits.json", len(results)), ("fit_summary.csv", n)], _fit_health(results)
 
 
@@ -433,7 +458,7 @@ def _run_new_arm(cfg, seed: int, out_dir: Path, threads: int):
     _write_json(out_dir / "new_arm_fits.json",
                 {"seed": seed, "fits": [asdict(fit_b), asdict(fit_q)]})
     n = write_csv(out_dir / "new_arm.csv", ["model", "p3", "choice_prob", "stderr"],
-                  curve, seed)
+                  [list(zip(*curve))], seed)
     return [("new_arm_fits.json", 2), ("new_arm.csv", n)], _fit_health(fits)
 
 
@@ -456,11 +481,13 @@ def run_scenario(config_path, seed: Optional[int] = None,
                       os.environ.get(OUT_DIR_ENV), "out"))
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
+    t0 = time.perf_counter()
     files, health = _HANDLERS[cfg["kind"]](cfg, seed, out, threads)
+    timings = {"run_s": time.perf_counter() - t0, **health.pop("timings", {})}
     finished = datetime.now(timezone.utc).isoformat()
     manifest = RunManifest(config_hash=config_hash(raw), tool_version=__version__,
                            seed=seed, started_at=started, finished_at=finished,
-                           files=files, **health)
+                           files=files, timings=timings, **health)
     _write_json(out / "manifest.json", manifest.to_dict())
     return manifest
 

@@ -41,10 +41,12 @@ from scipy import optimize
 from scipy.special import expit, logit
 from scipy.stats import binomtest, qmc
 
-from .agents import (BayesAgentSpec, LearningRateSet, Policy, QAgentSpec, count_values,
+# run_trajectory is the scalar reference the chunk engine reproduces; it stays
+# importable here because bench/tracing.py wraps it under this module's name
+from .agents import (BayesAgentSpec, LearningRateSet, Policy, QAgentSpec, count_values,  # noqa: F401
                      q_step, run_trajectory)
 from .env import Environment, RngStream
-from .sessions import SessionData, session_from_trajectory
+from .sessions import SessionData, synthesize_sessions
 
 P_MIN = 1e-10  # likelihood floor; hitting it is flagged in the fit diagnostics
 _NLL_CAP = -math.log(P_MIN)
@@ -566,8 +568,7 @@ def recover_bias(n_agents: int, env: Environment, beta_gen: float, seed: int = 0
     else:
         raise ValueError(f"unknown generator {generator!r}")
 
-    sessions = [session_from_trajectory(run_trajectory(agent, env, RngStream(seed, i)),
-                                        f"agent{i:04d}") for i in range(n_agents)]
+    sessions = synthesize_sessions(agent, env, n_agents, seed, prefix="agent")
     fits = _fit_batch(fit_family, _Tables(sessions), range(n_agents), restarts, seed)
     names = ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")
     rates = dict(zip(names, np.array([_rates_of(fit_family, f.params) for f in fits]).T))

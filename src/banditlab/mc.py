@@ -31,7 +31,8 @@ DEFAULT_CHUNK = 8192
 @dataclass
 class ChunkTrajectories:
     """Trajectories of one replica chunk: values before each trial plus the
-    terminal state (n, horizon+1) and the actions taken (n, horizon).
+    terminal state (n, horizon+1), the actions taken and both arms' 0/1
+    rewards (n, horizon, int8).
 
     For Bayesian agents ``counts`` stacks (s1, n1, s2, n2), the arms'
     success and outcome counts at the same times, shape (4, n, horizon+1),
@@ -42,6 +43,8 @@ class ChunkTrajectories:
     q1: np.ndarray
     q2: np.ndarray
     actions: np.ndarray
+    rewards1: np.ndarray
+    rewards2: np.ndarray
     counts: Optional[np.ndarray] = None
 
 

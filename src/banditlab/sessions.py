@@ -11,15 +11,28 @@ writes every CSV artifact of the package, sessions included.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .agents import AgentSpec, Trajectory, run_trajectory
-from .env import Environment, RngStream
+from . import mc
+# run_trajectory is the scalar reference the chunk engine reproduces; it stays
+# importable here because bench/tracing.py wraps it under this module's name
+from .agents import AgentSpec, Trajectory, run_trajectory  # noqa: F401
+from .env import Environment
 
 CSV_HEADER = ["subject_id", "trial", "action", "r_chosen", "r_unchosen"]
+# rows simulated and formatted at once: whole sessions, up to this many rows
+BLOCK_ROWS = 6400
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _all_in(cells, pair) -> bool:
+    # two comparisons cost a tenth of np.isin on a session's short arrays
+    a = np.asarray(cells)
+    return bool(((a == pair[0]) | (a == pair[1])).all())
 
 
 @dataclass
@@ -38,15 +51,18 @@ class SessionData:
         n = self.n_trials
         if n == 0:
             raise ValueError(f"session {self.subject_id!r} has no trials")
-        if not np.isin(self.actions, (1, 2)).all():
+        if not _all_in(self.actions, (1, 2)):
             raise ValueError(f"session {self.subject_id!r} has actions outside {{1, 2}}")
-        if not np.isin(self.r_chosen, (0, 1)).all():
+        if len(self.r_chosen) != n:
+            raise ValueError(f"session {self.subject_id!r} has {n} actions but "
+                             f"{len(self.r_chosen)} chosen rewards")
+        if not _all_in(self.r_chosen, (0, 1)):
             raise ValueError(f"session {self.subject_id!r} has non-binary rewards")
         if self.counterfactual:
             if self.r_unchosen is None or len(self.r_unchosen) != n:
                 raise ValueError(f"session {self.subject_id!r} lacks unchosen rewards "
                                  "despite counterfactual feedback")
-            if not np.isin(self.r_unchosen, (0, 1)).all():
+            if not _all_in(self.r_unchosen, (0, 1)):
                 raise ValueError(f"session {self.subject_id!r} has non-binary rewards")
         elif self.r_unchosen is not None:
             raise ValueError(f"session {self.subject_id!r} records unchosen rewards "
@@ -62,48 +78,141 @@ def session_from_trajectory(traj: Trajectory, subject_id: str) -> SessionData:
                        counterfactual=traj.counterfactual)
 
 
+def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,
+                        seed: int, prefix: str = "S"):
+    """Simulate subjects through the chunk engine, a block of whole sessions
+    at a time; yields each block's first subject index, its
+    :class:`mc.ChunkTrajectories` and its sessions.
+
+    Subject i owns stream (seed, i) and is named ``f"{prefix}{i:04d}"``; its
+    session equals ``session_from_trajectory(run_trajectory(agent, env,
+    RngStream(seed, i)), ...)``, since the chunks reproduce the scalar runs
+    bit for bit.  A block holds ``BLOCK_ROWS // env.horizon`` subjects (at
+    least one).
+    """
+    first, cf = 0, env.counterfactual
+    for chunk in mc.iter_value_chunks(agent, env, n_subjects, seed,
+                                      chunk_size=max(1, BLOCK_ROWS // env.horizon)):
+        chose1 = chunk.actions == 1
+        rc = np.where(chose1, chunk.rewards1, chunk.rewards2)
+        ru = np.where(chose1, chunk.rewards2, chunk.rewards1) if cf else None
+        n = len(rc)
+        yield first, chunk, [SessionData(f"{prefix}{first + i:04d}", chunk.actions[i], rc[i],
+                                         ru[i] if cf else None, cf) for i in range(n)]
+        first += n
+
+
 def synthesize_sessions(agent: AgentSpec, env: Environment, n_subjects: int,
                         seed: int, prefix: str = "S") -> list[SessionData]:
     """Simulate one session per subject; subject i owns stream (seed, i)."""
-    out = []
-    for i in range(n_subjects):
-        traj = run_trajectory(agent, env, RngStream(seed, i))
-        out.append(session_from_trajectory(traj, f"{prefix}{i:04d}"))
-    return out
+    return [s for _, _, block in iter_session_blocks(agent, env, n_subjects, seed, prefix)
+            for s in block]
 
 
-def write_csv(path, header, rows, seed=None) -> int:
-    """Write a header and any iterable of rows as CSV; returns how many rows.
+def _text(cell: str) -> str:
+    """A text cell as ``csv``'s QUOTE_MINIMAL writes it."""
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
 
-    When ``seed`` is given it goes first, as a ``# seed=`` comment line.
-    A float is written with 17 significant digits, so it reads back
-    exactly; every other cell (ints, strings, blanks) is left to ``csv``.
+
+def _column(col, lone: bool):
+    """A column's ``%`` conversion and its cells as Python objects.
+
+    A float array or a list of floats is ``%.17g``, an integer array or a
+    list of ints ``%d``, and a list of strings text, quoted as ``csv``
+    quotes it; ``lone`` marks a table's only column, where ``csv`` writes a
+    blank cell as ``""``.
+    """
+    if isinstance(col, np.ndarray):
+        kind = col.dtype.kind
+        cells = col.tolist()
+    else:
+        cells = list(col)
+        types = set(map(type, cells))
+        kind = ("f" if all(issubclass(t, float) for t in types)
+                else "i" if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+                                for t in types)
+                else "U" if all(issubclass(t, str) for t in types) else None)
+    if kind == "f":
+        return "%.17g", cells
+    if kind in ("i", "u"):
+        return "%d", cells
+    if kind != "U":
+        raise TypeError("a CSV column must hold only floats, only integers or only strings")
+    quoted = {v: _text(v) for v in set(cells)}
+    if lone:
+        quoted[""] = '""'
+    return "%s", [quoted[v] for v in cells]
+
+
+def _format_block(columns) -> str:
+    """Equal-length columns as CSV rows, formatted by one ``%`` template."""
+    k, n = len(columns), len(columns[0])
+    convs, flat = [], [None] * (n * k)
+    for j, col in enumerate(columns):
+        conv, cells = _column(col, k == 1)
+        convs.append(conv)
+        flat[j::k] = cells  # raises ValueError unless the column has n cells
+    return (",".join(convs) + "\r\n") * n % tuple(flat)
+
+
+def write_csv(path, header, blocks, seed=None) -> int:
+    """Write a header and any iterable of row blocks as CSV; returns how many rows.
+
+    A block is a sequence of equal-length columns, formatted by one ``%``
+    template (see :func:`_column` for each column's conversion): a float is
+    written with 17 significant digits, so it reads back exactly, an
+    integer in full, and text as ``csv`` writes it, with CRLF line ends.
+    A table whose column types vary from row to row writes a block per
+    row.  When ``seed`` is given it goes first, as a ``# seed=`` comment
+    line.
     """
     n = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-            n += 1
+        fh.write(_format_block([[h] for h in header]))
+        for columns in blocks:
+            fh.write(_format_block(columns))
+            n += len(columns[0])
     return n
 
 
-def trial_cells(session: SessionData):
-    """The cells ``trial, action, r_chosen, r_unchosen`` of each of a
-    session's trials; ``r_unchosen`` is blank when feedback hides it."""
-    n = session.n_trials
-    ru = session.r_unchosen.tolist() if session.counterfactual else [""] * n
-    return zip(range(n), session.actions.tolist(), session.r_chosen.tolist(), ru)
+def row_blocks(rows):
+    """One block per row, for tables whose column types vary from row to row."""
+    return ([(cell,) for cell in row] for row in rows)
 
 
-def _session_rows(sessions):
+def trial_columns(sessions):
+    """The columns ``trial, action, r_chosen, r_unchosen`` of the trials of
+    sessions that share one feedback mode, in session order;
+    ``r_unchosen`` is blank when feedback hides it."""
+    trial = np.concatenate([np.arange(s.n_trials) for s in sessions])
+    ru = (np.concatenate([s.r_unchosen for s in sessions]) if sessions[0].counterfactual
+          else [""] * len(trial))
+    return (trial, np.concatenate([s.actions for s in sessions]),
+            np.concatenate([s.r_chosen for s in sessions]), ru)
+
+
+def _session_block(sessions):
+    ids = []
+    for s in sessions:
+        ids += [s.subject_id] * s.n_trials
+    return (ids, *trial_columns(sessions))
+
+
+def _session_blocks(sessions):
+    """Validated sessions as blocks of whole sessions of one feedback mode."""
+    block, rows = [], 0
     for s in sessions:
         s.validate()
-        for cells in trial_cells(s):
-            yield (s.subject_id, *cells)
+        if block and (rows + s.n_trials > BLOCK_ROWS
+                      or s.counterfactual != block[0].counterfactual):
+            yield _session_block(block)
+            block, rows = [], 0
+        block.append(s)
+        rows += s.n_trials
+    if block:
+        yield _session_block(block)
 
 
 def write_sessions(path, sessions: list[SessionData], seed=None) -> int:
@@ -112,7 +221,7 @@ def write_sessions(path, sessions: list[SessionData], seed=None) -> int:
     When `seed` is given it is recorded as a leading comment line, which
     `read_sessions` skips.
     """
-    return write_csv(path, CSV_HEADER, _session_rows(sessions), seed)
+    return write_csv(path, CSV_HEADER, _session_blocks(sessions), seed)
 
 
 def _parses_as_int(cell: str) -> bool:

@@ -1,7 +1,9 @@
 """Config validation, scenario runs, and artifact reproducibility."""
 
 import copy
+import csv
 import hashlib
+import io
 import json
 import re
 from dataclasses import asdict
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import banditlab
-from banditlab import Environment, Policy, QAgentSpec, LearningRateSet, RngStream, run_trajectory
+from banditlab import (BayesAgentSpec, Environment, Policy, QAgentSpec, LearningRateSet,
+                       RngStream, StepSchedule, run_trajectory)
 from banditlab.cli import (KINDS, SCHEMA, check_config, config_hash, main, run_scenario,
                            validate_config_data)
+from banditlab.sessions import BLOCK_ROWS, CSV_HEADER
 
 SIM_CFG = {
     "kind": "simulate",
@@ -201,6 +205,96 @@ def test_simulate_artifacts_and_manifest(tmp_path):
     want = run_trajectory(agent, env, RngStream(33, 2))
     got = [float(ln.split(",")[5]) for ln in traj[2:] if ln.startswith("2,")]
     np.testing.assert_array_equal(got, want.values1[:-1])
+
+
+def _per_cell_csv(header, rows, seed) -> bytes:
+    """A table as the writer wrote it one cell at a time: a float as
+    f"{v:.17g}", everything else left to csv.writer."""
+    buf = io.StringIO(newline="")
+    buf.write(f"# seed={seed}\n")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def _scalar_simulate(agent, env, replicas, seed) -> tuple[bytes, bytes]:
+    """trajectories.csv and sessions.csv built from one run_trajectory per replica."""
+    traj_rows, session_rows = [], []
+    for r in range(replicas):
+        traj = run_trajectory(agent, env, RngStream(seed, r))
+        rc = traj.reward_chosen().tolist()
+        ru = (traj.reward_unchosen().tolist() if env.counterfactual
+              else [""] * env.horizon)
+        for t, a in enumerate(traj.actions.tolist()):
+            traj_rows.append((r, t, a, rc[t], ru[t],
+                              float(traj.values1[t]), float(traj.values2[t])))
+            session_rows.append((f"S{r:04d}", t, a, rc[t], ru[t]))
+    header = ["replica", "t", "action", "r_chosen", "r_unchosen", "q1", "q2"]
+    return (_per_cell_csv(header, traj_rows, seed),
+            _per_cell_csv(CSV_HEADER, session_rows, seed))
+
+
+# the agents of tools/digest_outputs.py's simulate cases
+_SIM_AGENTS = {
+    "q-counterfactual": (True, {"type": "q", "beta": 5.0, "rates": {
+        "a_plus_c": 0.3, "a_minus_c": 0.1, "a_plus_u": 0.1, "a_minus_u": 0.3}},
+        QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0))),
+    "bayes-partial": (False, {"type": "bayes", "beta": 8.0},
+                      BayesAgentSpec(Policy(beta=8.0))),
+    "q-step-greedy": (False, {"type": "q", "beta": 3.0, "policy": "greedy", "rates": {
+        "a_plus_c": 0.3, "a_minus_c": 0.1, "a_plus_u": 0.0, "a_minus_u": 0.0},
+        "schedule": {"kind": "step", "alpha1": 0.4, "alpha2": 0.05, "tau_c": 8}},
+        QAgentSpec(LearningRateSet(0.3, 0.1, 0.0, 0.0, StepSchedule(0.4, 0.05, 8)),
+                   Policy(beta=3.0, mode="greedy"))),
+}
+
+
+@pytest.mark.parametrize("horizon", [1, 20])
+@pytest.mark.parametrize("case", sorted(_SIM_AGENTS))
+def test_simulate_matches_scalar_runs_across_blocks(tmp_path, case, horizon):
+    # one block plus five replicas: a full block, then a partial one
+    replicas = BLOCK_ROWS // horizon + 5
+    counterfactual, agent_cfg, agent = _SIM_AGENTS[case]
+    env_cfg = {"p1": 0.6, "p2": 0.4, "counterfactual": counterfactual, "horizon": horizon}
+    cfg = {"kind": "simulate", "environment": env_cfg, "agent": agent_cfg, "seed": 5,
+           "ensemble": {"replicas": replicas}, "output": {"sessions": True}}
+    out = tmp_path / "o"
+    run_scenario(write_cfg(tmp_path, cfg), out_dir=str(out))
+    want_traj, want_sessions = _scalar_simulate(agent, Environment(**env_cfg), replicas, 5)
+    assert (out / "trajectories.csv").read_bytes() == want_traj
+    assert (out / "sessions.csv").read_bytes() == want_sessions
+
+
+def test_manifest_records_timings(tmp_path):
+    out = tmp_path / "sim"
+    timings = run_scenario(write_cfg(tmp_path, SIM_CFG), out_dir=str(out)).timings
+    assert set(timings) == {"run_s", "simulate_s", "write_s"}
+    assert json.loads((out / "manifest.json").read_text())["timings"] == timings
+    prop = run_scenario(write_cfg(tmp_path, CONFIGS["propagate"], "p.json"),
+                        out_dir=str(tmp_path / "prop")).timings
+    assert set(prop) == {"run_s"}
+    assert all(v >= 0 for v in [*timings.values(), *prop.values()])
+
+
+def test_bench_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
+    # bench/tracing.py wraps the package's functions by their module names
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+    from banditlab import cli, mc
+    originals = (cli.write_sessions, cli.run_trajectory, mc.iter_value_chunks)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        run_scenario(write_cfg(tmp_path, SIM_CFG), out_dir=str(tmp_path / "o"))
+    finally:
+        tracer.uninstall()
+    assert (cli.write_sessions, cli.run_trajectory, mc.iter_value_chunks) == originals
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["mc.replica_steps"] == 3 * 12
+    assert metrics["agents.run_trajectory.calls"] == 0
+    assert metrics["sessions.rows_written"] == 3 * 12
 
 
 def test_rerun_is_byte_identical_outside_manifest(tmp_path):

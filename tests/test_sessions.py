@@ -1,5 +1,7 @@
 """Session CSV round-trips, the CSV writer's format, and generation determinism."""
 
+import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from banditlab import (
     synthesize_sessions,
     write_sessions,
 )
-from banditlab.sessions import trial_cells, write_csv
+from banditlab.sessions import row_blocks, trial_columns, write_csv
 
 ENV = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
 AGENT = BayesAgentSpec(Policy(beta=10.0))
@@ -100,7 +102,7 @@ def test_sessions_round_trip_through_csv(case):
 def test_write_csv_pins_its_format(tmp_path):
     path = tmp_path / "t.csv"
     rows = [(0.1, np.int64(7), 10**20), ("", "x,y", 2)]
-    assert write_csv(path, ["a", "b", "c"], rows, seed=3) == 2
+    assert write_csv(path, ["a", "b", "c"], row_blocks(rows), seed=3) == 2
     assert path.read_bytes() == (b"# seed=3\na,b,c\r\n"
                                  b"0.10000000000000001,7,100000000000000000000\r\n"
                                  b',"x,y",2\r\n')
@@ -108,16 +110,62 @@ def test_write_csv_pins_its_format(tmp_path):
     assert path.read_bytes() == b"a\r\n"
 
 
+def _per_cell_bytes(header, rows) -> bytes:
+    """The writer's former rule: each float cell as f"{v:.17g}", the rest to csv."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, np.float64(2.5)]
+AWKWARD_INTS = [10**20, np.int8(-3), np.uint8(200), np.int64(-7), 0, -(10**30), 2**63]
+AWKWARD_TEXT = ["", "a,b", 'say "hi"', "cr\rx", "lf\nx", "\r\n", "plain é"]
+
+
+def test_write_csv_matches_the_per_cell_rule_on_awkward_values(tmp_path):
+    header = ["f", "i", "s"]
+    rows = list(zip(AWKWARD_FLOATS, AWKWARD_INTS, AWKWARD_TEXT))
+    want = _per_cell_bytes(header, rows)
+    path = tmp_path / "t.csv"
+    # lists, and the same columns as arrays where numpy holds them
+    for columns in ([AWKWARD_FLOATS, AWKWARD_INTS, AWKWARD_TEXT],
+                    [np.array(AWKWARD_FLOATS), AWKWARD_INTS, np.array(AWKWARD_TEXT)]):
+        assert write_csv(path, header, [columns]) == len(rows)
+        assert path.read_bytes() == want
+    # split into blocks anywhere, and one block per row
+    cols = list(zip(*rows))
+    assert write_csv(path, header, [[c[:3] for c in cols], [c[3:] for c in cols]]) == 7
+    assert path.read_bytes() == want
+    assert write_csv(path, header, row_blocks(rows)) == 7
+    assert path.read_bytes() == want
+    for dtype in (np.int8, np.uint8, np.int64):
+        ints = np.array([0, 1, 100], dtype=dtype)
+        write_csv(path, ["i"], [[ints]])
+        assert path.read_bytes() == _per_cell_bytes(["i"], [(v,) for v in ints])
+    # csv writes a lone blank cell as ""
+    write_csv(path, ["s"], [[["", "x", ""]]])
+    assert path.read_bytes() == _per_cell_bytes(["s"], [("",), ("x",), ("",)])
+
+
+@pytest.mark.parametrize("column", [[1.0, ""], [1, 2.0], [True, False], [None],
+                                    np.array([True]), np.array([1.0], dtype=object)])
+def test_write_csv_refuses_a_column_of_mixed_or_unknown_cells(tmp_path, column):
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "t.csv", ["c"], [[column]])
+
+
 @pytest.mark.parametrize("counterfactual", [True, False])
 def test_trial_cells_blank_hidden_rewards(counterfactual):
     env = Environment(p1=0.6, p2=0.4, counterfactual=counterfactual, horizon=30)
     agent = QAgentSpec(LearningRateSet(0.3, 0.1, 0.0, 0.0), Policy(beta=3.0))
     traj = run_trajectory(agent, env, RngStream(11, 0))
-    cells = list(trial_cells(session_from_trajectory(traj, "X")))
-    assert len(cells) == 30 and [c[0] for c in cells] == list(range(30))
-    assert [c[1] for c in cells] == traj.actions.tolist()
-    ru = [c[3] for c in cells]
-    assert ru == (traj.reward_unchosen().tolist() if counterfactual else [""] * 30)
+    trial, action, _, ru = trial_columns([session_from_trajectory(traj, "X")])
+    assert trial.tolist() == list(range(30))
+    assert action.tolist() == traj.actions.tolist()
+    assert list(ru) == (traj.reward_unchosen().tolist() if counterfactual else [""] * 30)
 
 
 def test_synthesis_is_deterministic_per_subject():
@@ -154,7 +202,7 @@ def test_mixed_hidden_rewards_rejected(tmp_path):
         read_sessions(path)
 
 
-def test_session_validation_catches_bad_values():
+def test_session_validation_catches_bad_values(tmp_path):
     with pytest.raises(ValueError):
         SessionData("S0", np.array([1, 3], dtype=np.int8),
                     np.array([1, 0], dtype=np.int8),
@@ -163,6 +211,11 @@ def test_session_validation_catches_bad_values():
         SessionData("S0", np.array([1, 2], dtype=np.int8),
                     np.array([1, 2], dtype=np.int8),
                     np.array([0, 1], dtype=np.int8), True).validate()
+    # a missing chosen reward once vanished from the CSV without an error
+    short = SessionData("S0", np.array([1, 2], dtype=np.int8), np.array([1], dtype=np.int8),
+                        None, False)
+    with pytest.raises(ValueError, match="2 actions but 1 chosen rewards"):
+        write_sessions(tmp_path / "s.csv", [short])
 
 
 def test_trajectory_to_session_keeps_reward_alignment():

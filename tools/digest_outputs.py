@@ -39,6 +39,9 @@ def cases(work: Path):
     yield "simulate", "bayes-partial", {**sim, "environment": _env(False), "agent": bayes}
     yield "simulate", "q-step-greedy", {**sim, "environment": _env(False), "agent": step,
                                         "seed": 5}
+    # 700 replicas of 20 trials span several 6,400-row blocks, the last one partial
+    yield "simulate", "q-counterfactual-blocks", {**sim, "ensemble": {"replicas": 700},
+                                                  "environment": _env(True), "agent": q_cf}
     yield "propagate", "closure", {"kind": "propagate", "p": 0.7, "beta": 4.0,
                                    "n_steps": 30, "rates": Q_RATES}
     yield "propagate", "exact-unbiased", {"kind": "propagate", "p": 0.7, "beta": 4.0,
