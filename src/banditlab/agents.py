@@ -236,7 +236,9 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
     Returns the values before each trial plus the terminal state (shape +
     (T+1,) each), the actions and both arms' 0/1 rewards (shape + (T,)
     each, int8) and, for Bayesian agents, the counts (s1, n1, s2, n2)
-    stacked as (4,) + shape + (T+1,); None for Q-agents.
+    stacked as (4,) + shape + (T+1,); None for Q-agents.  All are views
+    over trial-major storage, so each trial's slice over a chunk is
+    contiguous.
     """
     bayes = isinstance(agent, BayesAgentSpec)
     if not bayes and not isinstance(agent, QAgentSpec):
@@ -245,21 +247,21 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
     if not bayes and not cf and not agent.rates.unchosen_zero and agent.rates.schedule is None:
         raise ValueError("unchosen-arm rates must be zero without counterfactual feedback")
     T = len(draws)
-    values1 = np.empty(shape + (T + 1,))
-    values2 = np.empty(shape + (T + 1,))
-    actions = np.empty(shape + (T,), dtype=np.int8)
-    # trial-major, so that each trial's rewards are one contiguous write
+    # trial-major, so that each trial's writes (and later reads) are contiguous
+    values1 = np.empty((T + 1,) + shape)
+    values2 = np.empty((T + 1,) + shape)
+    actions = np.empty((T,) + shape, dtype=np.int8)
     rewards = np.empty((2, T) + shape, dtype=np.int8)
     # counts never exceed the horizon, so the smallest fitting dtype holds them
-    counts = np.empty((4,) + shape + (T + 1,), dtype=np.min_scalar_type(T)) if bayes else None
+    counts = np.empty((T + 1, 4) + shape, dtype=np.min_scalar_type(T)) if bayes else None
     zero = np.zeros(shape, dtype=np.int64) if shape else 0
     s1 = n1 = s2 = n2 = zero
     v1, v2 = count_values(s1, n1, s2, n2) if bayes else (zero + 0.5, zero + 0.5)
     policy = agent.policy
     for t, (ua, u1, u2) in enumerate(draws):
-        values1[..., t], values2[..., t] = v1, v2
+        values1[t], values2[t] = v1, v2
         if bayes:
-            counts[..., t] = s1, n1, s2, n2
+            counts[t] = s1, n1, s2, n2
         # uniforms lie in [0, 1), so a greedy probability of 1 or 0 decides alone
         chose1 = ua < policy.choice_prob(v1, v2)
         r1 = u1 < env.p1
@@ -270,13 +272,15 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
         else:
             apc, amc, apu, amu = agent.rates.at(t)
             v1, v2 = q_step(v1, v2, chose1, r1, r2, apc, amc, apu * cf, amu * cf)
-        actions[..., t] = 2 - chose1
+        actions[t] = 2 - chose1
         rewards[0, t], rewards[1, t] = r1, r2
-    values1[..., T], values2[..., T] = v1, v2
+    values1[T], values2[T] = v1, v2
     if bayes:
-        counts[..., T] = s1, n1, s2, n2
+        counts[T] = s1, n1, s2, n2
+        counts = np.moveaxis(counts, 0, -1)
     rewards1, rewards2 = np.moveaxis(rewards, 1, -1)
-    return values1, values2, actions, rewards1, rewards2, counts
+    return (np.moveaxis(values1, 0, -1), np.moveaxis(values2, 0, -1),
+            np.moveaxis(actions, 0, -1), rewards1, rewards2, counts)
 
 
 def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajectory:

@@ -54,8 +54,8 @@ class RunManifest:
     """What a run wrote, and what failed to converge: fits as
     ``subject/family``, grid cells as ``x=X/beta=B``.  Runs that fit carry
     fit counters; runs that simulate count their replica-steps.  ``timings``
-    holds wall-clock seconds: ``run_s`` for the handler, and for
-    ``simulate`` its ``simulate_s`` and ``write_s`` shares."""
+    holds wall-clock seconds: ``run_s`` for the handler and its shares,
+    ``simulate_s``, ``read_s``, ``fit_s``, ``recover_s`` and ``write_s``."""
 
     config_hash: str
     tool_version: str
@@ -388,7 +388,9 @@ def _fit_job(args):
 
 
 def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
+    t0 = time.perf_counter()
     sessions = read_sessions(cfg["sessions"])
+    t1 = time.perf_counter()
     families, restarts = cfg["families"], cfg["restarts"]
     # each worker fits a contiguous share of the subjects as one batch;
     # subject i keeps restart streams 4 i + k whatever the share
@@ -402,6 +404,7 @@ def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
     else:
         per_share = [_fit_job(j) for j in jobs]
     results = [f for fits in per_share for f in fits]
+    t2 = time.perf_counter()
 
     by_subject: dict[str, list] = {}
     for f in results:
@@ -422,17 +425,23 @@ def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
     n = write_csv(out_dir / "fit_summary.csv",
                   ["model", "n_subjects", "mean_nll", "mean_bic", "n_best"],
                   [list(zip(*summary))], seed)
-    return [("fits.json", len(results)), ("fit_summary.csv", n)], _fit_health(results)
+    timings = {"read_s": t1 - t0, "fit_s": t2 - t1, "write_s": time.perf_counter() - t2}
+    return [("fits.json", len(results)), ("fit_summary.csv", n)], {
+        **_fit_health(results), "timings": timings}
 
 
 def _run_recover(cfg, seed: int, out_dir: Path, threads: int):
     env = _env_from_cfg(cfg["environment"])
+    t0 = time.perf_counter()
     report = recover_bias(cfg["n_agents"], env, cfg["beta_gen"], seed=seed,
                           generator=cfg["generator"],
                           generator_alpha=cfg["generator_alpha"],
                           restarts=cfg["restarts"], policy_mode=cfg["policy"])
+    t1 = time.perf_counter()
     _write_json(out_dir / "recovery.json", {"seed": seed, **asdict(report)})
-    return [("recovery.json", report.n_agents)], _fit_health(report.fits)
+    timings = {"recover_s": t1 - t0, "write_s": time.perf_counter() - t1}
+    return [("recovery.json", report.n_agents)], {**_fit_health(report.fits),
+                                                  "timings": timings}
 
 
 def _run_new_arm(cfg, seed: int, out_dir: Path, threads: int):

@@ -12,7 +12,9 @@ feedback modes.  A chunk draws its uniforms through
 than constructing each replica's ``RngStream``; the draws equal the
 constructed streams' bit for bit.  Replicas are simulated in chunks to
 bound memory; chunking affects only the floating-point summation order
-of the accumulated statistics, never the trajectories.
+of the accumulated statistics, never the trajectories.  A chunk's
+(replica, trial) arrays are views over trial-major storage, so a
+replica's row is strided and a trial's column is contiguous.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .agents import _simulate
 from .env import Environment, replica_uniforms
 
 DEFAULT_CHUNK = 8192
+_DRAW_BLOCK = 512  # replicas per replica_uniforms call, few enough to transpose in cache
 
 
 @dataclass
@@ -37,7 +40,8 @@ class ChunkTrajectories:
     For Bayesian agents ``counts`` stacks (s1, n1, s2, n2), the arms'
     success and outcome counts at the same times, shape (4, n, horizon+1),
     in the smallest unsigned dtype that holds the horizon; it is None for
-    Q-agents.
+    Q-agents.  All are views over trial-major storage: ``q1[:, t]``,
+    ``actions[:, t]`` and ``counts[:, :, t]`` are contiguous, ``q1[i]`` is not.
     """
 
     q1: np.ndarray
@@ -57,12 +61,21 @@ def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
     Q-agent carries its values, a Bayesian agent its per-arm counts, whose
     posterior means are the values.
     """
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     horizon = env.horizon if horizon is None else horizon
     for start in range(0, n_replicas, chunk_size):
         count = min(chunk_size, n_replicas - start)
-        u = replica_uniforms(seed, start, count, (horizon, 3))
-        # trial-major draws: each trial yields (action, r1, r2) rows over replicas
-        yield ChunkTrajectories(*_simulate(agent, env, u.transpose(1, 2, 0), (count,)))
+        # contiguous (action, r1, r2) rows per trial, filled a sub-block at a
+        # time so that no second chunk-sized array exists
+        u = np.empty((horizon, 3, count))
+        for lo in range(0, count, _DRAW_BLOCK):
+            hi = min(lo + _DRAW_BLOCK, count)
+            u[..., lo:hi] = replica_uniforms(seed, start + lo, hi - lo,
+                                             (horizon, 3)).transpose(1, 2, 0)
+        yield ChunkTrajectories(*_simulate(agent, env, u, (count,)))
 
 
 @dataclass
@@ -90,7 +103,8 @@ def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int) -> tuple[np.ndarra
 def ensemble_value_moments(agent, env: Environment, n_replicas: int, seed: int,
                            chunk_size: int = DEFAULT_CHUNK) -> EnsembleMoments:
     """Monte-Carlo estimates of <Q1>, <Q1**2> and <Q1Q2> before each trial
-    (terminal state included)."""
+    (terminal state included).  Replica sums run along a chunk's contiguous
+    axis, where numpy sums pairwise, not in sequence as over a strided one."""
     shape = env.horizon + 1
     s1 = np.zeros(shape)
     # s11 sums Q1**2: the mean <Q1**2>, and the second moment behind <Q1>'s SE

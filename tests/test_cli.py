@@ -275,7 +275,16 @@ def test_manifest_records_timings(tmp_path):
     prop = run_scenario(write_cfg(tmp_path, CONFIGS["propagate"], "p.json"),
                         out_dir=str(tmp_path / "prop")).timings
     assert set(prop) == {"run_s"}
-    assert all(v >= 0 for v in [*timings.values(), *prop.values()])
+    fit_cfg = dict(CONFIGS["fit"], sessions=str(out / "sessions.csv"))
+    fit = run_scenario(write_cfg(tmp_path, fit_cfg, "f.json"),
+                       out_dir=str(tmp_path / "fit")).timings
+    assert set(fit) == {"run_s", "read_s", "fit_s", "write_s"}
+    rec = run_scenario(write_cfg(tmp_path, CONFIGS["recover"], "r.json"),
+                       out_dir=str(tmp_path / "rec")).timings
+    assert set(rec) == {"run_s", "recover_s", "write_s"}
+    for shares in (timings, fit, rec):
+        assert sum(v for k, v in shares.items() if k != "run_s") <= shares["run_s"]
+    assert all(v >= 0 for t in (timings, prop, fit, rec) for v in t.values())
 
 
 def test_bench_tracer_installs_and_uninstalls(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from banditlab import (
     Policy,
     QAgentSpec,
     RngStream,
+    ensemble_switch_rate,
     ensemble_value_moments,
     iter_value_chunks,
     run_trajectory,
@@ -122,3 +123,42 @@ def test_chunks_match_scalar_runs_at_a_negative_seed():
         np.testing.assert_array_equal(q1[i], traj.values1)
         np.testing.assert_array_equal(q2[i], traj.values2)
         np.testing.assert_array_equal(actions[i], traj.actions)
+
+
+@pytest.mark.parametrize("agent, env", [
+    (QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0)),
+     Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=15)),
+    (BayesAgentSpec(Policy(mode="greedy")),
+     Environment(p1=0.6, p2=0.4, counterfactual=False, horizon=15)),
+], ids=["q-counterfactual", "bayes-greedy-partial"])
+def test_trial_major_chunk_matches_scalar_runs(agent, env):
+    # one chunk of 1,100 replicas spans several draw sub-blocks, the last partial
+    n = 1100
+    (chunk,) = iter_value_chunks(agent, env, n, seed=8)
+    for t in range(env.horizon):
+        assert chunk.q1[:, t].flags.c_contiguous
+        assert chunk.actions[:, t].flags.c_contiguous
+        if chunk.counts is not None:
+            assert chunk.counts[:, :, t].flags.c_contiguous
+    for i in range(n):
+        traj = run_trajectory(agent, env, RngStream(8, i))
+        np.testing.assert_array_equal(chunk.q1[i], traj.values1)
+        np.testing.assert_array_equal(chunk.q2[i], traj.values2)
+        np.testing.assert_array_equal(chunk.actions[i], traj.actions)
+        if traj.counts is not None:
+            np.testing.assert_array_equal(chunk.counts[:, i], traj.counts)
+
+
+@pytest.mark.parametrize("n_replicas, chunk_size, name", [
+    (10, -3, "chunk_size"), (10, 0, "chunk_size"), (0, 4, "n_replicas"), (-1, 4, "n_replicas"),
+])
+def test_empty_ensembles_and_chunks_are_refused(n_replicas, chunk_size, name):
+    env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=5)
+    agent = QAgentSpec(LearningRateSet.constant(0.2), Policy(beta=3.0))
+    with pytest.raises(ValueError, match=name):
+        next(iter_value_chunks(agent, env, n_replicas, seed=0, chunk_size=chunk_size))
+    with pytest.raises(ValueError, match=name):
+        ensemble_value_moments(agent, env, n_replicas, seed=0, chunk_size=chunk_size)
+    if name == "n_replicas":  # the switching ensemble has no chunk size to pass
+        with pytest.raises(ValueError, match=name):
+            ensemble_switch_rate(agent, env, n_replicas, seed=0)
