@@ -25,6 +25,7 @@ differently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -122,8 +123,9 @@ class Policy:
     mode: str = "softmax"
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        # NaN fails every comparison, so test for the valid range
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if self.mode not in ("softmax", "greedy"):
             raise ValueError(f"unknown policy mode {self.mode!r}")
 

@@ -37,9 +37,10 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy import optimize
+# scipy.stats and scipy.optimize are imported where a fit first needs them,
+# so importing the package, and every scenario that does not fit, loads
+# neither; scipy.special is needed everywhere
 from scipy.special import expit, logit
-from scipy.stats import binomtest, qmc
 
 # run_trajectory is the scalar reference the chunk engine reproduces; it stays
 # importable here because bench/tracing.py wraps it under this module's name
@@ -309,7 +310,7 @@ def nll(family: str, params: Mapping[str, float], session: SessionData) -> float
     fam = MODEL_FAMILIES.get(family)
     if fam is None:
         raise ValueError(f"unknown model family {family!r}")
-    if params["beta"] < 0:
+    if not params["beta"] >= 0:  # NaN too
         raise ValueError("beta must be nonnegative")
     if family != "bayes":
         for r in _rates_of(family, params):
@@ -334,6 +335,8 @@ def _unpack(y: np.ndarray) -> np.ndarray:
 
 
 def _start_points(family: str, restarts: int, seed: int, stream_index: int) -> np.ndarray:
+    from scipy.stats import qmc
+
     d = MODEL_FAMILIES[family].df
     # seeded via a SeedSequence so the Sobol scrambler can spawn children
     gen = np.random.Generator(np.random.Philox(
@@ -370,6 +373,11 @@ def _embed(target: str, source: str, params: Mapping[str, float]) -> dict:
     raise ValueError(f"cannot embed into family {target!r}")
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+
+
 def _fit_batch(family: str, tab: _Tables, streams: Sequence[int], restarts: int,
                seed: int, warm: Optional[Sequence[Sequence[Mapping[str, float]]]] = None
                ) -> list[FitResult]:
@@ -385,6 +393,9 @@ def _fit_batch(family: str, tab: _Tables, streams: Sequence[int], restarts: int,
     fam = MODEL_FAMILIES[family]
     S = len(tab.ids)
     if family == "bayes":
+        # looked up on the module at each call, where bench/tracing.py wraps it
+        from scipy import optimize
+
         grid = np.linspace(0.0, BETA_MAX, 201)
         vals = _evaluate(tab, "bayes", np.repeat(np.arange(S), grid.size),
                          np.tile(grid, S)[:, None])[0].reshape(S, grid.size)
@@ -442,6 +453,7 @@ def fit_subject(family: str, session: SessionData, restarts: int = 20,
     """
     if family not in MODEL_FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
+    _check_restarts(restarts)
     result = _fit_batch(family, _Tables([session]), [stream_index], restarts, seed)[0]
     if not result.converged:
         raise FitError(f"no simplex restart converged for subject "
@@ -469,6 +481,7 @@ def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
     for f in families:
         if f not in MODEL_FAMILIES:
             raise ValueError(f"unknown model family {f!r}")
+    _check_restarts(restarts)
     batch = [sessions] if isinstance(sessions, SessionData) else list(sessions)
     out: list[dict[str, FitResult]] = [{} for _ in batch]
     if batch:
@@ -498,6 +511,8 @@ def _sign_test(x: Sequence[float], y: Sequence[float]) -> tuple[int, int, Option
     """Two-sided sign test on paired differences.
 
     Returns (#x > y, #x < y, p); p is None when undecidable."""
+    from scipy.stats import binomtest
+
     gt = sum(1 for a, b in zip(x, y) if a > b)
     lt = sum(1 for a, b in zip(x, y) if a < b)
     if len(x) < 2 or gt + lt == 0:
@@ -559,6 +574,7 @@ def recover_bias(n_agents: int, env: Environment, beta_gen: float, seed: int = 0
     """
     if not env.counterfactual:
         raise ValueError("bias recovery is defined for counterfactual feedback")
+    _check_restarts(restarts)
     fit_family = "full"
     policy = Policy(beta=beta_gen, mode=policy_mode)
     if generator == "bayes":

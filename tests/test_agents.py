@@ -117,8 +117,11 @@ def test_choice_prob_keeps_scalars_and_arrays():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        Policy(beta=-1.0)
+    # a NaN beta would make every softmax draw pick arm 2
+    for beta in (-1.0, float("nan"), float("inf"), -float("inf")):
+        for mode in ("softmax", "greedy"):
+            with pytest.raises(ValueError, match="beta"):
+                Policy(beta=beta, mode=mode)
     with pytest.raises(ValueError):
         Policy(beta=1.0, mode="thompson")
 

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -297,6 +299,9 @@ def test_bench_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
     tracing.install(tracer)
     try:
         run_scenario(write_cfg(tmp_path, SIM_CFG), out_dir=str(tmp_path / "o"))
+        # the bayes polish must find the wrapped scipy.optimize.minimize_scalar
+        fit_cfg = dict(CONFIGS["fit"], sessions=str(tmp_path / "o" / "sessions.csv"))
+        run_scenario(write_cfg(tmp_path, fit_cfg, "f.json"), out_dir=str(tmp_path / "f"))
     finally:
         tracer.uninstall()
     assert (cli.write_sessions, cli.run_trajectory, mc.iter_value_chunks) == originals
@@ -304,6 +309,44 @@ def test_bench_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
     assert metrics["mc.replica_steps"] == 3 * 12
     assert metrics["agents.run_trajectory.calls"] == 0
     assert metrics["sessions.rows_written"] == 3 * 12
+    assert metrics["fitting.minimize.calls"] >= 1
+
+
+_IMPORT_GRAPH_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+heavy = ("scipy.stats", "scipy.optimize")
+def loaded():
+    return [m for m in heavy if m in sys.modules]
+import banditlab, banditlab.cli
+seen = {"import": loaded()}
+for cfg in sys.argv[2:-1]:
+    banditlab.cli.run_scenario(cfg)
+seen["scenarios"] = loaded()
+banditlab.cli.run_scenario(sys.argv[-1])
+seen["fit"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_only_fitting_loads_scipy_stats_and_optimize(tmp_path):
+    # a fresh interpreter: this test module has imported scipy.stats already
+    sim = tmp_path / "sim"
+    cfgs = [dict(SIM_CFG, ensemble={"replicas": 1, "seed": 33})] + [
+        CONFIGS[k] for k in ("switch-rate", "propagate", "sweep-delta")]
+    cfgs.append(dict(CONFIGS["fit"], sessions=str(sim / "sessions.csv")))
+    paths = []
+    for i, cfg in enumerate(cfgs):
+        out = sim if i == 0 else tmp_path / f"o{i}"
+        output = {**cfg.get("output", {}), "directory": str(out)}
+        paths.append(write_cfg(tmp_path, dict(cfg, output=output), f"c{i}.json"))
+    src = str(Path(banditlab.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, src, *paths],
+                         capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert res.returncode == 0, res.stderr
+    seen = json.loads(res.stdout.splitlines()[-1])
+    assert seen == {"import": [], "scenarios": [],
+                    "fit": ["scipy.stats", "scipy.optimize"]}
 
 
 def test_rerun_is_byte_identical_outside_manifest(tmp_path):

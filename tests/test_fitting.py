@@ -74,10 +74,27 @@ def test_nll_validates_inputs():
     s = one_session(BayesAgentSpec(Policy(beta=10.0)), ENV24, seed=4)
     with pytest.raises(ValueError):
         nll("nope", {"beta": 1.0}, s)
-    with pytest.raises(ValueError):
-        nll("bayes", {"beta": -1.0}, s)
+    for beta in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="beta"):
+            nll("bayes", {"beta": beta}, s)
+        with pytest.raises(ValueError, match="beta"):
+            nll("const", {"alpha": 0.3, "beta": beta}, s)
     with pytest.raises(ValueError):
         nll("const", {"alpha": 1.2, "beta": 1.0}, s)
+
+
+def test_restarts_below_one_are_refused():
+    s = one_session(BayesAgentSpec(Policy(beta=10.0)), ENV24, seed=4)
+    for restarts in (0, -1):
+        for family in ("bayes", "conf", "full"):
+            with pytest.raises(ValueError, match="restarts"):
+                fit_subject(family, s, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            fit_families(s, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            fit_families([s, s], ["conf"], restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            recover_bias(2, ENV24, beta_gen=5.0, restarts=restarts)
 
 
 def test_vanishing_probabilities_are_clamped():
