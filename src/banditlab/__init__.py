@@ -32,10 +32,8 @@ from .agents import (
 from .moments import (
     BiasSensitivity,
     ConvergenceError,
-    MomentCoefficients,
     MomentState,
     bias_sensitivity,
-    compute_coefficients,
     confirmation_index,
     propagate_moments,
     propagate_moments_bayes,

@@ -138,8 +138,9 @@ _NAT = (lambda v: _is_int(v) and v >= 0), "a nonnegative integer"
 _BOOL = (lambda v: isinstance(v, bool)), "true or false"
 _STR = (lambda v: isinstance(v, str)), "a string"
 _FAMILIES = ((lambda v: isinstance(v, list) and bool(v)
-              and all(isinstance(f, str) and f in MODEL_FAMILIES for f in v)),
-             f"a nonempty list of families from {sorted(MODEL_FAMILIES)}")
+              and all(isinstance(f, str) and f in MODEL_FAMILIES for f in v)
+              and len(set(v)) == len(v)),
+             f"a nonempty list of distinct families from {sorted(MODEL_FAMILIES)}")
 
 _POLICY = (_one_of("softmax", "greedy"), "softmax")
 _RESTARTS = (_POS_INT, 20)
@@ -234,20 +235,27 @@ def check_config(cfg) -> tuple[Optional[dict], list[str]]:
     return c, diags
 
 
-def validate_config_data(cfg) -> list[str]:
-    """Schema and cross-field checks; returns a list of diagnostics."""
-    return check_config(cfg)[1]
-
-
-def validate_config(path) -> list[str]:
+def read_config(path):
+    """The parsed JSON of the config file at ``path``; OSError if it cannot
+    be read, ConfigError if it is not UTF-8 JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise OSError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
-        return [f"config: not valid JSON (line {e.lineno}, column {e.colno}: {e.msg})"]
-    return validate_config_data(cfg)
+        raise ConfigError([f"config: not valid JSON (line {e.lineno}, column {e.colno}: "
+                           f"{e.msg})"]) from e
+    except UnicodeDecodeError as e:
+        raise ConfigError([f"config: not UTF-8 text (byte {e.start}: {e.reason})"]) from e
+
+
+def validate_config(path) -> list[str]:
+    """One diagnostic per problem in the config file at ``path``."""
+    try:
+        return check_config(read_config(path))[1]
+    except ConfigError as e:
+        return e.diagnostics
 
 
 # ------------------------------------------------------------------ builders
@@ -479,8 +487,7 @@ _HANDLERS = {"simulate": _run_simulate, "propagate": _run_propagate,
 def run_scenario(config_path, seed: Optional[int] = None,
                  out_dir: Optional[str] = None, threads: int = 1) -> RunManifest:
     """Validate, dispatch and write artifacts plus a manifest; returns it."""
-    with open(config_path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_config(config_path)
     cfg, diags = check_config(raw)
     if diags:
         raise ConfigError(diags)
@@ -538,24 +545,19 @@ def main(argv=None) -> int:
         print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
         return 2
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_config(args.config)
         declared = raw.get("kind") if isinstance(raw, dict) else None
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: cannot read config {args.config}: {e}", file=sys.stderr)
-        return 1
-    if declared != args.command:
-        print(f"error: config declares kind {declared!r} but the "
-              f"{args.command!r} subcommand was invoked", file=sys.stderr)
-        return 2
-    try:
+        if declared != args.command:
+            print(f"error: config declares kind {declared!r} but the "
+                  f"{args.command!r} subcommand was invoked", file=sys.stderr)
+            return 2
         manifest = run_scenario(args.config, seed=args.seed,
                                 out_dir=args.out_dir, threads=args.threads)
     except ConfigError as e:
         for d in e.diagnostics:
             print(d, file=sys.stderr)
         return 2
-    except Exception as e:  # propagated module errors, with context
+    except Exception as e:  # an unreadable config or a module error, with context
         print(f"error: {args.command} failed: {e}", file=sys.stderr)
         return 1
     for path, rows in manifest.files:

@@ -2,19 +2,36 @@
 
 The stochastic update rule induces a recursion for the distribution of
 (Q1, Q2) across an ensemble of agents.  In a symmetric environment
-(p1 = p2 = p) the first two moments obey exact linear recursions whose
-coefficients are polynomials in the four learning rates and p, except
-for three expectations involving the softmax choice probability.  A
-second-order Taylor closure around the mean gives
+(p1 = p2 = p) the first two moments obey exact linear recursions.  Each
+arm learns from its own reward, drawn independently of the other arm's,
+at rate a = a_plus or a_minus of its role (chosen c or unchosen u), so
+every coefficient is a one-arm expectation over that arm's reward, or a
+product of one such factor per role:
+
+    k = E[1-a],  g = E[a r],  s = E[(1-a)**2],  h = E[2a(1-a) r],  e = E[a**2 r].
+
+Arm 1 is chosen with probability pi; by the symmetry of the ensemble,
+<pi Q2> = <Q1> - <pi Q1>, and
+
+    m1'  = k_u m1 + g_u + (k_c - k_u) <pi Q1> + (g_c - g_u) <pi>
+    m12' = k_c k_u m12 + (g_c k_u + g_u k_c) m1 + g_c g_u
+           + (g_u k_c - g_c k_u) (2 <pi Q1> - m1)
+    m11' = s_u m11 + h_u m1 + e_u + (s_c - s_u) <pi Q1**2>
+           + (h_c - h_u) <pi Q1> + (e_c - e_u) <pi>
+
+with (m1, m11, m12) = (<Q1>, <Q1**2>, <Q1Q2>).  Only the three
+expectations involving the softmax choice probability are not moments.
+A second-order Taylor closure around the mean gives
 
     <pi>       = 1/2
     <pi Q1>    = <Q1>/2   + (beta/4) * Delta
     <pi Q1**2> = <Q1**2>/2 + (beta/2) * <Q1> * Delta
 
 with Delta = <Q1**2> - <Q1Q2> = <(Q1-Q2)**2>/2, closing the system.
-For equal (unbiased) rates every beta-dependent coefficient is exactly
-zero and the closure is the exact recursion; :func:`propagate_moments_bayes`
-runs it at the Bayesian agent's rates.
+For equal (unbiased) rates both roles have the same factors, so every
+policy-coupled coefficient is exactly 0.0 and the closure is the exact
+recursion; :func:`propagate_moments_bayes` runs it at the Bayesian
+agent's rates.
 """
 
 from __future__ import annotations
@@ -48,99 +65,34 @@ class MomentState(NamedTuple):
         return cls(q, q * q, q * q)
 
 
-class MomentCoefficients(NamedTuple):
-    """Coefficients of the exact moment recursions.
-
-    The mean evolves as
-
-        m1' = mean_keep*m1 + mean_pi_q*<pi Q1> + mean_pi*<pi> + mean_const,
-
-    the cross moment as
-
-        m12' = cross_keep*m12 + (cross_gain_chosen + cross_gain_unchosen)*m1
-               + cross_const
-               + (cross_gain_unchosen - cross_gain_chosen)*(2*<pi Q1> - m1),
-
-    and the second moment as the unchosen-arm branch plus a pi-weighted
-    chosen-minus-unchosen correction:
-
-        m11' = sq_keep_unchosen*m11 + sq_gain_unchosen*m1 + sq_const_unchosen
-               + (sq_keep_chosen - sq_keep_unchosen)*<pi Q1**2>
-               + (sq_gain_chosen - sq_gain_unchosen)*<pi Q1>
-               + (sq_const_chosen - sq_const_unchosen)*<pi>.
-
-    cross_gain_chosen pairs the chosen-arm gain with the unchosen-arm
-    keep factor and vice versa; the cross coefficients are symmetric
-    under exchanging which arm was chosen, so one set suffices.
-    """
-
-    mean_keep: float
-    mean_pi_q: float
-    mean_pi: float
-    mean_const: float
-    cross_keep: float
-    cross_gain_chosen: float
-    cross_gain_unchosen: float
-    cross_const: float
-    sq_keep_unchosen: float
-    sq_gain_unchosen: float
-    sq_const_unchosen: float
-    sq_keep_chosen: float
-    sq_gain_chosen: float
-    sq_const_chosen: float
-
-
 class ConvergenceError(Exception):
     """The closed moment system has no admissible steady state."""
 
 
-def compute_coefficients(rates: LearningRateSet, p: float, t: int = 0) -> MomentCoefficients:
-    """Evaluate all moment-recursion coefficients at reward probability p.
-
-    With a time schedule on the rates, ``t`` selects the effective rates.
-    """
-    apc, amc, apu, amu = rates.at(t)
-    q = 1.0 - p
-    mean_keep = p * p * (1 - apu) + q * q * (1 - amu) + p * q * (2 - apu - amu)
-    mean_pi_q = p * p * (apu - apc) + q * q * (amu - amc) + p * q * (apu + amu - amc - apc)
-    mean_pi = p * (apc - apu)
-    mean_const = p * apu
-    cross_keep = (p * p * (1 - apu) * (1 - apc)
-                  + p * q * ((1 - amu) * (1 - apc) + (1 - apu) * (1 - amc))
-                  + q * q * (1 - amu) * (1 - amc))
-    cross_gain_chosen = apc * (1 - apu) * p * p + apc * (1 - amu) * q * p
-    cross_gain_unchosen = apu * (1 - apc) * p * p + apu * (1 - amc) * q * p
-    cross_const = p * p * apc * apu
-    sq_keep_unchosen = p * (1 - apu) ** 2 + q * (1 - amu) ** 2
-    sq_gain_unchosen = 2 * p * apu * (1 - apu)
-    sq_const_unchosen = p * apu * apu
-    sq_keep_chosen = p * (1 - apc) ** 2 + q * (1 - amc) ** 2
-    sq_gain_chosen = 2 * p * apc * (1 - apc)
-    sq_const_chosen = p * apc * apc
-    return MomentCoefficients(mean_keep, mean_pi_q, mean_pi, mean_const,
-                              cross_keep, cross_gain_chosen, cross_gain_unchosen,
-                              cross_const,
-                              sq_keep_unchosen, sq_gain_unchosen, sq_const_unchosen,
-                              sq_keep_chosen, sq_gain_chosen, sq_const_chosen)
+def _arm_factors(a_pos, a_neg, p):
+    """One arm's one-step expectations over its own reward r ~ Bernoulli(p),
+    learned at rate a = a_pos if r else a_neg: E[1-a], E[a*r], E[(1-a)**2],
+    E[2a(1-a)*r] and E[a**2*r].  Exact for Fraction arguments."""
+    return (p * (1 - a_pos) + (1 - p) * (1 - a_neg), p * a_pos,
+            p * (1 - a_pos) ** 2 + (1 - p) * (1 - a_neg) ** 2,
+            2 * p * a_pos * (1 - a_pos), p * a_pos * a_pos)
 
 
 def step_moments(m: MomentState, rates: LearningRateSet, p: float, beta: float,
                  t: int = 0) -> MomentState:
     """One step of the closed moment system at inverse temperature beta."""
-    c = compute_coefficients(rates, p, t)
+    apc, amc, apu, amu = rates.at(t)
+    kc, gc, sc, hc, ec = _arm_factors(apc, amc, p)
+    ku, gu, su, hu, eu = _arm_factors(apu, amu, p)
     delta = m.m11 - m.m12
     pi = 0.5
     pi_q1 = 0.5 * m.m1 + 0.25 * beta * delta
     pi_q11 = 0.5 * m.m11 + 0.5 * beta * m.m1 * delta
-    m1n = c.mean_keep * m.m1 + c.mean_pi_q * pi_q1 + c.mean_pi * pi + c.mean_const
-    m12n = (c.cross_keep * m.m12
-            + (c.cross_gain_chosen + c.cross_gain_unchosen) * m.m1
-            + c.cross_const
-            + (c.cross_gain_unchosen - c.cross_gain_chosen) * (2 * pi_q1 - m.m1))
-    m11n = (c.sq_keep_unchosen * m.m11 + c.sq_gain_unchosen * m.m1 + c.sq_const_unchosen
-            + (c.sq_keep_chosen - c.sq_keep_unchosen) * pi_q11
-            + (c.sq_gain_chosen - c.sq_gain_unchosen) * pi_q1
-            + (c.sq_const_chosen - c.sq_const_unchosen) * pi)
+    m1n = ku * m.m1 + (kc - ku) * pi_q1 + (gc - gu) * pi + gu
+    m12n = (kc * ku * m.m12 + (gc * ku + gu * kc) * m.m1 + gc * gu
+            + (gu * kc - gc * ku) * (2 * pi_q1 - m.m1))
+    m11n = (su * m.m11 + hu * m.m1 + eu + (sc - su) * pi_q11
+            + (hc - hu) * pi_q1 + (ec - eu) * pi)
     return MomentState(m1n, m11n, m12n)
 
 
@@ -167,26 +119,23 @@ def propagate_moments_bayes(m0: MomentState, p: float, n_steps: int) -> list[Mom
 def _quadratic_pieces(rates: LearningRateSet, p: float, beta: float):
     """Coefficients (a, b, c) of the steady-state equation a*D**2 + b*D + c = 0,
     obtained by eliminating m1* and m12* from the closed system."""
-    co = compute_coefficients(rates, p)
-    a1 = co.mean_keep + co.mean_pi_q / 2.0
-    a2 = co.mean_pi_q * beta / 4.0
-    a0 = co.mean_const + co.mean_pi / 2.0
-    u = a0 / (1.0 - a1)
-    v = a2 / (1.0 - a1)
-    cm = co.cross_gain_chosen + co.cross_gain_unchosen
-    c0 = co.cross_const
-    cd = (co.cross_gain_unchosen - co.cross_gain_chosen) * beta / 2.0
-    d11 = (co.sq_keep_chosen + co.sq_keep_unchosen) / 2.0
-    d1 = (co.sq_gain_chosen + co.sq_gain_unchosen) / 2.0
-    d0 = co.sq_const_unchosen
-    dq = (co.sq_keep_chosen - co.sq_keep_unchosen) * beta / 2.0
-    dd = (co.sq_gain_chosen - co.sq_gain_unchosen) * beta / 4.0
-    dc = (co.sq_const_chosen - co.sq_const_unchosen) / 2.0
-    den_d = 1.0 - d11
-    den_c = 1.0 - co.cross_keep
+    apc, amc, apu, amu = rates.at(0)
+    kc, gc, sc, hc, ec = _arm_factors(apc, amc, p)
+    ku, gu, su, hu, eu = _arm_factors(apu, amu, p)
+    # m1* = u + v*D from the mean; m12* and m11* are then linear in m1* and D
+    den_m = 1.0 - (kc + ku) / 2.0
+    u = (gc + gu) / 2.0 / den_m
+    v = (kc - ku) * beta / 4.0 / den_m
+    cm = gc * ku + gu * kc
+    cd = (gu * kc - gc * ku) * beta / 2.0
+    den_c = 1.0 - kc * ku
+    d1 = (hc + hu) / 2.0
+    dq = (sc - su) * beta / 2.0
+    dd = (hc - hu) * beta / 4.0
+    den_d = 1.0 - (sc + su) / 2.0
     qa = dq * v / den_d
     qb = (d1 * v + dq * u + dd) / den_d - (cm * v + cd) / den_c - 1.0
-    qc = (d1 * u + d0 + dc) / den_d - (cm * u + c0) / den_c
+    qc = (d1 * u + (ec + eu) / 2.0) / den_d - (cm * u + gc * gu) / den_c
     return qa, qb, qc
 
 
@@ -194,11 +143,12 @@ def steady_state_delta_quadratic(rates: LearningRateSet, p: float, beta: float) 
     """Steady-state value gap from the eliminated quadratic.
 
     Picks the smallest root in [0, 1/4], the branch the dynamics reach
-    from a point-mass start.  Serves as a cross-check on the iterative
-    solver.  The roots are qc/q and q/qa with q = -(qb + sign(qb)*sqrt(disc))/2,
-    which never subtracts nearly equal numbers, so they stay accurate as
-    qa -> 0 near unbiased rates; at qa = 0 (p = 1/2 on the x-curve) only
-    the linear root qc/q = -qc/qb remains.
+    from a point-mass start; :func:`steady_state_delta` reports it where
+    the damped iteration reaches it too.  The roots are qc/q and q/qa with
+    q = -(qb + sign(qb)*sqrt(disc))/2, which never subtracts nearly equal
+    numbers, so they stay accurate as qa -> 0 near unbiased rates; at
+    qa = 0 (p = 1/2 on the x-curve) only the linear root qc/q = -qc/qb
+    remains.
     """
     qa, qb, qc = _quadratic_pieces(rates, p, beta)
     disc = qb * qb - 4.0 * qa * qc
@@ -243,15 +193,17 @@ def steady_state_moments(rates: LearningRateSet, p: float, beta: float) -> Momen
 def steady_state_delta(rates: LearningRateSet, p: float, beta: float) -> float:
     """Steady-state value gap Delta* of the closed moment system.
 
-    Solved by damped fixed-point iteration and accepted only where it
-    matches the eliminated quadratic's admissible root in [0, 1/4].
+    The eliminated quadratic's admissible root in [0, 1/4], accepted only
+    where the damped fixed-point iteration reaches it within 1e-8.  The
+    root is reported because it is accurate to rounding, while the
+    iteration stops at a residual of _TOL.
     """
     d = steady_state_moments(rates, p, beta).delta
     dq = steady_state_delta_quadratic(rates, p, beta)
     if abs(d - dq) > 1e-8:
         raise ConvergenceError(
             f"iterative steady state {d!r} disagrees with quadratic root {dq!r}")
-    return d
+    return dq
 
 
 def x_curve_rates(x: float) -> LearningRateSet:

@@ -18,8 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import banditlab
 from banditlab import (BayesAgentSpec, Environment, Policy, QAgentSpec, LearningRateSet,
                        RngStream, StepSchedule, run_trajectory)
-from banditlab.cli import (KINDS, SCHEMA, check_config, config_hash, main, run_scenario,
-                           validate_config_data)
+from banditlab.cli import KINDS, SCHEMA, check_config, config_hash, main, run_scenario
 from banditlab.sessions import BLOCK_ROWS, CSV_HEADER
 
 SIM_CFG = {
@@ -90,6 +89,10 @@ def test_validate_reports_each_problem(tmp_path, capsys):
     cfg = dict(CONFIGS["new-arm"], reps=1)
     assert main(["validate", write_cfg(tmp_path, cfg)]) == 2
     assert "reps: must be an integer of at least 2, got 1" in capsys.readouterr().out
+    # a family named twice would be fitted, counted and summarised twice
+    cfg = dict(CONFIGS["fit"], families=["const", "bayes", "const"])
+    assert main(["validate", write_cfg(tmp_path, cfg)]) == 2
+    assert "families: must be a nonempty list of distinct families" in capsys.readouterr().out
 
 
 def test_validate_missing_and_malformed_files(tmp_path, capsys):
@@ -98,6 +101,24 @@ def test_validate_missing_and_malformed_files(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["validate", str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().out
+
+
+def test_run_subcommands_read_configs_like_validate(tmp_path, capsys):
+    # one reader: a malformed file draws the same diagnostic and exit status 2
+    # under every subcommand, an unreadable one exit status 1
+    for name, content in (("truncated.json", b'{"kind": "propagate", '),
+                          ("binary.json", b'\xff{}')):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == 2
+        want = capsys.readouterr().out
+        assert want.startswith("config: not ")
+        for kind in ("propagate", "fit"):
+            assert main([kind, str(path), "--out-dir", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == want
+    assert main(["propagate", str(tmp_path / "absent.json")]) == 1
+    assert "cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
@@ -116,7 +137,7 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
 
 
 def test_unknown_kind_is_rejected():
-    diags = validate_config_data({"kind": "meditate"})
+    diags = check_config({"kind": "meditate"})[1]
     assert len(diags) == 1 and "kind" in diags[0]
 
 
@@ -144,7 +165,7 @@ def _key_paths(cfg, prefix=()):
 
 
 def _assert_diagnostics(cfg):
-    diags = validate_config_data(cfg)
+    diags = check_config(cfg)[1]
     assert isinstance(diags, list) and all(isinstance(d, str) for d in diags)
 
 
@@ -175,7 +196,7 @@ def test_readme_configs_validate():
     configs = [b for b in blocks if isinstance(b, dict) and "kind" in b]
     assert configs
     for cfg in configs:
-        assert validate_config_data(cfg) == [], cfg["kind"]
+        assert check_config(cfg)[1] == [], cfg["kind"]
 
 
 def test_subcommand_must_match_declared_kind(tmp_path, capsys):
@@ -312,6 +333,23 @@ def test_bench_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
     assert metrics["fitting.minimize.calls"] >= 1
 
 
+def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
+    # tools/digest_outputs.py diffs these artifacts between commits, so its
+    # cases must stay valid configs whose runs write the files they list
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    import digest_outputs
+    kinds = set()
+    for kind, case, cfg in digest_outputs.cases(tmp_path):
+        out = tmp_path / kind / case
+        out.mkdir(parents=True)
+        manifest = run_scenario(write_cfg(out, cfg, "config.json"), out_dir=str(out))
+        written = sorted(f.name for f in out.iterdir()
+                         if f.name not in ("config.json", "manifest.json"))
+        assert written and written == sorted(path for path, _ in manifest.files), case
+        kinds.add(kind)
+    assert kinds == set(KINDS)
+
+
 _IMPORT_GRAPH_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -409,7 +447,7 @@ def test_sweep_delta_covers_the_grid(tmp_path, capsys):
     assert main(["sweep-delta", write_cfg(tmp_path, cfg), "--out-dir", str(out)]) == 0
     lines = (out / "delta_star.csv").read_text().splitlines()
     assert len(lines) == 2 + 4
-    from banditlab import steady_state_delta, steady_state_moments, x_curve_rates
+    from banditlab import steady_state_delta, steady_state_delta_quadratic, x_curve_rates
     x, beta, p, d = lines[3].split(",")
     assert (float(x), float(beta)) == (1.0, 3.0)
     assert float(d) == steady_state_delta(x_curve_rates(1.0), 0.5, 3.0)
@@ -432,8 +470,22 @@ def test_sweep_delta_covers_the_grid(tmp_path, capsys):
     lines = (out / "delta_star.csv").read_text().splitlines()
     assert len(lines) == 2 + 2
     cells = [float(ln.split(",")[3]) for ln in lines[2:]]
-    assert cells[0] == steady_state_moments(x_curve_rates(0.9999), 0.3, 0.5).delta
+    assert cells[0] == steady_state_delta_quadratic(x_curve_rates(0.9999), 0.3, 0.5)
     assert cells[1] == pytest.approx(0.21 * 0.1 / 1.9, abs=1e-12)
+
+
+def test_sweep_delta_unbiased_cells_match_closed_form(tmp_path):
+    # at x = 1 all four rates are 0.1 and Delta* = p(1-p) a/(2-a) at every beta
+    for p in (0.1, 0.3, 0.5, 0.7):
+        cfg = {"kind": "sweep-delta", "p": p, "x_grid": [0.9, 1, 1.1],
+               "beta_grid": [0, 1.0, 5.0]}
+        out = tmp_path / str(p)
+        run_scenario(write_cfg(tmp_path, cfg), out_dir=str(out))
+        rows = [ln.split(",") for ln in (out / "delta_star.csv").read_text().splitlines()[2:]]
+        cells = [float(r[3]) for r in rows if float(r[0]) == 1.0]
+        assert len(cells) == 3
+        for d in cells:
+            assert abs(d - p * (1 - p) * 0.1 / 1.9) <= 1e-15, (p, d)
 
 
 def test_switch_rate_run(tmp_path):
@@ -467,7 +519,7 @@ def test_switch_rate_reproduces_readme_switching_column(tmp_path):
                "environment": {"p1": 0.5, "p2": 0.5, "counterfactual": True, "horizon": 24},
                "agent": agent, "ensemble": {"replicas": 2000, "seed": 0}}
         path = write_cfg(tmp_path, cfg, f"{policy}-{kind}.json")
-        assert validate_config_data(cfg) == []
+        assert check_config(cfg)[1] == []
         out = tmp_path / f"{policy}-{kind}"
         assert main(["switch-rate", path, "--out-dir", str(out)]) == 0
         series = np.loadtxt(out / "switch_rate.csv", delimiter=",", skiprows=2)

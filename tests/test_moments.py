@@ -11,7 +11,6 @@ from banditlab import (
     LearningRateSet,
     MomentState,
     bias_sensitivity,
-    compute_coefficients,
     confirmation_index,
     propagate_moments,
     propagate_moments_bayes,
@@ -23,6 +22,7 @@ from banditlab import (
     step_moments,
     x_curve_rates,
 )
+from banditlab.moments import _arm_factors
 
 
 def step_moments_bayes(m, alpha_t, p):
@@ -73,30 +73,36 @@ def test_step_matches_exact_enumeration_at_beta_zero(rates, p):
             rtol=0, atol=1e-12)
 
 
-def test_coefficients_match_conditional_expectation_factorization():
-    # one-step conditional keep/gain factors, rebuilt in exact arithmetic
+def test_arm_factors_match_reward_enumeration():
+    # each role's one-step factors, rebuilt in exact arithmetic by summing
+    # over the arm's own reward
     apc, amc, apu, amu = Fraction(3, 20), Fraction(1, 20), Fraction(1, 10), Fraction(2, 5)
     p = Fraction(3, 10)
-    keep_c = p * (1 - apc) + (1 - p) * (1 - amc)
-    keep_u = p * (1 - apu) + (1 - p) * (1 - amu)
-    c = compute_coefficients(
-        LearningRateSet(float(apc), float(amc), float(apu), float(amu)), float(p))
-    assert c.mean_keep == pytest.approx(float(keep_u), abs=1e-15)
-    assert c.mean_pi_q == pytest.approx(float(keep_c - keep_u), abs=1e-15)
-    assert c.mean_pi == pytest.approx(float(p * (apc - apu)), abs=1e-15)
-    assert c.mean_const == pytest.approx(float(p * apu), abs=1e-15)
-    assert c.cross_keep == pytest.approx(float(keep_c * keep_u), abs=1e-15)
-    assert c.cross_gain_chosen == pytest.approx(float(p * apc * keep_u), abs=1e-15)
-    assert c.cross_gain_unchosen == pytest.approx(float(p * apu * keep_c), abs=1e-15)
-    assert c.cross_const == pytest.approx(float(p * p * apc * apu), abs=1e-15)
-    sq_keep_u = p * (1 - apu) ** 2 + (1 - p) * (1 - amu) ** 2
-    sq_keep_c = p * (1 - apc) ** 2 + (1 - p) * (1 - amc) ** 2
-    assert c.sq_keep_unchosen == pytest.approx(float(sq_keep_u), abs=1e-15)
-    assert c.sq_keep_chosen == pytest.approx(float(sq_keep_c), abs=1e-15)
-    assert c.sq_gain_unchosen == pytest.approx(float(2 * p * apu * (1 - apu)), abs=1e-15)
-    assert c.sq_gain_chosen == pytest.approx(float(2 * p * apc * (1 - apc)), abs=1e-15)
-    assert c.sq_const_unchosen == pytest.approx(float(p * apu ** 2), abs=1e-15)
-    assert c.sq_const_chosen == pytest.approx(float(p * apc ** 2), abs=1e-15)
+    for a_pos, a_neg in ((apc, amc), (apu, amu)):
+        want = [Fraction(0)] * 5
+        for r, w in ((1, p), (0, 1 - p)):
+            a = a_pos if r else a_neg
+            for i, v in enumerate((1 - a, a * r, (1 - a) ** 2, 2 * a * (1 - a) * r, a * a * r)):
+                want[i] += w * v
+        assert list(_arm_factors(a_pos, a_neg, p)) == want
+
+
+@pytest.mark.parametrize("rates", [LearningRateSet.constant(0.1),
+                                   LearningRateSet.constant(0.37),
+                                   LearningRateSet.bayes()])
+def test_policy_coupled_terms_vanish_at_equal_rates(rates):
+    # step_moments multiplies every beta-dependent expectation by a
+    # chosen-minus-unchosen difference; at equal rates each is exactly 0.0,
+    # so the step does not depend on beta at all
+    m = MomentState(0.41, 0.2, 0.15)
+    for t in (0, 1, 7, 40):
+        for p in (0.2, 0.5, 0.9):
+            apc, amc, apu, amu = rates.at(t)
+            kc, gc, sc, hc, ec = _arm_factors(apc, amc, p)
+            ku, gu, su, hu, eu = _arm_factors(apu, amu, p)
+            assert (kc - ku, gc - gu, sc - su, hc - hu, ec - eu) == (0.0,) * 5
+            assert gu * kc - gc * ku == 0.0
+            assert step_moments(m, rates, p, 7.0, t) == step_moments(m, rates, p, 0.0, t)
 
 
 def enumerate_bayes_moments(p, horizon):
