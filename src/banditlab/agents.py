@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import expit
 
 from .env import Environment, RngStream
 
@@ -130,13 +129,18 @@ class Policy:
             raise ValueError(f"unknown policy mode {self.mode!r}")
 
     def choice_prob(self, v1, v2):
-        """Probability of choosing arm 1 at values (v1, v2): expit(beta *
-        (v1 - v2)) for softmax, 1.0 where v1 >= v2 (ties to arm 1) and 0.0
-        elsewhere for greedy.  Arrays give an array; Python floats give a
-        Python float, so a single replica stays in Python scalars."""
+        """Probability of choosing arm 1 at values (v1, v2): 1 / (1 +
+        exp(beta * (v2 - v1))) for softmax, 1.0 where v1 >= v2 (ties to arm
+        1) and 0.0 elsewhere for greedy.  Arrays give an array; Python floats
+        give a Python float, so a single replica stays in Python scalars.
+
+        Both go through numpy's ``exp``, so a chunk reproduces single runs
+        bit for bit.  Where beta * |v1 - v2| overflows ``exp`` the result is
+        exactly 0.0 or 1.0, without a warning."""
         if self.mode == "greedy":
             return (v1 >= v2) * 1.0
-        p = expit(self.beta * (v1 - v2))
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(self.beta * (v2 - v1)))
         return p if isinstance(p, np.ndarray) else float(p)
 
 

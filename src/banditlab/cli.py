@@ -484,10 +484,12 @@ _HANDLERS = {"simulate": _run_simulate, "propagate": _run_propagate,
              "fit": _run_fit, "recover": _run_recover, "new-arm": _run_new_arm}
 
 
-def run_scenario(config_path, seed: Optional[int] = None,
+def run_scenario(config, seed: Optional[int] = None,
                  out_dir: Optional[str] = None, threads: int = 1) -> RunManifest:
-    """Validate, dispatch and write artifacts plus a manifest; returns it."""
-    raw = read_config(config_path)
+    """Validate, dispatch and write artifacts plus a manifest; returns it.
+
+    ``config`` is the path of a JSON config file or its parsed content."""
+    raw = config if isinstance(config, dict) else read_config(config)
     cfg, diags = check_config(raw)
     if diags:
         raise ConfigError(diags)
@@ -551,7 +553,7 @@ def main(argv=None) -> int:
             print(f"error: config declares kind {declared!r} but the "
                   f"{args.command!r} subcommand was invoked", file=sys.stderr)
             return 2
-        manifest = run_scenario(args.config, seed=args.seed,
+        manifest = run_scenario(raw, seed=args.seed,
                                 out_dir=args.out_dir, threads=args.threads)
     except ConfigError as e:
         for d in e.diagnostics:

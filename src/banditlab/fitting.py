@@ -37,10 +37,9 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-# scipy.stats and scipy.optimize are imported where a fit first needs them,
-# so importing the package, and every scenario that does not fit, loads
-# neither; scipy.special is needed everywhere
-from scipy.special import expit, logit
+# scipy.special, scipy.stats and scipy.optimize are imported where a fit
+# first needs them, so importing the package, and every scenario that does
+# not fit, loads none of them
 
 # run_trajectory is the scalar reference the chunk engine reproduces; it stays
 # importable here because bench/tracing.py wraps it under this module's name
@@ -328,6 +327,8 @@ def bic(nll_value: float, df: int, n_trials: int) -> float:
 def _unpack(y: np.ndarray) -> np.ndarray:
     """Natural parameters of optimizer points: logistic rates, beta = e^y
     capped at BETA_MAX."""
+    from scipy.special import expit
+
     p = np.empty_like(y)
     p[:, :-1] = expit(y[:, :-1])
     p[:, -1] = np.minimum(np.exp(np.minimum(y[:, -1], 700.0)), BETA_MAX)
@@ -335,6 +336,7 @@ def _unpack(y: np.ndarray) -> np.ndarray:
 
 
 def _start_points(family: str, restarts: int, seed: int, stream_index: int) -> np.ndarray:
+    from scipy.special import logit
     from scipy.stats import qmc
 
     d = MODEL_FAMILIES[family].df
@@ -352,6 +354,8 @@ def _start_points(family: str, restarts: int, seed: int, stream_index: int) -> n
 
 def _pack(family: str, params: Mapping[str, float]) -> np.ndarray:
     """Inverse of _unpack; clips to keep the transforms finite."""
+    from scipy.special import logit
+
     names = MODEL_FAMILIES[family].param_names
     y = np.empty(len(names))
     for i, name in enumerate(names[:-1]):

@@ -78,22 +78,31 @@ def _arm_factors(a_pos, a_neg, p):
             2 * p * a_pos * (1 - a_pos), p * a_pos * a_pos)
 
 
-def step_moments(m: MomentState, rates: LearningRateSet, p: float, beta: float,
-                 t: int = 0) -> MomentState:
-    """One step of the closed moment system at inverse temperature beta."""
+def _closure_step(rates: LearningRateSet, p: float, beta: float, t: int = 0):
+    """The closed system's one-step map (m1, m11, m12) -> (m1', m11', m12')
+    at trial t, with both roles' factors computed once."""
     apc, amc, apu, amu = rates.at(t)
     kc, gc, sc, hc, ec = _arm_factors(apc, amc, p)
     ku, gu, su, hu, eu = _arm_factors(apu, amu, p)
-    delta = m.m11 - m.m12
     pi = 0.5
-    pi_q1 = 0.5 * m.m1 + 0.25 * beta * delta
-    pi_q11 = 0.5 * m.m11 + 0.5 * beta * m.m1 * delta
-    m1n = ku * m.m1 + (kc - ku) * pi_q1 + (gc - gu) * pi + gu
-    m12n = (kc * ku * m.m12 + (gc * ku + gu * kc) * m.m1 + gc * gu
-            + (gu * kc - gc * ku) * (2 * pi_q1 - m.m1))
-    m11n = (su * m.m11 + hu * m.m1 + eu + (sc - su) * pi_q11
-            + (hc - hu) * pi_q1 + (ec - eu) * pi)
-    return MomentState(m1n, m11n, m12n)
+    b1, b2 = 0.25 * beta, 0.5 * beta
+    dk, dg, ds, dh, de = kc - ku, (gc - gu) * pi, sc - su, hc - hu, (ec - eu) * pi
+    kk, gk, gg, cross = kc * ku, gc * ku + gu * kc, gc * gu, gu * kc - gc * ku
+
+    def step(m1, m11, m12):
+        delta = m11 - m12
+        pi_q1 = 0.5 * m1 + b1 * delta
+        pi_q11 = 0.5 * m11 + b2 * m1 * delta
+        return (ku * m1 + dk * pi_q1 + dg + gu,
+                su * m11 + hu * m1 + eu + ds * pi_q11 + dh * pi_q1 + de,
+                kk * m12 + gk * m1 + gg + cross * (2 * pi_q1 - m1))
+    return step
+
+
+def step_moments(m: MomentState, rates: LearningRateSet, p: float, beta: float,
+                 t: int = 0) -> MomentState:
+    """One step of the closed moment system at inverse temperature beta."""
+    return MomentState(*_closure_step(rates, p, beta, t)(*m))
 
 
 def step_delta(delta: float, alpha_t: float, p: float) -> float:
@@ -170,22 +179,22 @@ def steady_state_moments(rates: LearningRateSet, p: float, beta: float) -> Momen
         raise ValueError("steady state is defined for constant rates only")
     if max(rates.a_plus_c, rates.a_minus_c, rates.a_plus_u, rates.a_minus_u) == 0.0:
         raise ValueError("steady state requires at least one positive learning rate")
-    m = MomentState.point_mass(0.5)
+    step = _closure_step(rates, p, beta)
+    m1, m11, m12 = MomentState.point_mass(0.5)
     for it in range(_MAX_ITER):
-        nxt = step_moments(m, rates, p, beta)
-        res = max(abs(nxt.m1 - m.m1), abs(nxt.m11 - m.m11), abs(nxt.m12 - m.m12))
+        n1, n11, n12 = step(m1, m11, m12)
+        res = max(abs(n1 - m1), abs(n11 - m11), abs(n12 - m12))
         if res < _TOL:
-            return nxt
+            return MomentState(n1, n11, n12)
         # moments live in [0, 1]; leaving a slack box means the closure's
         # policy feedback has gain > 1 and no admissible fixed point exists
-        if not (math.isfinite(res) and -0.5 < nxt.m1 < 1.5
-                and -0.5 < nxt.m11 < 1.5 and -0.5 < nxt.m12 < 1.5):
+        if not (math.isfinite(res) and -0.5 < n1 < 1.5
+                and -0.5 < n11 < 1.5 and -0.5 < n12 < 1.5):
             raise ConvergenceError(
                 f"moment iteration diverged after {it + 1} iterations; the "
                 "closed system has no admissible steady state here")
-        m = MomentState(m.m1 + _DAMPING * (nxt.m1 - m.m1),
-                        m.m11 + _DAMPING * (nxt.m11 - m.m11),
-                        m.m12 + _DAMPING * (nxt.m12 - m.m12))
+        m1, m11, m12 = (m1 + _DAMPING * (n1 - m1), m11 + _DAMPING * (n11 - m11),
+                        m12 + _DAMPING * (n12 - m12))
     raise ConvergenceError(
         f"no fixed point within {_MAX_ITER} iterations (residual {res:.3e})")
 

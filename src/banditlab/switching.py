@@ -28,21 +28,26 @@ def _k_mixture(v1, v2, after, p1, p2, policy: Policy):
     """K for scalar or array value states; exact eight-outcome sum.
 
     ``after(chose1, r1, r2)`` returns the values after one trial with that
-    action and those rewards.
+    action and those rewards.  Each arm's new value depends only on its own
+    role and reward, so four calls, each with the same reward on both arms,
+    give the new values of all eight outcomes.
     """
     pi1 = policy.choice_prob(v1, v2)
+    pi2 = 1.0 - pi1
     k = 0.0
     for chose1 in (1, 0):
+        # new[r]: both arms' values after reward r on each
+        new = [after(chose1, r, r) for r in (0, 1)]
         pc, pu = (p1, p2) if chose1 else (p2, p1)
         for rc in (0, 1):
             for ru in (0, 1):
                 w = (pc if rc else 1.0 - pc) * (pu if ru else 1.0 - pu)
-                n1, n2 = after(chose1, rc, ru) if chose1 else after(chose1, ru, rc)
-                stay1 = policy.choice_prob(n1, n2)
                 if chose1:
+                    stay1 = policy.choice_prob(new[rc][0], new[ru][1])
                     k = k + pi1 * w * (1.0 - stay1)
                 else:
-                    k = k + (1.0 - pi1) * w * stay1
+                    stay1 = policy.choice_prob(new[ru][0], new[rc][1])
+                    k = k + pi2 * w * stay1
     return k
 
 
@@ -50,6 +55,11 @@ def _q_after(v1, v2, rates: LearningRateSet, t: int, counterfactual: bool):
     apc, amc, apu, amu = rates.at(t)
     apu, amu = apu * counterfactual, amu * counterfactual
     return lambda c, r1, r2: q_step(v1, v2, c, r1, r2, apc, amc, apu, amu)
+
+
+def _count_after(s1, n1, s2, n2, counterfactual: bool):
+    return lambda c, r1, r2: count_values(*count_step(s1, n1, s2, n2, c, r1, r2,
+                                                      counterfactual))
 
 
 @dataclass
@@ -89,9 +99,7 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
                 after = _q_after(v1, v2, agent.rates, t, cf)
             else:
                 # widened so a stored count plus one cannot wrap
-                s1, n1, s2, n2 = chunk.counts[:, :, t].astype(np.int64)
-                after = lambda c, r1, r2: count_values(
-                    *count_step(s1, n1, s2, n2, c, r1, r2, cf))
+                after = _count_after(*chunk.counts[:, :, t].astype(np.int64), cf)
             k = _k_mixture(v1, v2, after, env.p1, env.p2, agent.policy)
             k_sum[t] += k.sum()
             k_sqsum[t] += (k * k).sum()

@@ -1,7 +1,10 @@
 """Agent update rules, policies, schedules, and the decaying-rate equivalence."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from banditlab import (
     BayesAgentSpec,
@@ -103,6 +106,16 @@ def test_greedy_policy_ties_to_arm_one():
     assert tied[1:].any() and np.all(traj.actions[tied] == 1)
 
 
+def ulps(a, b):
+    """Units in the last place between arrays of nonnegative doubles."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+# beta * |v1 - v2| from 0 up to 1e3, past where exp overflows
+CHOICE_GRID = [(beta, *np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41)))
+               for beta in (0.0, 0.3, 1.0, 5.0, 37.0, 710.0, 1e3)]
+
+
 def test_choice_prob_keeps_scalars_and_arrays():
     soft, greedy = Policy(beta=2.0), Policy(beta=2.0, mode="greedy")
     p = soft.choice_prob(0.7, 0.2)
@@ -114,6 +127,34 @@ def test_choice_prob_keeps_scalars_and_arrays():
     np.testing.assert_array_equal(greedy.choice_prob(v1, v2), [1.0, 1.0, 0.0])
     np.testing.assert_array_equal(soft.choice_prob(v1, v2),
                                   [soft.choice_prob(a, b) for a, b in zip(v1, v2)])
+    # a Python-float call is its array element, bit for bit, across the grid
+    for beta, v1, v2 in CHOICE_GRID:
+        soft = Policy(beta)
+        p = soft.choice_prob(v1, v2).ravel()
+        for i, (a, b) in enumerate(zip(v1.ravel().tolist(), v2.ravel().tolist())):
+            q = soft.choice_prob(a, b)
+            assert type(q) is float and ulps(q, p[i]) == 0
+
+
+def test_softmax_choice_prob_is_expit_within_four_ulps():
+    # numpy's vectorized exp is accurate to about 2.5 ulp, libm's to under 1;
+    # where numpy uses libm the two agree bit for bit
+    for beta, v1, v2 in CHOICE_GRID:
+        p = Policy(beta).choice_prob(v1, v2)
+        assert ulps(p, expit(beta * (v1 - v2))).max() <= 4, beta
+    v1, v2 = np.random.default_rng(5).uniform(0.0, 1.0, size=(2, 200_000))
+    assert ulps(Policy(80.0).choice_prob(v1, v2), expit(80.0 * (v1 - v2))).max() <= 4
+    assert Policy(0.0).choice_prob(0.9, 0.1) == 0.5
+
+
+def test_softmax_choice_prob_saturates_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (710.0, 1e3, 1e20):
+            soft = Policy(beta)
+            assert soft.choice_prob(1.0, 0.0) == 1.0 and soft.choice_prob(0.0, 1.0) == 0.0
+            np.testing.assert_array_equal(
+                soft.choice_prob(np.array([1.0, 0.0]), np.array([0.0, 1.0])), [1.0, 0.0])
 
 
 def test_policy_validation():

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 import banditlab
 from banditlab import (BayesAgentSpec, Environment, Policy, QAgentSpec, LearningRateSet,
                        RngStream, StepSchedule, run_trajectory)
-from banditlab.cli import KINDS, SCHEMA, check_config, config_hash, main, run_scenario
+from banditlab.cli import (KINDS, SCHEMA, check_config, config_hash, main, read_config,
+                           run_scenario)
 from banditlab.sessions import BLOCK_ROWS, CSV_HEADER
 
 SIM_CFG = {
@@ -205,6 +206,24 @@ def test_subcommand_must_match_declared_kind(tmp_path, capsys):
     assert "declares kind 'simulate'" in capsys.readouterr().err
 
 
+def test_run_reads_its_config_once(tmp_path, monkeypatch):
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_config(path)
+
+    monkeypatch.setattr(banditlab.cli, "read_config", counted)
+    cfg_path = write_cfg(tmp_path, CONFIGS["propagate"])
+    out = tmp_path / "o"
+    assert main(["propagate", cfg_path, "--out-dir", str(out)]) == 0
+    assert reads == [cfg_path] and (out / "moments.csv").exists()
+    # a kind mismatch is refused from that one read, before anything is written
+    reads.clear()
+    assert main(["simulate", cfg_path, "--out-dir", str(tmp_path / "x")]) == 2
+    assert reads == [cfg_path] and not (tmp_path / "x").exists()
+
+
 def test_simulate_artifacts_and_manifest(tmp_path):
     cfg_path = write_cfg(tmp_path, SIM_CFG)
     out = tmp_path / "run1"
@@ -350,10 +369,28 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
     assert kinds == set(KINDS)
 
 
+def test_digest_tool_compares_csv_cells(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    from digest_outputs import compare
+
+    def csv_file(name, text):
+        (tmp_path / name).write_text(text)
+        return tmp_path / name
+
+    old = csv_file("old.csv", "# seed=1\nt,x,name\n0,0.5,a\n1,0.25,b\n")
+    assert compare(old, old) == ""
+    assert compare(old, tmp_path / "none.csv") == "missing from the reference"
+    new = csv_file("new.csv", "# seed=1\nt,x,name\n0,0.5000000000000001,a\n1,0.125,c\n")
+    assert compare(new, old) == ("2 numeric cells differ, max |delta| 0.125; "
+                                 "1 non-numeric cells differ")
+    assert "rows" in compare(csv_file("short.csv", "# seed=1\nt,x,name\n"), old)
+    assert compare(csv_file("x.json", "{}"), csv_file("y.json", "[]")) == "differs (not a CSV)"
+
+
 _IMPORT_GRAPH_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-heavy = ("scipy.stats", "scipy.optimize")
+heavy = ("scipy.special", "scipy.stats", "scipy.optimize")
 def loaded():
     return [m for m in heavy if m in sys.modules]
 import banditlab, banditlab.cli
@@ -384,7 +421,7 @@ def test_only_fitting_loads_scipy_stats_and_optimize(tmp_path):
     assert res.returncode == 0, res.stderr
     seen = json.loads(res.stdout.splitlines()[-1])
     assert seen == {"import": [], "scenarios": [],
-                    "fit": ["scipy.stats", "scipy.optimize"]}
+                    "fit": ["scipy.special", "scipy.stats", "scipy.optimize"]}
 
 
 def test_rerun_is_byte_identical_outside_manifest(tmp_path):

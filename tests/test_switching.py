@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from banditlab import (
     BayesAgentSpec,
+    count_values,
     Environment,
     LearningRateSet,
     Policy,
@@ -13,7 +15,7 @@ from banditlab import (
     StepSchedule,
     ensemble_switch_rate,
 )
-from banditlab.switching import _k_mixture, _q_after
+from banditlab.switching import _count_after, _k_mixture, _q_after
 
 
 def k_at(q1, q2, rates, p1, p2, beta, t=0, counterfactual=True, mode="softmax"):
@@ -183,3 +185,52 @@ def test_rate_drop_schedule_suppresses_late_switching():
     # with the rate frozen low, value spreads wash out and switching creeps up
     assert s_slow.analytic_mean[-1] > s_slow.analytic_mean[tau]
 
+
+
+def k_reference(v1, v2, after, p1, p2, policy):
+    """The eight-outcome sum with one ``after`` call per outcome."""
+    pi1 = policy.choice_prob(v1, v2)
+    k = 0.0
+    for chose1 in (1, 0):
+        pc, pu = (p1, p2) if chose1 else (p2, p1)
+        for rc in (0, 1):
+            for ru in (0, 1):
+                w = (pc if rc else 1.0 - pc) * (pu if ru else 1.0 - pu)
+                n1, n2 = after(chose1, rc, ru) if chose1 else after(chose1, ru, rc)
+                stay1 = policy.choice_prob(n1, n2)
+                if chose1:
+                    k = k + pi1 * w * (1.0 - stay1)
+                else:
+                    k = k + (1.0 - pi1) * w * stay1
+    return k
+
+
+unit = st.floats(0.0, 1.0)
+counts = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(sorted)  # (s, n), s <= n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(unit, unit, counts, counts), min_size=1, max_size=12),
+       st.tuples(unit, unit, unit, unit), unit, unit, st.floats(0.0, 60.0),
+       st.sampled_from(["softmax", "greedy"]), st.booleans(), st.booleans())
+def test_k_mixture_equals_per_outcome_sum(states, rates, p1, p2, beta, mode, cf, bayes):
+    policy = Policy(beta, mode)
+    if bayes:
+        s1, n1, s2, n2 = np.array([x[2] + x[3] for x in states], dtype=np.int64).T
+        v1, v2 = count_values(s1, n1, s2, n2)
+        after = _count_after(s1, n1, s2, n2, cf)
+    else:
+        v1, v2 = (np.array(v) for v in zip(*(x[:2] for x in states)))
+        after = _q_after(v1, v2, LearningRateSet(*rates), 0, cf)
+    got = _k_mixture(v1, v2, after, p1, p2, policy)
+    assert got.tobytes() == k_reference(v1, v2, after, p1, p2, policy).tobytes()
+    # and on the first state as Python scalars
+    if bayes:
+        one = [int(c[0]) for c in (s1, n1, s2, n2)]
+        w1, w2 = count_values(*one)
+        after = _count_after(*one, cf)
+    else:
+        w1, w2 = float(v1[0]), float(v2[0])
+        after = _q_after(w1, w2, LearningRateSet(*rates), 0, cf)
+    got = _k_mixture(w1, w2, after, p1, p2, policy)
+    assert type(got) is float and got == k_reference(w1, w2, after, p1, p2, policy)

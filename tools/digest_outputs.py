@@ -6,12 +6,26 @@ into a temporary directory and prints one line per artifact,
 change from run to run.  Run it on two commits and diff the output:
 
     python tools/digest_outputs.py > after.txt
+
+``--keep DIR`` writes the artifacts to DIR (new or empty) and keeps them.
+``--against DIR`` compares every artifact with the one of the same name
+under DIR, written by an earlier ``--keep`` run, and prints a line for
+each that differs: for a CSV, how many numeric cells differ and the
+largest |difference| among them, plus a count of the cells that differ
+but are not both finite numbers; any other file is reported as differing.
+For a tolerance between two commits:
+
+    python tools/digest_outputs.py --keep /tmp/before     # on the first commit
+    python tools/digest_outputs.py --against /tmp/before  # on the second
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -72,9 +86,59 @@ def cases(work: Path):
         "subject": "S0003", "p3_grid": [0.2, 0.8], "n3": 6, "reps": 50, "restarts": 3}
 
 
-def main() -> int:
+def _number(cell: str) -> float:
+    try:
+        x = float(cell)
+    except ValueError:
+        return math.nan
+    return x if math.isfinite(x) else math.nan
+
+
+def _csv_cells(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def compare(new: Path, old: Path) -> str:
+    """How artifact ``new`` differs from ``old``; "" if their bytes are equal."""
+    if not old.exists():
+        return "missing from the reference"
+    if new.read_bytes() == old.read_bytes():
+        return ""
+    if new.suffix != ".csv":
+        return "differs (not a CSV)"
+    a, b = _csv_cells(new), _csv_cells(old)
+    if [len(r) for r in a] != [len(r) for r in b]:
+        return "differs in its number of rows or of cells in a row"
+    n_num = n_other = 0
+    worst = 0.0
+    for ra, rb in zip(a, b):
+        for x, y in zip(ra, rb):
+            if x == y:
+                continue
+            d = abs(_number(x) - _number(y))
+            if math.isnan(d):
+                n_other += 1
+            else:
+                n_num += 1
+                worst = max(worst, d)
+    return (f"{n_num} numeric cells differ, max |delta| {worst:.3g}; "
+            f"{n_other} non-numeric cells differ")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--keep", metavar="DIR", help="write the artifacts to DIR and keep them")
+    ap.add_argument("--against", metavar="DIR",
+                    help="compare each artifact with the same file under DIR")
+    args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
+        work = Path(args.keep or tmp).resolve()
+        if args.keep:
+            work.mkdir(parents=True, exist_ok=True)
+            if any(work.iterdir()):
+                ap.error(f"--keep directory {work} is not empty")
+        report = []
         for kind, case, cfg in cases(work):
             out = work / kind / case
             out.mkdir(parents=True)
@@ -85,6 +149,13 @@ def main() -> int:
                 if f.name not in ("config.json", "manifest.json"):
                     digest = hashlib.sha256(f.read_bytes()).hexdigest()
                     print(f"{kind}/{case} {f.name} {digest}")
+                    diff = args.against and compare(f, Path(args.against) / kind / case / f.name)
+                    if diff:
+                        report.append(f"{kind}/{case} {f.name}: {diff}")
+    if args.against:
+        print(f"against {args.against}: {len(report)} artifact(s) differ")
+        for line in report:
+            print(line)
     return 0
 
 
