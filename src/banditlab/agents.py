@@ -14,13 +14,13 @@ means follow exactly a symmetric Q-update with the decaying rate
 The two learning rules are written once, in :func:`q_step` and
 :func:`count_step`.  One loop, run on Python scalars for a single
 replica (:func:`run_trajectory`) and on arrays for an ensemble chunk,
-simulates both agent kinds, and the switching kernel calls the same
-steps.  The likelihood engine in ``fitting`` scores whole sessions at
-once: it counts through :func:`count_values` and composes the Q rule
-over trials as a prefix scan, pinned to folds of both steps by property
-tests.  Bayesian agents always learn through their counts, never through
-the 1/(t+3) recursion, whose rounding would break greedy value ties
-differently.
+simulates both agent kinds into one :class:`Trajectory` record, and the
+switching kernel calls the same steps.  The likelihood engine in
+``fitting`` scores whole sessions at once: it counts through
+:func:`count_values` and composes the Q rule over trials as a prefix
+scan, pinned to folds of both steps by property tests.  Bayesian
+agents always learn through their counts, never through the 1/(t+3)
+recursion, whose rounding would break greedy value ties differently.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .env import Environment, RngStream
+from .env import Environment, RngStream, is_integer
 
 
 def effective_rate(t: int) -> float:
@@ -52,6 +52,14 @@ class StepSchedule:
     alpha1: float
     alpha2: float
     tau_c: int
+
+    def __post_init__(self):
+        for name in ("alpha1", "alpha2"):
+            v = getattr(self, name)
+            if not (0.0 <= v <= 1.0):
+                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        if not is_integer(self.tau_c) or self.tau_c < 0:
+            raise ValueError(f"tau_c must be a nonnegative integer, got {self.tau_c!r}")
 
     def rate(self, t: int) -> float:
         return self.alpha1 if t < self.tau_c else self.alpha2
@@ -105,8 +113,6 @@ class LearningRateSet:
         if self.schedule is None:
             return (self.a_plus_c, self.a_minus_c, self.a_plus_u, self.a_minus_u)
         a = self.schedule.rate(t)
-        if not (0.0 <= a <= 1.0):
-            raise ValueError(f"schedule produced out-of-range rate {a} at t={t}")
         return (a, a, a, a)
 
     @property
@@ -203,27 +209,31 @@ AgentSpec = Union[QAgentSpec, BayesAgentSpec]
 
 @dataclass
 class Trajectory:
-    """One agent's full pass through a bandit task.
+    """Simulated passes through a bandit task: one replica's, or a chunk's
+    with a leading replica axis.
 
-    ``values1``/``values2`` hold the agent's value estimates before each
-    trial plus the terminal state (length T+1): Q-values for a Q-agent,
-    posterior means for a Bayesian agent.  A Bayesian agent's ``counts``
-    stack its arms' success and outcome counts (s1, n1, s2, n2) at the same
-    times, shape (4, T+1), in the layout and dtype of the ensemble chunks'
-    counts; None for a Q-agent.
+    ``values1``/``values2`` hold the agents' value estimates before each
+    trial plus the terminal state (shape + (T+1,)): Q-values for a
+    Q-agent, posterior means for a Bayesian agent.  ``actions`` and both
+    arms' 0/1 rewards have shape + (T,), int8.  A Bayesian agent's
+    ``counts`` stack its arms' success and outcome counts (s1, n1, s2, n2)
+    at the same times, (4,) + shape + (T+1,), in the smallest unsigned
+    dtype that holds the horizon; None for a Q-agent.  All are views over
+    trial-major storage: for a chunk, ``values1[:, t]``, ``actions[:, t]``
+    and ``counts[:, :, t]`` are contiguous, ``values1[i]`` is not.
     """
 
+    values1: np.ndarray
+    values2: np.ndarray
     actions: np.ndarray
     rewards1: np.ndarray
     rewards2: np.ndarray
+    counts: Optional[np.ndarray]
     counterfactual: bool
-    values1: np.ndarray
-    values2: np.ndarray
-    counts: Optional[np.ndarray] = None
 
     @property
     def n_trials(self) -> int:
-        return len(self.actions)
+        return self.actions.shape[-1]
 
     def reward_chosen(self) -> np.ndarray:
         return np.where(self.actions == 1, self.rewards1, self.rewards2)
@@ -232,19 +242,13 @@ class Trajectory:
         return np.where(self.actions == 1, self.rewards2, self.rewards1)
 
 
-def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
+def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()) -> Trajectory:
     """The simulation loop behind run_trajectory and the vectorized ensembles.
 
     ``draws`` holds each trial's three uniforms (action, arm-1 reward,
     arm-2 reward): Python floats for one replica (``shape`` ()), or arrays
     of ``shape`` for a chunk of replicas.  Both go through the same masked
     learning steps, so a chunk reproduces single runs bit for bit.
-    Returns the values before each trial plus the terminal state (shape +
-    (T+1,) each), the actions and both arms' 0/1 rewards (shape + (T,)
-    each, int8) and, for Bayesian agents, the counts (s1, n1, s2, n2)
-    stacked as (4,) + shape + (T+1,); None for Q-agents.  All are views
-    over trial-major storage, so each trial's slice over a chunk is
-    contiguous.
     """
     bayes = isinstance(agent, BayesAgentSpec)
     if not bayes and not isinstance(agent, QAgentSpec):
@@ -284,9 +288,8 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()):
     if bayes:
         counts[T] = s1, n1, s2, n2
         counts = np.moveaxis(counts, 0, -1)
-    rewards1, rewards2 = np.moveaxis(rewards, 1, -1)
-    return (np.moveaxis(values1, 0, -1), np.moveaxis(values2, 0, -1),
-            np.moveaxis(actions, 0, -1), rewards1, rewards2, counts)
+    return Trajectory(np.moveaxis(values1, 0, -1), np.moveaxis(values2, 0, -1),
+                      np.moveaxis(actions, 0, -1), *np.moveaxis(rewards, 1, -1), counts, cf)
 
 
 def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajectory:
@@ -297,6 +300,4 @@ def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajec
     are comparable across agents and feedback conditions under shared
     randomness.
     """
-    v1, v2, actions, r1, r2, counts = _simulate(
-        agent, env, rng.uniform_block((env.horizon, 3)).tolist())
-    return Trajectory(actions, r1, r2, env.counterfactual, v1, v2, counts)
+    return _simulate(agent, env, rng.uniform_block((env.horizon, 3)).tolist())

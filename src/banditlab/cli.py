@@ -30,7 +30,7 @@ from . import __version__
 # importable here because bench/tracing.py wraps it under this module's name
 from .agents import (BayesAgentSpec, BayesSchedule, LearningRateSet, Policy,  # noqa: F401
                      QAgentSpec, StepSchedule, run_trajectory)
-from .env import Environment
+from .env import Environment, is_integer
 from .fitting import (BETA_MAX, MODEL_FAMILIES, FitError, best_model, fit_families,
                       fit_subject, new_arm_curve, recover_bias)
 from .moments import (ConvergenceError, MomentState, propagate_moments,
@@ -115,10 +115,6 @@ def _is_num(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _one_of(*choices):
     return (lambda v: v in choices), f"one of {', '.join(map(repr, choices))}"
 
@@ -131,10 +127,10 @@ def _grid(lo, hi, what):
 _OBJECT = (lambda v: isinstance(v, dict)), "an object"
 _PROB = (lambda v: _is_num(v) and 0.0 <= v <= 1.0), "a probability in [0, 1]"
 _NONNEG = (lambda v: _is_num(v) and v >= 0), "a nonnegative number"
-_POS_INT = (lambda v: _is_int(v) and v >= 1), "a positive integer"
+_POS_INT = (lambda v: is_integer(v) and v >= 1), "a positive integer"
 # a standard error needs two draws
-_REPS = (lambda v: _is_int(v) and v >= 2), "an integer of at least 2"
-_NAT = (lambda v: _is_int(v) and v >= 0), "a nonnegative integer"
+_REPS = (lambda v: is_integer(v) and v >= 2), "an integer of at least 2"
+_NAT = (lambda v: is_integer(v) and v >= 0), "a nonnegative integer"
 _BOOL = (lambda v: isinstance(v, bool)), "true or false"
 _STR = (lambda v: isinstance(v, str)), "a string"
 _FAMILIES = ((lambda v: isinstance(v, list) and bool(v)
@@ -323,7 +319,8 @@ def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
         for first, chunk, block in _timed(iter_session_blocks(agent, env, replicas, seed),
                                           timings, "simulate_s"):
             yield (np.repeat(np.arange(first, first + len(block)), env.horizon),
-                   *trial_columns(block), chunk.q1[:, :-1].ravel(), chunk.q2[:, :-1].ravel())
+                   *trial_columns(block), chunk.values1[:, :-1].ravel(),
+                   chunk.values2[:, :-1].ravel())
             if want_sessions:
                 sessions.extend(block)
 

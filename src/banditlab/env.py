@@ -7,6 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def is_integer(v) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Environment:
     """A stationary two-armed Bernoulli bandit task.
@@ -31,8 +36,8 @@ class Environment:
             raise ValueError(f"p1 must be in [0, 1], got {self.p1}")
         if not (0.0 <= self.p2 <= 1.0):
             raise ValueError(f"p2 must be in [0, 1], got {self.p2}")
-        if int(self.horizon) != self.horizon or self.horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
+        if not is_integer(self.horizon) or self.horizon < 1:
+            raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
 
 
 def make_environment(p1: float, p2: float, counterfactual: bool, horizon: int) -> Environment:

@@ -590,13 +590,12 @@ def recover_bias(n_agents: int, env: Environment, beta_gen: float, seed: int = 0
 
     sessions = synthesize_sessions(agent, env, n_agents, seed, prefix="agent")
     fits = _fit_batch(fit_family, _Tables(sessions), range(n_agents), restarts, seed)
-    names = ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")
-    rates = dict(zip(names, np.array([_rates_of(fit_family, f.params) for f in fits]).T))
+    fitted = _params_array(fit_family, [f.params for f in fits])[:, :-1]
+    rates = dict(zip(MODEL_FAMILIES[fit_family].param_names[:4], fitted.T))
     pos = rates["a_plus_c"] > rates["a_minus_c"]
     disc = rates["a_minus_u"] > rates["a_plus_u"]
     c_gt, c_lt, p_chosen = _sign_test(rates["a_plus_c"], rates["a_minus_c"])
     u_gt, u_lt, p_unchosen = _sign_test(rates["a_minus_u"], rates["a_plus_u"])
-    fitted = _params_array(fit_family, [f.params for f in fits])[:, :-1]
     return RecoveryReport(
         n_agents=n_agents, generator=generator, beta_gen=beta_gen,
         policy_mode=policy_mode, fit_family=fit_family,
@@ -635,6 +634,10 @@ def new_arm_curve(fit_bayes: FitResult, fit_q: FitResult, session: SessionData,
         raise ValueError("second fit must be from a Q family")
     if fit_bayes.subject_id != session.subject_id or fit_q.subject_id != session.subject_id:
         raise ValueError("fits and session must describe the same subject")
+    if reps < 2:
+        raise ValueError(f"reps must be at least 2 for a standard error, got {reps}")
+    if n3 < 1:
+        raise ValueError(f"n3 must be at least 1, got {n3}")
     tab = _Tables([session])
     v1_bayes, v1_q = (
         float(_evaluate(tab, f.model, [0], _params_array(f.model, [f.params]))[2][0])

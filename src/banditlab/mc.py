@@ -12,9 +12,10 @@ feedback modes.  A chunk draws its uniforms through
 than constructing each replica's ``RngStream``; the draws equal the
 constructed streams' bit for bit.  Replicas are simulated in chunks to
 bound memory; chunking affects only the floating-point summation order
-of the accumulated statistics, never the trajectories.  A chunk's
-(replica, trial) arrays are views over trial-major storage, so a
-replica's row is strided and a trial's column is contiguous.
+of the accumulated statistics, never the trajectories.  A chunk comes
+out as the same :class:`agents.Trajectory` record a single run does,
+with a leading replica axis over trial-major storage, so a replica's row
+is strided and a trial's column is contiguous.
 """
 
 from __future__ import annotations
@@ -24,38 +25,17 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .agents import _simulate
+from .agents import Trajectory, _simulate
 from .env import Environment, replica_uniforms
 
 DEFAULT_CHUNK = 8192
 _DRAW_BLOCK = 512  # replicas per replica_uniforms call, few enough to transpose in cache
 
 
-@dataclass
-class ChunkTrajectories:
-    """Trajectories of one replica chunk: values before each trial plus the
-    terminal state (n, horizon+1), the actions taken and both arms' 0/1
-    rewards (n, horizon, int8).
-
-    For Bayesian agents ``counts`` stacks (s1, n1, s2, n2), the arms'
-    success and outcome counts at the same times, shape (4, n, horizon+1),
-    in the smallest unsigned dtype that holds the horizon; it is None for
-    Q-agents.  All are views over trial-major storage: ``q1[:, t]``,
-    ``actions[:, t]`` and ``counts[:, :, t]`` are contiguous, ``q1[i]`` is not.
-    """
-
-    q1: np.ndarray
-    q2: np.ndarray
-    actions: np.ndarray
-    rewards1: np.ndarray
-    rewards2: np.ndarray
-    counts: Optional[np.ndarray] = None
-
-
 def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
                       horizon: Optional[int] = None,
-                      chunk_size: int = DEFAULT_CHUNK) -> Iterator[ChunkTrajectories]:
-    """Yield per-chunk value trajectories and actions for the whole ensemble.
+                      chunk_size: int = DEFAULT_CHUNK) -> Iterator[Trajectory]:
+    """Yield the whole ensemble's trajectories, one chunk of replicas at a time.
 
     Both agent kinds run fully vectorized under either feedback mode: a
     Q-agent carries its values, a Bayesian agent its per-arm counts, whose
@@ -75,7 +55,7 @@ def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
             hi = min(lo + _DRAW_BLOCK, count)
             u[..., lo:hi] = replica_uniforms(seed, start + lo, hi - lo,
                                              (horizon, 3)).transpose(1, 2, 0)
-        yield ChunkTrajectories(*_simulate(agent, env, u, (count,)))
+        yield _simulate(agent, env, u, (count,))
 
 
 @dataclass
@@ -113,10 +93,10 @@ def ensemble_value_moments(agent, env: Environment, n_replicas: int, seed: int,
     s12 = np.zeros(shape)
     s12_sq = np.zeros(shape)
     for chunk in iter_value_chunks(agent, env, n_replicas, seed, chunk_size=chunk_size):
-        q1, q2 = chunk.q1, chunk.q2
-        sq = q1 * q1
-        cross = q1 * q2
-        s1 += q1.sum(axis=0)
+        v1 = chunk.values1
+        sq = v1 * v1
+        cross = v1 * chunk.values2
+        s1 += v1.sum(axis=0)
         s11 += sq.sum(axis=0)
         s11_sq += (sq * sq).sum(axis=0)
         s12 += cross.sum(axis=0)

@@ -81,8 +81,8 @@ def session_from_trajectory(traj: Trajectory, subject_id: str) -> SessionData:
 def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,
                         seed: int, prefix: str = "S"):
     """Simulate subjects through the chunk engine, a block of whole sessions
-    at a time; yields each block's first subject index, its
-    :class:`mc.ChunkTrajectories` and its sessions.
+    at a time; yields each block's first subject index, its chunk's
+    :class:`Trajectory` (with a leading subject axis) and its sessions.
 
     Subject i owns stream (seed, i) and is named ``f"{prefix}{i:04d}"``; its
     session equals ``session_from_trajectory(run_trajectory(agent, env,
@@ -90,12 +90,12 @@ def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,
     bit for bit.  A block holds ``BLOCK_ROWS // env.horizon`` subjects (at
     least one).
     """
-    first, cf = 0, env.counterfactual
+    first = 0
     for chunk in mc.iter_value_chunks(agent, env, n_subjects, seed,
                                       chunk_size=max(1, BLOCK_ROWS // env.horizon)):
-        chose1 = chunk.actions == 1
-        rc = np.where(chose1, chunk.rewards1, chunk.rewards2)
-        ru = np.where(chose1, chunk.rewards2, chunk.rewards1) if cf else None
+        cf = chunk.counterfactual
+        rc = chunk.reward_chosen()
+        ru = chunk.reward_unchosen() if cf else None
         n = len(rc)
         yield first, chunk, [SessionData(f"{prefix}{first + i:04d}", chunk.actions[i], rc[i],
                                          ru[i] if cf else None, cf) for i in range(n)]

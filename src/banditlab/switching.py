@@ -94,7 +94,7 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
     switches = np.zeros(horizon)
     for chunk in iter_value_chunks(agent, env, n_replicas, seed, horizon + 1):
         for t in range(horizon):
-            v1, v2 = chunk.q1[:, t], chunk.q2[:, t]
+            v1, v2 = chunk.values1[:, t], chunk.values2[:, t]
             if chunk.counts is None:
                 after = _q_after(v1, v2, agent.rates, t, cf)
             else:

@@ -203,6 +203,17 @@ def test_schedules_override_all_rates():
     assert bs.at(7) == (0.1,) * 4
 
 
+@pytest.mark.parametrize("args, name", [
+    ((0.5, 1.5, 3), "alpha2"), ((-0.1, 0.5, 3), "alpha1"), ((float("nan"), 0.5, 3), "alpha1"),
+    ((0.5, 0.1, -1), "tau_c"), ((0.5, 0.1, 2.0), "tau_c"), ((0.5, 0.1, True), "tau_c"),
+])
+def test_step_schedule_is_checked_when_built(args, name):
+    # an out-of-range rate used to pass until the schedule reached it
+    with pytest.raises(ValueError, match=name):
+        StepSchedule(*args)
+    assert StepSchedule(0.0, 1.0, np.int64(0)).rate(0) == 1.0
+
+
 def test_unchosen_zero_property():
     assert LearningRateSet(0.2, 0.1, 0.0, 0.0).unchosen_zero
     assert not RATES.unchosen_zero

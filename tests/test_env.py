@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from banditlab import RngStream, make_environment
+from banditlab import Environment, RngStream, make_environment
 from banditlab.env import replica_uniforms
 
 
@@ -14,6 +14,14 @@ def test_environment_validation():
         make_environment(0.5, -0.1, counterfactual=True, horizon=10)
     with pytest.raises(ValueError):
         make_environment(0.5, 0.5, counterfactual=True, horizon=0)
+
+
+@pytest.mark.parametrize("horizon", [3.0, True, 2.5, np.float64(4.0)])
+def test_horizon_must_be_an_integer(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        Environment(0.5, 0.5, True, horizon)
+    assert Environment(0.5, 0.5, True, np.int64(3)).horizon == 3
+    assert make_environment(0.5, 0.5, True, 3.0).horizon == 3
 
 
 def test_stream_determinism():

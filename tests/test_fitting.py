@@ -289,6 +289,11 @@ def test_new_arm_rejects_mismatched_subject():
     # a Q-family fit in the bayes slot is refused too
     with pytest.raises(ValueError):
         new_arm_curve(fits["full"], fits["full"], s1, [0.5], reps=10)
+    # as are draws too few for a standard error, and no pulls of the new arm
+    with pytest.raises(ValueError, match="reps"):
+        new_arm_curve(fits["bayes"], fits["full"], s1, [0.5], reps=1)
+    with pytest.raises(ValueError, match="n3"):
+        new_arm_curve(fits["bayes"], fits["full"], s1, [0.5], n3=0, reps=10)
 
 
 def test_lockstep_simplex_takes_scipys_steps():

@@ -10,6 +10,7 @@ from banditlab import (
     Policy,
     QAgentSpec,
     RngStream,
+    Trajectory,
     ensemble_switch_rate,
     ensemble_value_moments,
     iter_value_chunks,
@@ -20,8 +21,8 @@ from banditlab import (
 def collect(agent, env, n, seed, chunk_size):
     q1_parts, q2_parts, a_parts = [], [], []
     for chunk in iter_value_chunks(agent, env, n, seed, chunk_size=chunk_size):
-        q1_parts.append(chunk.q1)
-        q2_parts.append(chunk.q2)
+        q1_parts.append(chunk.values1)
+        q2_parts.append(chunk.values2)
         a_parts.append(chunk.actions)
     return (np.concatenate(q1_parts), np.concatenate(q2_parts),
             np.concatenate(a_parts))
@@ -136,15 +137,24 @@ def test_trial_major_chunk_matches_scalar_runs(agent, env):
     n = 1100
     (chunk,) = iter_value_chunks(agent, env, n, seed=8)
     for t in range(env.horizon):
-        assert chunk.q1[:, t].flags.c_contiguous
+        assert chunk.values1[:, t].flags.c_contiguous
         assert chunk.actions[:, t].flags.c_contiguous
         if chunk.counts is not None:
             assert chunk.counts[:, :, t].flags.c_contiguous
+    assert isinstance(chunk, Trajectory)
+    assert chunk.n_trials == env.horizon
+    rc, ru = chunk.reward_chosen(), chunk.reward_unchosen()
     for i in range(n):
         traj = run_trajectory(agent, env, RngStream(8, i))
-        np.testing.assert_array_equal(chunk.q1[i], traj.values1)
-        np.testing.assert_array_equal(chunk.q2[i], traj.values2)
+        assert isinstance(traj, Trajectory)
+        assert traj.counterfactual == chunk.counterfactual == env.counterfactual
+        np.testing.assert_array_equal(chunk.values1[i], traj.values1)
+        np.testing.assert_array_equal(chunk.values2[i], traj.values2)
         np.testing.assert_array_equal(chunk.actions[i], traj.actions)
+        np.testing.assert_array_equal(chunk.rewards1[i], traj.rewards1)
+        np.testing.assert_array_equal(chunk.rewards2[i], traj.rewards2)
+        np.testing.assert_array_equal(rc[i], traj.reward_chosen())
+        np.testing.assert_array_equal(ru[i], traj.reward_unchosen())
         if traj.counts is not None:
             np.testing.assert_array_equal(chunk.counts[:, i], traj.counts)
 

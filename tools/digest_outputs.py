@@ -51,6 +51,8 @@ def cases(work: Path):
     sim = {"kind": "simulate", "ensemble": {"replicas": 12}, "output": {"sessions": True}}
     yield "simulate", "q-counterfactual", {**sim, "environment": _env(True), "agent": q_cf}
     yield "simulate", "bayes-partial", {**sim, "environment": _env(False), "agent": bayes}
+    # Bayesian counts together with the unchosen-reward split
+    yield "simulate", "bayes-counterfactual", {**sim, "environment": _env(True), "agent": bayes}
     yield "simulate", "q-step-greedy", {**sim, "environment": _env(False), "agent": step,
                                         "seed": 5}
     # 700 replicas of 20 trials span several 6,400-row blocks, the last one partial
