@@ -35,8 +35,8 @@ from .fitting import (BETA_MAX, MODEL_FAMILIES, FitError, best_model, fit_famili
                       fit_subject, new_arm_curve, recover_bias)
 from .moments import (ConvergenceError, MomentState, propagate_moments,
                       propagate_moments_bayes, steady_state_delta, x_curve_rates)
-from .sessions import (iter_session_blocks, read_sessions, row_blocks, trial_columns,
-                       write_csv, write_sessions)
+from .sessions import (csv_writer, iter_session_blocks, read_sessions, row_blocks,
+                       trial_columns, write_csv, write_sessions)
 from .switching import ensemble_switch_rate
 
 OUT_DIR_ENV = "BANDITLAB_OUT_DIR"
@@ -310,28 +310,27 @@ def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
     env = _env_from_cfg(cfg["environment"])
     agent = _agent_from_cfg(cfg["agent"])
     replicas = cfg["ensemble"]["replicas"]
-    sessions = []
-    want_sessions = cfg["output"]["sessions"]
     timings = {"simulate_s": 0.0}
-
-    def blocks():
-        # one block of whole replicas at a time, so only one block's rows are held
-        for first, chunk, block in _timed(iter_session_blocks(agent, env, replicas, seed),
-                                          timings, "simulate_s"):
-            yield (np.repeat(np.arange(first, first + len(block)), env.horizon),
-                   *trial_columns(block), chunk.values1[:, :-1].ravel(),
-                   chunk.values2[:, :-1].ravel())
-            if want_sessions:
-                sessions.extend(block)
-
     t0 = time.perf_counter()
-    files = [("trajectories.csv",
-              write_csv(out_dir / "trajectories.csv",
-                        ["replica", "t", "action", "r_chosen", "r_unchosen",
-                         "q1", "q2"], blocks(), seed))]
-    if want_sessions:
-        n = write_sessions(out_dir / "sessions.csv", sessions, seed=seed)
-        files.append(("sessions.csv", n))
+    with csv_writer(out_dir / "trajectories.csv", ["replica", "t", "action", "r_chosen",
+                                                   "r_unchosen", "q1", "q2"], seed) as write:
+        def sessions():
+            # each block goes to trajectories.csv as it is simulated and to
+            # sessions.csv as write_sessions pulls it, so no run is held whole
+            for first, traj, block in _timed(iter_session_blocks(agent, env, replicas, seed),
+                                             timings, "simulate_s"):
+                write((np.repeat(np.arange(first, first + len(block)), env.horizon),
+                       *trial_columns(block), traj.values1[:, :-1].ravel(),
+                       traj.values2[:, :-1].ravel()))
+                yield from block
+
+        files = [("trajectories.csv", replicas * env.horizon)]
+        if cfg["output"]["sessions"]:
+            files.append(("sessions.csv",
+                          write_sessions(out_dir / "sessions.csv", sessions(), seed=seed)))
+        else:
+            for _ in sessions():
+                pass
     timings["write_s"] = time.perf_counter() - t0 - timings["simulate_s"]
     return files, {"counters": {"replica_steps": replicas * env.horizon},
                    "timings": timings}

@@ -36,6 +36,9 @@ class Environment:
             raise ValueError(f"p1 must be in [0, 1], got {self.p1}")
         if not (0.0 <= self.p2 <= 1.0):
             raise ValueError(f"p2 must be in [0, 1], got {self.p2}")
+        # the simulators multiply by the flag, so an integer 2 would double updates
+        if not isinstance(self.counterfactual, (bool, np.bool_)):
+            raise ValueError(f"counterfactual must be a bool, got {self.counterfactual!r}")
         if not is_integer(self.horizon) or self.horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
 

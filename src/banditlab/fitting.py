@@ -61,7 +61,7 @@ _XATOL = 1e-6
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 # the engine scores at most this many (point, trial) cells per pass
-_MAX_CELLS = 1 << 18
+_MAX_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,8 @@ _SIM_AGENTS = {
         QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0))),
     "bayes-partial": (False, {"type": "bayes", "beta": 8.0},
                       BayesAgentSpec(Policy(beta=8.0))),
+    "bayes-counterfactual": (True, {"type": "bayes", "beta": 8.0},
+                             BayesAgentSpec(Policy(beta=8.0))),
     "q-step-greedy": (False, {"type": "q", "beta": 3.0, "policy": "greedy", "rates": {
         "a_plus_c": 0.3, "a_minus_c": 0.1, "a_plus_u": 0.0, "a_minus_u": 0.0},
         "schedule": {"kind": "step", "alpha1": 0.4, "alpha2": 0.05, "tau_c": 8}},
@@ -296,8 +298,10 @@ _SIM_AGENTS = {
 @pytest.mark.parametrize("horizon", [1, 20])
 @pytest.mark.parametrize("case", sorted(_SIM_AGENTS))
 def test_simulate_matches_scalar_runs_across_blocks(tmp_path, case, horizon):
-    # one block plus five replicas: a full block, then a partial one
-    replicas = BLOCK_ROWS // horizon + 5
+    # past a full 512-replica simulation chunk and a full text block: at T = 20
+    # one chunk is cut into blocks of 320 and 192 replicas, then a partial
+    # chunk follows; at T = 1 a block is a whole chunk
+    replicas = max(BLOCK_ROWS // horizon, 512) + 5
     counterfactual, agent_cfg, agent = _SIM_AGENTS[case]
     env_cfg = {"p1": 0.6, "p2": 0.4, "counterfactual": counterfactual, "horizon": horizon}
     cfg = {"kind": "simulate", "environment": env_cfg, "agent": agent_cfg, "seed": 5,
@@ -307,6 +311,17 @@ def test_simulate_matches_scalar_runs_across_blocks(tmp_path, case, horizon):
     want_traj, want_sessions = _scalar_simulate(agent, Environment(**env_cfg), replicas, 5)
     assert (out / "trajectories.csv").read_bytes() == want_traj
     assert (out / "sessions.csv").read_bytes() == want_sessions
+
+
+def test_simulate_without_sessions_writes_the_same_trajectories(tmp_path):
+    cfg = copy.deepcopy(SIM_CFG)
+    run_scenario(write_cfg(tmp_path, cfg), out_dir=str(tmp_path / "with"))
+    cfg["output"]["sessions"] = False
+    files = run_scenario(write_cfg(tmp_path, cfg, "no.json"), out_dir=str(tmp_path / "no")).files
+    assert files == [("trajectories.csv", 3 * 12)]
+    assert not (tmp_path / "no" / "sessions.csv").exists()
+    assert ((tmp_path / "no" / "trajectories.csv").read_bytes()
+            == (tmp_path / "with" / "trajectories.csv").read_bytes())
 
 
 def test_manifest_records_timings(tmp_path):

@@ -24,6 +24,15 @@ def test_horizon_must_be_an_integer(horizon):
     assert make_environment(0.5, 0.5, True, 3.0).horizon == 3
 
 
+@pytest.mark.parametrize("flag", [2, 1, 0, 1.0, "yes", None, np.int64(1)])
+def test_counterfactual_must_be_a_bool(flag):
+    with pytest.raises(ValueError, match="counterfactual"):
+        Environment(0.6, 0.4, flag, 5)
+    assert Environment(0.6, 0.4, np.bool_(True), 5).counterfactual
+    assert not Environment(0.6, 0.4, False, 5).counterfactual
+    assert make_environment(0.6, 0.4, 1, 5).counterfactual is True
+
+
 def test_stream_determinism():
     draws = RngStream(123, 7).uniform_block((5,))
     assert len(set(draws)) == 5

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import struct
 import tempfile
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from banditlab import (
     synthesize_sessions,
     write_sessions,
 )
-from banditlab.sessions import row_blocks, trial_columns, write_csv
+from banditlab.sessions import _format_block, row_blocks, trial_columns, write_csv
 
 ENV = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
 AGENT = BayesAgentSpec(Policy(beta=10.0))
@@ -148,6 +149,44 @@ def test_write_csv_matches_the_per_cell_rule_on_awkward_values(tmp_path):
     # csv writes a lone blank cell as ""
     write_csv(path, ["s"], [[["", "x", ""]]])
     assert path.read_bytes() == _per_cell_bytes(["s"], [("",), ("x",), ("",)])
+
+
+def _float_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# signed zeros, NaNs with other signs and payloads, infinities and subnormals
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), _float_bits(0xFFF8000000000000),
+                  _float_bits(0x7FF8000000000001), float("inf"), float("-inf"),
+                  5e-324, -5e-324, 1.5e-310, 0.1, 1 / 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_format_block_matches_per_cell_floats_with_repeats(data):
+    n = data.draw(st.integers(1, 300), label="rows")
+    # columns drawn from a few values, so that they repeat and may be joined
+    pool = np.array(data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                                       min_size=1, max_size=6), label="pool"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    floats = [pool[rng.integers(len(pool), size=n)].tolist()
+              for _ in range(data.draw(st.integers(1, 3), label="float columns"))]
+    ints = rng.integers(-3, 4, size=n).tolist()
+    # the int and blank columns may be joined with a float column into one lookup
+    want = "".join(",".join(["%d" % ints[r], *("%.17g" % c[r] for c in floats), ""]) + "\r\n"
+                   for r in range(n))
+    blank = [""] * n
+    assert _format_block([np.array(ints, dtype=np.int8), *floats, blank]) == want
+    assert _format_block([ints, *(np.array(c) for c in floats), blank]) == want
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+def test_format_block_codes_integers_at_their_type_limits(dtype):
+    info = np.iinfo(dtype)
+    # a span of 200 overflows int8, and 300 rows make the column coded
+    for values in ([info.min, info.min + 200, info.min + 1], [info.max, info.max - 3, info.max]):
+        col = np.array(values * 100, dtype=dtype)
+        assert _format_block([col]) == "".join("%d\r\n" % v for v in col.tolist())
 
 
 @pytest.mark.parametrize("column", [[1.0, ""], [1, 2.0], [True, False], [None],

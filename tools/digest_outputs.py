@@ -55,9 +55,13 @@ def cases(work: Path):
     yield "simulate", "bayes-counterfactual", {**sim, "environment": _env(True), "agent": bayes}
     yield "simulate", "q-step-greedy", {**sim, "environment": _env(False), "agent": step,
                                         "seed": 5}
-    # 700 replicas of 20 trials span several 6,400-row blocks, the last one partial
+    # 700 replicas of 20 trials span two 512-replica simulation chunks and three
+    # 6,400-row text blocks, the last one partial
     yield "simulate", "q-counterfactual-blocks", {**sim, "ensemble": {"replicas": 700},
                                                   "environment": _env(True), "agent": q_cf}
+    # posterior means repeat, so their columns are written from distinct-value texts
+    yield "simulate", "bayes-counterfactual-blocks", {**sim, "ensemble": {"replicas": 700},
+                                                      "environment": _env(True), "agent": bayes}
     yield "propagate", "closure", {"kind": "propagate", "p": 0.7, "beta": 4.0,
                                    "n_steps": 30, "rates": Q_RATES}
     yield "propagate", "exact-unbiased", {"kind": "propagate", "p": 0.7, "beta": 4.0,
