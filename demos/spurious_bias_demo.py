@@ -26,7 +26,8 @@ refit tilts the other way, 195 agents with a_plus_c > a_minus_c against
 
 from scipy.stats import mannwhitneyu
 
-from banditlab import Environment, recover_bias
+from banditlab import (BayesAgentSpec, Environment, LearningRateSet, Policy, QAgentSpec,
+                       recover_bias)
 
 N_AGENTS = 40
 HORIZON = 24
@@ -51,13 +52,12 @@ def main():
 
     print(f"{N_AGENTS} agents per group, p=(0.5, 0.5), T={HORIZON}, "
           "full 5-parameter refit\n")
-    rep = recover_bias(N_AGENTS, env, beta_gen=10.0, seed=SEED,
-                       policy_mode="greedy", restarts=12)
+    greedy = Policy(beta=10.0, mode="greedy")
+    rep = recover_bias(BayesAgentSpec(greedy), env, N_AGENTS, seed=SEED, restarts=12)
     describe(rep, "unbiased Bayesian agents (greedy)")
 
-    ctl = recover_bias(N_AGENTS, env, beta_gen=10.0, seed=SEED,
-                       generator="const_q", generator_alpha=0.3,
-                       policy_mode="greedy", restarts=12)
+    control = QAgentSpec(LearningRateSet.constant(0.3), greedy)
+    ctl = recover_bias(control, env, N_AGENTS, seed=SEED, restarts=12)
     describe(ctl, "control: constant-rate Q-agents (greedy, alpha=0.3)")
 
     def gaps(report):

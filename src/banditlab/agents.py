@@ -74,6 +74,8 @@ class BayesSchedule:
 
 
 Schedule = Optional[Union[StepSchedule, BayesSchedule]]
+# the four prediction-error rates, in the order every rate tuple lists them
+RATE_NAMES = ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class LearningRateSet:
     schedule: Schedule = None
 
     def __post_init__(self):
-        for name in ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u"):
+        for name in RATE_NAMES:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")

@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 # run_trajectory is the scalar reference the chunk engine reproduces; it stays
 # importable here because bench/tracing.py wraps it under this module's name
-from .agents import (BayesAgentSpec, BayesSchedule, LearningRateSet, Policy,  # noqa: F401
-                     QAgentSpec, StepSchedule, run_trajectory)
+from .agents import (RATE_NAMES, BayesAgentSpec, BayesSchedule, LearningRateSet,  # noqa: F401
+                     Policy, QAgentSpec, StepSchedule, run_trajectory)
 from .env import Environment, is_integer
 from .fitting import (BETA_MAX, MODEL_FAMILIES, FitError, best_model, fit_families,
                       fit_subject, new_arm_curve, recover_bias)
@@ -40,7 +40,6 @@ from .sessions import (csv_writer, iter_session_blocks, read_sessions, row_block
 from .switching import ensemble_switch_rate
 
 OUT_DIR_ENV = "BANDITLAB_OUT_DIR"
-RATE_NAMES = ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")
 
 
 class ConfigError(Exception):
@@ -171,7 +170,8 @@ SCHEMA = {kind: {**_COMMON, **table} for kind, table in {
                 "generator": (_one_of("bayes", "const_q"), "bayes"),
                 "generator_alpha": (_PROB, 0.3), "policy": _POLICY, "restarts": _RESTARTS},
     "new-arm": {"sessions": (_STR, REQUIRED), "subject": (_STR, None),
-                "q_family": (_one_of("const", "conf", "full"), "full"),
+                "q_family": (_one_of(*(name for name, fam in MODEL_FAMILIES.items()
+                                       if fam.rate_columns is not None)), "full"),
                 "p3_grid": (_grid(0.0, 1.0, "probabilities"), REQUIRED),
                 "n3": (_POS_INT, 24), "reps": (_REPS, 10_000), "restarts": _RESTARTS},
 }.items()}
@@ -436,13 +436,16 @@ def _run_fit(cfg, seed: int, out_dir: Path, threads: int):
 
 def _run_recover(cfg, seed: int, out_dir: Path, threads: int):
     env = _env_from_cfg(cfg["environment"])
+    policy = Policy(beta=cfg["beta_gen"], mode=cfg["policy"])
+    # a Bayesian agent, or the matched control: a constant-rate Q-learner
+    agent = (BayesAgentSpec(policy) if cfg["generator"] == "bayes"
+             else QAgentSpec(LearningRateSet.constant(cfg["generator_alpha"]), policy))
     t0 = time.perf_counter()
-    report = recover_bias(cfg["n_agents"], env, cfg["beta_gen"], seed=seed,
-                          generator=cfg["generator"],
-                          generator_alpha=cfg["generator_alpha"],
-                          restarts=cfg["restarts"], policy_mode=cfg["policy"])
+    report = recover_bias(agent, env, cfg["n_agents"], seed=seed, restarts=cfg["restarts"])
     t1 = time.perf_counter()
-    _write_json(out_dir / "recovery.json", {"seed": seed, **asdict(report)})
+    _write_json(out_dir / "recovery.json",
+                {"seed": seed, "generator": cfg["generator"], "beta_gen": cfg["beta_gen"],
+                 "policy_mode": cfg["policy"], **asdict(report)})
     timings = {"recover_s": t1 - t0, "write_s": time.perf_counter() - t1}
     return [("recovery.json", report.n_agents)], {**_fit_health(report.fits),
                                                   "timings": timings}

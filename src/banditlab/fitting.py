@@ -14,7 +14,8 @@ action and reward(s).
 const and conf are parameter restrictions of full, so their optimized
 likelihoods can never beat it.  Fitting unbiased Bayesian agents with
 the asymmetric-rate families is the interesting exercise: the decaying
-effective learning rate masquerades as rate asymmetry.
+effective learning rate masquerades as rate asymmetry, and
+:func:`recover_bias` runs it for any agent spec.
 
 Every likelihood goes through one batched engine, :func:`_evaluate`.  A
 batch of sessions is laid out once as trial tables padded to its longest
@@ -43,8 +44,8 @@ import numpy as np
 
 # run_trajectory is the scalar reference the chunk engine reproduces; it stays
 # importable here because bench/tracing.py wraps it under this module's name
-from .agents import (BayesAgentSpec, LearningRateSet, Policy, QAgentSpec, count_values,  # noqa: F401
-                     q_step, run_trajectory)
+from .agents import (RATE_NAMES, AgentSpec, Policy, count_values, q_step,  # noqa: F401
+                     run_trajectory)
 from .env import Environment, RngStream
 from .sessions import SessionData, synthesize_sessions
 
@@ -66,22 +67,26 @@ _MAX_CELLS = 1 << 15
 
 @dataclass(frozen=True)
 class ModelFamily:
+    """Parameter names, beta last, and for a Q family which of them fills
+    each of the four rates."""
+
     name: str
-    df: int
     param_names: tuple[str, ...]
+    rate_columns: Optional[tuple[int, ...]] = None
+
+    @property
+    def df(self) -> int:
+        return len(self.param_names)
 
 
-MODEL_FAMILIES = {
-    "bayes": ModelFamily("bayes", 1, ("beta",)),
-    "const": ModelFamily("const", 2, ("alpha", "beta")),
-    "conf": ModelFamily("conf", 3, ("alpha_confirm", "alpha_disconfirm", "beta")),
-    "full": ModelFamily("full", 5,
-                        ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u", "beta")),
-}
-# tie-break order for model selection: fewest parameters first
-FAMILY_ORDER = ("bayes", "const", "conf", "full")
-# which rate parameter of a Q family fills (a_plus_c, a_minus_c, a_plus_u, a_minus_u)
-_RATE_COLUMNS = {"const": (0, 0, 0, 0), "conf": (0, 1, 1, 0), "full": (0, 1, 2, 3)}
+# Fewest parameters first: families are fitted in this order, model
+# selection breaks ties by it, and each Q family nests in every later one.
+MODEL_FAMILIES = {f.name: f for f in (
+    ModelFamily("bayes", ("beta",)),
+    ModelFamily("const", ("alpha", "beta"), (0, 0, 0, 0)),
+    ModelFamily("conf", ("alpha_confirm", "alpha_disconfirm", "beta"), (0, 1, 1, 0)),
+    ModelFamily("full", RATE_NAMES + ("beta",), (0, 1, 2, 3)),
+)}
 
 
 @dataclass(frozen=True)
@@ -154,12 +159,13 @@ class _Tables:
 def _evaluate_pass(tab: _Tables, family: str, sess: np.ndarray, params: np.ndarray):
     sign = np.take(tab.sign, sess, axis=1)
     T, P = sign.shape
-    if family == "bayes":
+    columns = MODEL_FAMILIES[family].rate_columns
+    if columns is None:
         dv = np.take(tab.bayes_dv, sess, axis=1)
         end = np.take(tab.bayes_end, sess, axis=0)
     else:
         rates = np.zeros((P, 5))
-        rates[:, :4] = params[:, _RATE_COLUMNS[family]]
+        rates[:, :4] = params[:, columns]
         idx = np.take(tab.rate, sess, axis=1)
         idx += 5 * np.arange(P)[:, None]
         a = np.take(rates, idx)
@@ -289,10 +295,10 @@ def _nelder_mead(f, x0: np.ndarray, fatol: float, xatol: float):
 
 
 def _rates_of(family: str, params: Mapping[str, float]):
-    if family not in _RATE_COLUMNS:
+    fam = MODEL_FAMILIES[family]
+    if fam.rate_columns is None:
         raise ValueError(f"family {family!r} has no rate parameters")
-    names = MODEL_FAMILIES[family].param_names
-    return tuple(params[names[c]] for c in _RATE_COLUMNS[family])
+    return tuple(params[fam.param_names[c]] for c in fam.rate_columns)
 
 
 def _params_array(family: str, params: Sequence[Mapping[str, float]]) -> np.ndarray:
@@ -311,7 +317,7 @@ def nll(family: str, params: Mapping[str, float], session: SessionData) -> float
         raise ValueError(f"unknown model family {family!r}")
     if not params["beta"] >= 0:  # NaN too
         raise ValueError("beta must be nonnegative")
-    if family != "bayes":
+    if fam.rate_columns is not None:
         for r in _rates_of(family, params):
             if not 0.0 <= r <= 1.0:
                 raise ValueError("learning rates must lie in [0, 1]")
@@ -365,16 +371,12 @@ def _pack(family: str, params: Mapping[str, float]) -> np.ndarray:
 
 
 def _embed(target: str, source: str, params: Mapping[str, float]) -> dict:
-    """Express a smaller family's parameters in a larger family."""
-    apc, amc, apu, amu = _rates_of(source, params)
-    beta = params["beta"]
-    if target == "conf":
-        # valid whenever the source rates satisfy the conf tying, e.g. const
-        return {"alpha_confirm": apc, "alpha_disconfirm": amc, "beta": beta}
-    if target == "full":
-        return {"a_plus_c": apc, "a_minus_c": amc, "a_plus_u": apu,
-                "a_minus_u": amu, "beta": beta}
-    raise ValueError(f"cannot embed into family {target!r}")
+    """Express a Q family's parameters in a later one: each target parameter
+    takes the source's value of the first rate it ties.  Exact whenever the
+    source rates satisfy the target's tying, as an earlier family's do."""
+    rates, fam = _rates_of(source, params), MODEL_FAMILIES[target]
+    return {**{name: rates[fam.rate_columns.index(i)]
+               for i, name in enumerate(fam.param_names[:-1])}, "beta": params["beta"]}
 
 
 def _check_restarts(restarts: int) -> None:
@@ -470,10 +472,11 @@ def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
                  restarts: int = 20, seed: int = 0, stream_index: int = 0):
     """Fit several families to one session or a batch, warm-starting nested ones.
 
-    Each larger family receives the smaller families' optima as extra
+    Families are fitted in the order of :data:`MODEL_FAMILIES`, and each Q
+    family receives the optima of every Q family already fitted as extra
     restart points, so NLL(full) <= NLL(conf) <= NLL(const) holds exactly
     rather than up to restart luck.  Session i of a batch fits family k of
-    the canonical order from restart stream ``stream_index + 4 i + k``.
+    that order from restart stream ``stream_index + 4 i + k``.
     Every session of a batch is fitted family by family in one lockstep,
     and a session's fits do not depend on the rest of its batch.  Returns
     ``{family: FitResult}`` for one session, a list of them for a batch.
@@ -481,7 +484,7 @@ def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
     its best point with ``converged`` False.
     """
     if families is None:
-        families = FAMILY_ORDER
+        families = tuple(MODEL_FAMILIES)
     for f in families:
         if f not in MODEL_FAMILIES:
             raise ValueError(f"unknown model family {f!r}")
@@ -490,25 +493,24 @@ def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
     out: list[dict[str, FitResult]] = [{} for _ in batch]
     if batch:
         tab = _Tables(batch)
-        for k, fam in enumerate(FAMILY_ORDER):
+        for k, fam in enumerate(MODEL_FAMILIES):
             if fam not in families:
                 continue
-            smaller = {"conf": ("const",), "full": ("const", "conf")}.get(fam, ())
-            warm = [[_embed(fam, s, fits[s].params) for s in smaller if s in fits]
-                    for fits in out]
-            streams = [stream_index + len(FAMILY_ORDER) * i + k for i in range(len(batch))]
+            # a session's fits so far are the earlier families', in order
+            warm = [[_embed(fam, s, f.params) for s, f in fits.items()
+                     if MODEL_FAMILIES[s].rate_columns is not None] for fits in out]
+            streams = [stream_index + len(MODEL_FAMILIES) * i + k for i in range(len(batch))]
             for fits, r in zip(out, _fit_batch(fam, tab, streams, restarts, seed, warm)):
                 fits[fam] = r
     return out[0] if isinstance(sessions, SessionData) else out
 
 
 def best_model(fits: Sequence[FitResult]) -> str:
-    """Family with the lowest BIC; ties go to fewer parameters, then to the
-    fixed order bayes, const, conf, full."""
+    """Family with the lowest BIC; ties go to the family earlier in
+    :data:`MODEL_FAMILIES`, the one with fewer parameters."""
     if len(fits) < 2:
         raise ValueError("model selection needs at least two fits")
-    return min(fits, key=lambda f: (f.bic, MODEL_FAMILIES[f.model].df,
-                                    FAMILY_ORDER.index(f.model))).model
+    return min(fits, key=lambda f: (f.bic, list(MODEL_FAMILIES).index(f.model))).model
 
 
 def _sign_test(x: Sequence[float], y: Sequence[float]) -> tuple[int, int, Optional[float]]:
@@ -540,9 +542,6 @@ class RecoveryReport:
     """
 
     n_agents: int
-    generator: str
-    beta_gen: float
-    policy_mode: str
     fit_family: str
     mean_rates: dict
     frac_positivity: float
@@ -556,49 +555,38 @@ class RecoveryReport:
     frac_rate_at_edge: float
 
 
-def recover_bias(n_agents: int, env: Environment, beta_gen: float, seed: int = 0,
-                 generator: str = "bayes", generator_alpha: float = 0.3,
-                 restarts: int = 20, policy_mode: str = "softmax") -> RecoveryReport:
+def recover_bias(agent: AgentSpec, env: Environment, n_agents: int, seed: int = 0,
+                 restarts: int = 20) -> RecoveryReport:
     """Simulate agents, fit each with the full four-rate family, and test
     whether the fitted rates are systematically asymmetric.
 
-    ``generator="bayes"`` runs Bayesian agents (softmax or greedy over the
-    posterior means); ``generator="const_q"`` is the matched control, a
-    constant-rate unbiased Q-learner under the same choice rule.  The
-    control measures the asymmetry the refit itself produces for an
-    unbiased constant-rate learner: on short sessions that is not zero
-    (at T=24 the fitted beta mostly sits at its cap and the sign of the
-    rate asymmetry follows where the fit lands on the beta-rate ridge), so
-    a Bayesian ensemble's asymmetry is read against the control's, not
-    against zero.  Agent i is simulated on stream (seed, i) and its fit
-    restarts from fit stream i; all agents are fitted in one lockstep, and
-    an agent with no converged restart keeps its best point with
-    ``converged`` False.  Sign-test p-values are omitted for ensembles too
-    small to test.
+    ``agent`` is any agent spec: an unbiased Bayesian learner, the matched
+    control (a constant-rate unbiased Q-learner under the same choice
+    rule), or a learner that really is biased.  The control measures the
+    asymmetry the refit itself produces for an unbiased constant-rate
+    learner: on short sessions that is not zero (at T=24 the fitted beta
+    mostly sits at its cap and the sign of the rate asymmetry follows where
+    the fit lands on the beta-rate ridge), so a Bayesian ensemble's
+    asymmetry is read against the control's, not against zero.  Agent i is
+    simulated on stream (seed, i) and its fit restarts from fit stream i;
+    all agents are fitted in one lockstep, and an agent with no converged
+    restart keeps its best point with ``converged`` False.  Sign-test
+    p-values are omitted for ensembles too small to test.
     """
     if not env.counterfactual:
         raise ValueError("bias recovery is defined for counterfactual feedback")
     _check_restarts(restarts)
     fit_family = "full"
-    policy = Policy(beta=beta_gen, mode=policy_mode)
-    if generator == "bayes":
-        agent = BayesAgentSpec(policy)
-    elif generator == "const_q":
-        agent = QAgentSpec(LearningRateSet.constant(generator_alpha), policy)
-    else:
-        raise ValueError(f"unknown generator {generator!r}")
-
     sessions = synthesize_sessions(agent, env, n_agents, seed, prefix="agent")
     fits = _fit_batch(fit_family, _Tables(sessions), range(n_agents), restarts, seed)
     fitted = _params_array(fit_family, [f.params for f in fits])[:, :-1]
-    rates = dict(zip(MODEL_FAMILIES[fit_family].param_names[:4], fitted.T))
+    rates = dict(zip(RATE_NAMES, fitted.T))
     pos = rates["a_plus_c"] > rates["a_minus_c"]
     disc = rates["a_minus_u"] > rates["a_plus_u"]
     c_gt, c_lt, p_chosen = _sign_test(rates["a_plus_c"], rates["a_minus_c"])
     u_gt, u_lt, p_unchosen = _sign_test(rates["a_minus_u"], rates["a_plus_u"])
     return RecoveryReport(
-        n_agents=n_agents, generator=generator, beta_gen=beta_gen,
-        policy_mode=policy_mode, fit_family=fit_family,
+        n_agents=n_agents, fit_family=fit_family,
         mean_rates={k: float(np.mean(v)) for k, v in rates.items()},
         frac_positivity=float(np.mean(pos)),
         frac_confirmation=float(np.mean(pos & disc)),
@@ -630,7 +618,7 @@ def new_arm_curve(fit_bayes: FitResult, fit_q: FitResult, session: SessionData,
     """
     if fit_bayes.model != "bayes":
         raise ValueError("first fit must be from the bayes family")
-    if fit_q.model not in ("const", "conf", "full"):
+    if fit_q.model not in MODEL_FAMILIES or MODEL_FAMILIES[fit_q.model].rate_columns is None:
         raise ValueError("second fit must be from a Q family")
     if fit_bayes.subject_id != session.subject_id or fit_q.subject_id != session.subject_id:
         raise ValueError("fits and session must describe the same subject")

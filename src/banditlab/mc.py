@@ -29,6 +29,9 @@ from .agents import Trajectory, _simulate
 from .env import Environment, replica_uniforms
 
 DEFAULT_CHUNK = 8192
+# a chunk holds at most this many replica-trials, whatever chunk_size asks:
+# their draws take 24 MiB, and T <= 127 keeps DEFAULT_CHUNK replicas
+_CHUNK_TRIALS = 1 << 20
 _DRAW_BLOCK = 512  # replicas per replica_uniforms call, few enough to transpose in cache
 
 
@@ -39,13 +42,15 @@ def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
 
     Both agent kinds run fully vectorized under either feedback mode: a
     Q-agent carries its values, a Bayesian agent its per-arm counts, whose
-    posterior means are the values.
+    posterior means are the values.  A chunk holds at most ``chunk_size``
+    replicas and ``_CHUNK_TRIALS`` replica-trials, but at least one replica.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     horizon = env.horizon if horizon is None else horizon
+    chunk_size = min(chunk_size, max(1, _CHUNK_TRIALS // horizon))
     for start in range(0, n_replicas, chunk_size):
         count = min(chunk_size, n_replicas - start)
         # contiguous (action, r1, r2) rows per trial, filled a sub-block at a

@@ -67,9 +67,9 @@ def test_criterion_2_spurious_bias_recovery():
     # control is the estimator's null: the Bayesian ensemble's asymmetry is
     # judged against it, not against zero.
     env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
-    rep = recover_bias(500, env, beta_gen=10.0, seed=0, policy_mode="greedy")
-    ctl = recover_bias(500, env, beta_gen=10.0, seed=0, generator="const_q",
-                       generator_alpha=0.3, policy_mode="greedy")
+    greedy = Policy(beta=10.0, mode="greedy")
+    rep = recover_bias(BayesAgentSpec(greedy), env, 500, seed=0)
+    ctl = recover_bias(QAgentSpec(LearningRateSet.constant(0.3), greedy), env, 500, seed=0)
     mr = rep.mean_rates
     checks = [
         ("mean chosen-arm rates ordered a_plus_c > a_minus_c",
@@ -93,8 +93,8 @@ def test_criterion_2_spurious_bias_recovery():
                        "control's (one-sided Mann-Whitney), p < 0.01",
                        p_mw < 0.01,
                        f"control {gt_c}/{lt_c}, p = {p_mw:.3g}"))
-    at_cap = {r.generator: np.mean([f.params["beta"] >= BETA_MAX for f in r.fits])
-              for r in (rep, ctl)}
+    at_cap = {name: np.mean([f.params["beta"] >= BETA_MAX for f in r.fits])
+              for name, r in (("bayes", rep), ("const_q", ctl))}
     assert all(ok for _, ok, _ in checks), (
         "greedy-generated ensembles do not reproduce every clause:\n  "
         + "\n  ".join(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}"

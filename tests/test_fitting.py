@@ -29,9 +29,10 @@ from banditlab import (
     recover_bias,
     q_step,
     synthesize_sessions,
+    x_curve_rates,
 )
-from banditlab.fitting import (BETA_MAX, P_MIN, FitError, _evaluate, _nelder_mead,
-                               _start_points, _Tables, _unpack)
+from banditlab.fitting import (BETA_MAX, MODEL_FAMILIES, P_MIN, FitError, _embed, _evaluate,
+                               _nelder_mead, _start_points, _Tables, _unpack)
 
 ENV24 = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
 
@@ -94,7 +95,7 @@ def test_restarts_below_one_are_refused():
         with pytest.raises(ValueError, match="restarts"):
             fit_families([s, s], ["conf"], restarts=restarts)
         with pytest.raises(ValueError, match="restarts"):
-            recover_bias(2, ENV24, beta_gen=5.0, restarts=restarts)
+            recover_bias(BayesAgentSpec(Policy(beta=5.0)), ENV24, 2, restarts=restarts)
 
 
 def test_vanishing_probabilities_are_clamped():
@@ -213,8 +214,8 @@ def test_bayes_generated_population_prefers_bayes_or_conf():
 
 def test_greedy_bayes_agents_are_diagnosed_as_confirmation_biased():
     env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
-    report = recover_bias(10, env, beta_gen=10.0, seed=0,
-                          policy_mode="greedy", restarts=8)
+    report = recover_bias(BayesAgentSpec(Policy(beta=10.0, mode="greedy")), env, 10,
+                          seed=0, restarts=8)
     assert report.mean_rates["a_plus_c"] > report.mean_rates["a_minus_c"]
     assert report.mean_rates["a_minus_u"] > report.mean_rates["a_plus_u"]
     assert report.frac_positivity >= 0.7
@@ -222,8 +223,8 @@ def test_greedy_bayes_agents_are_diagnosed_as_confirmation_biased():
 
 def test_recovery_report_counts_signs_and_capped_betas():
     env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
-    report = recover_bias(6, env, beta_gen=10.0, seed=0, policy_mode="greedy",
-                          restarts=4)
+    report = recover_bias(BayesAgentSpec(Policy(beta=10.0, mode="greedy")), env, 6,
+                          seed=0, restarts=4)
     params = [f.params for f in report.fits]
     signs = report.sign_counts
     for arm, hi, lo, p in (("c", "a_plus_c", "a_minus_c", report.p_value_chosen),
@@ -244,9 +245,19 @@ def test_recovery_report_counts_signs_and_capped_betas():
         report.frac_not_converged, report.frac_rate_at_edge)
 
 
+def test_recovery_refits_any_agent_spec():
+    # a confirmation-biased Q-learner, a generator named by no config key
+    agent = QAgentSpec(x_curve_rates(1.5), Policy(10.0))
+    report = recover_bias(agent, ENV24, 4, seed=3, restarts=3)
+    sessions = synthesize_sessions(agent, ENV24, 4, 3, prefix="agent")
+    assert [f.subject_id for f in report.fits] == [s.subject_id for s in sessions]
+    for f, s in zip(report.fits, sessions):
+        assert f.model == "full" and f.nll == nll("full", f.params, s)
+
+
 def test_single_agent_recovery_has_no_significance():
     env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
-    report = recover_bias(1, env, beta_gen=10.0, seed=0, restarts=4)
+    report = recover_bias(BayesAgentSpec(Policy(beta=10.0)), env, 1, seed=0, restarts=4)
     assert report.p_value_chosen is None
     assert report.p_value_unchosen is None
     assert report.n_agents == 1
@@ -390,3 +401,19 @@ def test_engine_equals_folded_learning_steps(drawn, bayes):
         (v1, v2), total = fold_session(trials, cf, rates, beta, bayes)
         assert abs(got[2][i] - v1) <= 1e-12 and abs(got[3][i] - v2) <= 1e-12
         assert abs(got[0][i] - total) <= 1e-9
+
+
+Q_FAMILIES = [name for name, fam in MODEL_FAMILIES.items() if fam.rate_columns is not None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_session)
+def test_embedding_keeps_the_likelihood_of_every_earlier_family(drawn):
+    trials, cf, rates, beta = drawn
+    a, rc, ru = (np.array(c, dtype=np.int8) for c in zip(*trials))
+    s = SessionData("S", a, rc, ru if cf else None, cf)
+    for k, earlier in enumerate(Q_FAMILIES):
+        names = MODEL_FAMILIES[earlier].param_names
+        p = {**dict(zip(names[:-1], rates)), "beta": beta}
+        for later in Q_FAMILIES[k + 1:]:
+            assert nll(later, _embed(later, earlier, p), s) == nll(earlier, p, s)

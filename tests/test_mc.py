@@ -16,6 +16,7 @@ from banditlab import (
     iter_value_chunks,
     run_trajectory,
 )
+from banditlab import mc
 
 
 def collect(agent, env, n, seed, chunk_size):
@@ -172,3 +173,16 @@ def test_empty_ensembles_and_chunks_are_refused(n_replicas, chunk_size, name):
     if name == "n_replicas":  # the switching ensemble has no chunk size to pass
         with pytest.raises(ValueError, match=name):
             ensemble_switch_rate(agent, env, n_replicas, seed=0)
+
+
+def test_long_horizons_cap_a_chunk_at_a_million_replica_trials(monkeypatch):
+    # 4,096 trials leave room for 256 replicas a chunk, whatever chunk_size asks
+    env = Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=4096)
+    agent = QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0))
+    capped = list(iter_value_chunks(agent, env, 300, seed=2))
+    assert [c.actions.shape for c in capped] == [(256, 4096), (44, 4096)]
+    monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1 << 40)
+    (whole,) = iter_value_chunks(agent, env, 300, seed=2)
+    for field in ("values1", "values2", "actions", "rewards1", "rewards2"):
+        np.testing.assert_array_equal(
+            np.concatenate([getattr(c, field) for c in capped]), getattr(whole, field))

@@ -83,6 +83,10 @@ def cases(work: Path):
     for case in ("q-counterfactual", "bayes-partial"):
         yield "fit", case, {"kind": "fit", "sessions": str(work / "simulate" / case / "sessions.csv"),
                             "restarts": 3, "seed": 2}
+    # without const, conf starts from its Sobol points alone and full from conf's optimum
+    q_sessions = str(work / "simulate" / "q-counterfactual" / "sessions.csv")
+    yield "fit", "conf-full", {"kind": "fit", "sessions": q_sessions,
+                               "families": ["conf", "full"], "restarts": 3, "seed": 2}
     rec = {"kind": "recover", "environment": _env(True, 24, 0.5, 0.5), "n_agents": 6,
            "beta_gen": 10, "restarts": 3}
     yield "recover", "bayes-greedy", {**rec, "policy": "greedy"}
