@@ -13,7 +13,6 @@ from banditlab import (
     BayesAgentSpec,
     BayesSchedule,
     Environment,
-    LearningRateSet,
     Policy,
     QAgentSpec,
     RngStream,
@@ -28,12 +27,12 @@ BETA = 8.0
 def main():
     env = Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=HORIZON)
     bayes = BayesAgentSpec(Policy(beta=BETA))
-    q = QAgentSpec(LearningRateSet.bayes(), Policy(beta=BETA))
-
     sched = BayesSchedule()
+    q = QAgentSpec(sched, Policy(beta=BETA))
+
     print("equivalent learning-rate schedule: alpha_t = 1/(t+3)")
-    print("  t=0..4 :", [round(sched.rate(t), 4) for t in range(5)])
-    print("  t=100  :", round(sched.rate(100), 6))
+    print("  t=0..4 :", [round(sched.at(t)[0], 4) for t in range(5)])
+    print("  t=100  :", round(sched.at(100)[0], 6))
     print()
 
     worst = 0.0

@@ -41,9 +41,8 @@ def main():
     runs = {
         "unbiased x=1.0": QAgentSpec(x_curve_rates(1.0), Policy(beta=BETA)),
         "confirmatory x=1.5": QAgentSpec(x_curve_rates(1.5), Policy(beta=BETA)),
-        "rate drop 0.1->0.01 at t=25": QAgentSpec(
-            LearningRateSet.constant(0.1, schedule=StepSchedule(0.1, 0.01, 25)),
-            Policy(beta=BETA)),
+        "rate drop 0.1->0.01 at t=25": QAgentSpec(StepSchedule(0.1, 0.01, 25),
+                                                  Policy(beta=BETA)),
     }
     series = {}
     for name, agent in runs.items():

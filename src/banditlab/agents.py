@@ -1,9 +1,9 @@
 """Learning agents for the two-armed bandit: asymmetric Q-learners and Bayesian agents.
 
 A :class:`QAgentSpec` updates each arm's value by a prediction-error
-rule with the four rates of a :class:`LearningRateSet` (positive and
-negative errors, chosen and unchosen arm), which a :class:`StepSchedule`
-or :class:`BayesSchedule` may replace by one time-dependent rate.  A
+rule with four rates (positive and negative errors, chosen and unchosen
+arm), constant in a :class:`LearningRateSet` or equal and time-dependent
+in a :class:`StepSchedule` or :class:`BayesSchedule`.  A
 :class:`BayesAgentSpec` keeps each arm's success and outcome counts and
 acts on their posterior means, :func:`count_values`.  Both act through a
 :class:`Policy`, softmax or greedy, whose :meth:`Policy.choice_prob` is
@@ -47,7 +47,7 @@ def effective_rate(t: int) -> float:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Replace all four learning rates by ``alpha1`` before ``tau_c`` and ``alpha2`` after."""
+    """All four learning rates at ``alpha1`` before trial ``tau_c`` and ``alpha2`` from it on."""
 
     alpha1: float
     alpha2: float
@@ -61,37 +61,36 @@ class StepSchedule:
         if not is_integer(self.tau_c) or self.tau_c < 0:
             raise ValueError(f"tau_c must be a nonnegative integer, got {self.tau_c!r}")
 
-    def rate(self, t: int) -> float:
-        return self.alpha1 if t < self.tau_c else self.alpha2
+    def at(self, t: int) -> tuple[float, float, float, float]:
+        a = self.alpha1 if t < self.tau_c else self.alpha2
+        return (a, a, a, a)
 
 
 @dataclass(frozen=True)
 class BayesSchedule:
-    """Replace all four learning rates by the posterior-mean rate 1/(t+3)."""
+    """All four learning rates at the posterior-mean rate 1/(t+3)."""
 
-    def rate(self, t: int) -> float:
-        return effective_rate(t)
+    def at(self, t: int) -> tuple[float, float, float, float]:
+        a = effective_rate(t)
+        return (a, a, a, a)
 
 
-Schedule = Optional[Union[StepSchedule, BayesSchedule]]
 # the four prediction-error rates, in the order every rate tuple lists them
 RATE_NAMES = ("a_plus_c", "a_minus_c", "a_plus_u", "a_minus_u")
 
 
 @dataclass(frozen=True)
 class LearningRateSet:
-    """The four prediction-error rates plus an optional time schedule.
+    """The four constant prediction-error rates.
 
     ``a_plus_c``/``a_minus_c`` apply to positive/negative errors on the
-    chosen arm, ``a_plus_u``/``a_minus_u`` to the unchosen arm.  A schedule,
-    when present, replaces all four rates by a single time-dependent value.
+    chosen arm, ``a_plus_u``/``a_minus_u`` to the unchosen arm.
     """
 
     a_plus_c: float
     a_minus_c: float
     a_plus_u: float
     a_minus_u: float
-    schedule: Schedule = None
 
     def __post_init__(self):
         for name in RATE_NAMES:
@@ -100,26 +99,21 @@ class LearningRateSet:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
     @classmethod
-    def constant(cls, alpha: float, schedule: Schedule = None) -> "LearningRateSet":
+    def constant(cls, alpha: float) -> "LearningRateSet":
         """Unbiased set with all four rates equal."""
-        return cls(alpha, alpha, alpha, alpha, schedule=schedule)
-
-    @classmethod
-    def bayes(cls) -> "LearningRateSet":
-        """Unbiased set following the posterior-mean rate 1/(t+3)."""
-        a0 = effective_rate(0)
-        return cls(a0, a0, a0, a0, schedule=BayesSchedule())
+        return cls(alpha, alpha, alpha, alpha)
 
     def at(self, t: int) -> tuple[float, float, float, float]:
-        """Effective (a_plus_c, a_minus_c, a_plus_u, a_minus_u) at trial t."""
-        if self.schedule is None:
-            return (self.a_plus_c, self.a_minus_c, self.a_plus_u, self.a_minus_u)
-        a = self.schedule.rate(t)
-        return (a, a, a, a)
+        """(a_plus_c, a_minus_c, a_plus_u, a_minus_u), the same at every trial t."""
+        return (self.a_plus_c, self.a_minus_c, self.a_plus_u, self.a_minus_u)
 
     @property
     def unchosen_zero(self) -> bool:
         return self.a_plus_u == 0.0 and self.a_minus_u == 0.0
+
+
+# what a Q-agent learns at: each answers at(t) with the four rates of trial t
+Rates = Union[LearningRateSet, StepSchedule, BayesSchedule]
 
 
 @dataclass(frozen=True)
@@ -192,10 +186,11 @@ def count_values(s1, n1, s2, n2):
 
 @dataclass(frozen=True)
 class QAgentSpec:
-    """A Q-learning agent: rate set and decision policy; both Q-values
-    start at 1/2, the value the likelihood and the moment dynamics assume."""
+    """A Q-learning agent: its rates, constant or scheduled, and decision
+    policy; both Q-values start at 1/2, the value the likelihood and the
+    moment dynamics assume."""
 
-    rates: LearningRateSet
+    rates: Rates
     policy: Policy
 
 
@@ -256,7 +251,8 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()) -> T
     if not bayes and not isinstance(agent, QAgentSpec):
         raise TypeError(f"unknown agent spec {type(agent).__name__}")
     cf = env.counterfactual
-    if not bayes and not cf and not agent.rates.unchosen_zero and agent.rates.schedule is None:
+    if not (bayes or cf) and isinstance(agent.rates, LearningRateSet) \
+            and not agent.rates.unchosen_zero:
         raise ValueError("unchosen-arm rates must be zero without counterfactual feedback")
     T = len(draws)
     # trial-major, so that each trial's writes (and later reads) are contiguous

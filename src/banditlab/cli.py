@@ -211,10 +211,12 @@ def check_config(cfg) -> tuple[Optional[dict], list[str]]:
     diags: list[str] = []
     c = {"kind": kind, **_walk(SCHEMA[kind], cfg, diags)}
     env, agent = c.get("environment") or {}, c.get("agent") or {}
-    if agent.get("type") == "q" and agent["rates"] is None:
-        diags.append("agent.rates: required for type 'q'")
-    if c.get("mode") == "closure" and c["rates"] is None:
-        diags.append("rates: required for closure mode")
+    # a Q-agent and a closure learn at constant rates or on a schedule
+    for where, block, learns, what in (("agent.", agent, agent.get("type") == "q", "type 'q'"),
+                                       ("", c, c.get("mode") == "closure", "closure mode")):
+        if learns and (block["rates"] is None) == (block["schedule"] is None):
+            diags.append(f"{where}rates, {where}schedule: {what} needs exactly one, got "
+                         + ("both" if block["rates"] else "neither"))
     for where, sched in (("agent.schedule", agent.get("schedule")),
                          ("schedule", c.get("schedule"))):
         if sched and sched["kind"] == "step" \
@@ -256,26 +258,21 @@ def validate_config(path) -> list[str]:
 
 # ------------------------------------------------------------------ builders
 
-def _schedule_from_cfg(sched):
+def _rates_from_cfg(block):
+    """The rates a checked block gives: its schedule, or its constant rate set."""
+    sched = block["schedule"]
     if sched is None:
-        return None
+        return LearningRateSet(*(block["rates"][k] for k in RATE_NAMES))
     if sched["kind"] == "step":
         return StepSchedule(sched["alpha1"], sched["alpha2"], int(sched["tau_c"]))
     return BayesSchedule()
-
-
-def _rates_from_cfg(rates, schedule=None) -> LearningRateSet:
-    return LearningRateSet(rates["a_plus_c"], rates["a_minus_c"],
-                           rates["a_plus_u"], rates["a_minus_u"],
-                           schedule=schedule)
 
 
 def _agent_from_cfg(agent):
     policy = Policy(beta=agent["beta"], mode=agent["policy"])
     if agent["type"] == "bayes":
         return BayesAgentSpec(policy)
-    sched = _schedule_from_cfg(agent["schedule"])
-    return QAgentSpec(_rates_from_cfg(agent["rates"], sched), policy)
+    return QAgentSpec(_rates_from_cfg(agent), policy)
 
 
 def _env_from_cfg(env) -> Environment:
@@ -343,9 +340,7 @@ def _run_propagate(cfg, seed: int, out_dir: Path, threads: int):
     if cfg["mode"] == "exact-unbiased":
         series = propagate_moments_bayes(m0, p, n_steps)
     else:
-        sched = _schedule_from_cfg(cfg["schedule"])
-        rates = _rates_from_cfg(cfg["rates"], sched)
-        series = propagate_moments(m0, rates, p, cfg["beta"], n_steps)
+        series = propagate_moments(m0, _rates_from_cfg(cfg), p, cfg["beta"], n_steps)
     columns = (list(range(len(series))), [m.m1 for m in series], [m.m11 for m in series],
                [m.m12 for m in series], [m.delta for m in series])
     n = write_csv(out_dir / "moments.csv", ["t", "m1", "m11", "m12", "delta"], [columns], seed)
@@ -487,7 +482,11 @@ def run_scenario(config, seed: Optional[int] = None,
                  out_dir: Optional[str] = None, threads: int = 1) -> RunManifest:
     """Validate, dispatch and write artifacts plus a manifest; returns it.
 
-    ``config`` is the path of a JSON config file or its parsed content."""
+    ``config`` is the path of a JSON config file or its parsed content;
+    ``threads`` below 1 is a ConfigError, raised before anything is read."""
+    if threads < 1:
+        # main prints it as it printed its own check: same text, exit status 2
+        raise ConfigError([f"error: --threads must be at least 1, got {threads}"])
     raw = config if isinstance(config, dict) else read_config(config)
     cfg, diags = check_config(raw)
     if diags:
@@ -542,9 +541,6 @@ def main(argv=None) -> int:
             print("ok")
         return 0 if not diags else 2
 
-    if args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return 2
     try:
         raw = read_config(args.config)
         declared = raw.get("kind") if isinstance(raw, dict) else None

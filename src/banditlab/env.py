@@ -43,10 +43,25 @@ class Environment:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
 
 
+def _lossless(name: str, v, kind):
+    """``kind(v)`` where that loses nothing: the result equals ``v``, and a
+    bool becomes nothing but a bool.  NaN passes on to the range checks."""
+    try:
+        out = kind(v)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (isinstance(v, (bool, np.bool_)) and kind is not bool) \
+            or (out != v and out == out):
+        raise ValueError(f"{name} does not convert to {kind.__name__} without loss: {v!r}")
+    return out
+
+
 def make_environment(p1: float, p2: float, counterfactual: bool, horizon: int) -> Environment:
-    """Validate and build an :class:`Environment`."""
-    return Environment(p1=float(p1), p2=float(p2), counterfactual=bool(counterfactual),
-                       horizon=int(horizon))
+    """Validate and build an :class:`Environment`; a value is converted
+    only where the conversion is exact, such as 3.0 to 3 or 1 to True."""
+    return Environment(p1=_lossless("p1", p1, float), p2=_lossless("p2", p2, float),
+                       counterfactual=_lossless("counterfactual", counterfactual, bool),
+                       horizon=_lossless("horizon", horizon, int))
 
 
 _KEY_SPACE = 1 << 64  # a Philox key word is 64 bits: seeds wrap, replica indices must fit

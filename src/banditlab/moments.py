@@ -31,7 +31,9 @@ with Delta = <Q1**2> - <Q1Q2> = <(Q1-Q2)**2>/2, closing the system.
 For equal (unbiased) rates both roles have the same factors, so every
 policy-coupled coefficient is exactly 0.0 and the closure is the exact
 recursion; :func:`propagate_moments_bayes` runs it at the Bayesian
-agent's rates.
+agent's rates, :class:`BayesSchedule`.  Rates are read through
+``rates.at(t)``, so a schedule goes wherever constant rates do, except
+into a steady state.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .agents import LearningRateSet
+from .agents import BayesSchedule, LearningRateSet, Rates
 
 # damped fixed-point iteration of the steady state: residual bound, budget, step
 _TOL = 1e-12
@@ -78,7 +80,7 @@ def _arm_factors(a_pos, a_neg, p):
             2 * p * a_pos * (1 - a_pos), p * a_pos * a_pos)
 
 
-def _closure_step(rates: LearningRateSet, p: float, beta: float, t: int = 0):
+def _closure_step(rates: Rates, p: float, beta: float, t: int = 0):
     """The closed system's one-step map (m1, m11, m12) -> (m1', m11', m12')
     at trial t, with both roles' factors computed once."""
     apc, amc, apu, amu = rates.at(t)
@@ -99,7 +101,7 @@ def _closure_step(rates: LearningRateSet, p: float, beta: float, t: int = 0):
     return step
 
 
-def step_moments(m: MomentState, rates: LearningRateSet, p: float, beta: float,
+def step_moments(m: MomentState, rates: Rates, p: float, beta: float,
                  t: int = 0) -> MomentState:
     """One step of the closed moment system at inverse temperature beta."""
     return MomentState(*_closure_step(rates, p, beta, t)(*m))
@@ -110,7 +112,7 @@ def step_delta(delta: float, alpha_t: float, p: float) -> float:
     return (1.0 - alpha_t) ** 2 * delta + p * (1.0 - p) * alpha_t * alpha_t
 
 
-def propagate_moments(m0: MomentState, rates: LearningRateSet, p: float, beta: float,
+def propagate_moments(m0: MomentState, rates: Rates, p: float, beta: float,
                       n_steps: int) -> list[MomentState]:
     """Closure trajectory m0..m_{n_steps}; schedules follow the step index."""
     out = [m0]
@@ -122,13 +124,22 @@ def propagate_moments(m0: MomentState, rates: LearningRateSet, p: float, beta: f
 def propagate_moments_bayes(m0: MomentState, p: float, n_steps: int) -> list[MomentState]:
     """Exact trajectory of the Bayesian agent: the closure at its equal
     1/(t+3) rates, where no policy-coupled term survives."""
-    return propagate_moments(m0, LearningRateSet.bayes(), p, 0.0, n_steps)
+    return propagate_moments(m0, BayesSchedule(), p, 0.0, n_steps)
+
+
+def _steady_rates(rates: Rates) -> tuple[float, float, float, float]:
+    """The four rates of a set that has a steady state: constant, and not all zero."""
+    if not isinstance(rates, LearningRateSet):
+        raise ValueError("steady state is defined for constant rates only")
+    if max(rates.at(0)) == 0.0:
+        raise ValueError("steady state requires at least one positive learning rate")
+    return rates.at(0)
 
 
 def _quadratic_pieces(rates: LearningRateSet, p: float, beta: float):
     """Coefficients (a, b, c) of the steady-state equation a*D**2 + b*D + c = 0,
     obtained by eliminating m1* and m12* from the closed system."""
-    apc, amc, apu, amu = rates.at(0)
+    apc, amc, apu, amu = _steady_rates(rates)
     kc, gc, sc, hc, ec = _arm_factors(apc, amc, p)
     ku, gu, su, hu, eu = _arm_factors(apu, amu, p)
     # m1* = u + v*D from the mean; m12* and m11* are then linear in m1* and D
@@ -175,10 +186,7 @@ def steady_state_delta_quadratic(rates: LearningRateSet, p: float, beta: float) 
 def steady_state_moments(rates: LearningRateSet, p: float, beta: float) -> MomentState:
     """Fixed point of the closed moment system by damped iteration from a
     point mass at (1/2, 1/2), until the undamped residual is below _TOL."""
-    if rates.schedule is not None:
-        raise ValueError("steady state is defined for constant rates only")
-    if max(rates.a_plus_c, rates.a_minus_c, rates.a_plus_u, rates.a_minus_u) == 0.0:
-        raise ValueError("steady state requires at least one positive learning rate")
+    _steady_rates(rates)
     step = _closure_step(rates, p, beta)
     m1, m11, m12 = MomentState.point_mass(0.5)
     for it in range(_MAX_ITER):
@@ -223,13 +231,15 @@ def x_curve_rates(x: float) -> LearningRateSet:
                            a_plus_u=0.2 - 0.1 * x, a_minus_u=0.1 * x)
 
 
-def confirmation_index(rates: LearningRateSet) -> float:
-    """Normalized asymmetry of the four rates, in [-1, 1]; positive values
-    mean confirmatory updating (fast on confirming evidence)."""
-    total = rates.a_plus_c + rates.a_minus_c + rates.a_plus_u + rates.a_minus_u
+def confirmation_index(rates: Rates) -> float:
+    """Normalized asymmetry of the four rates at trial 0, in [-1, 1];
+    positive values mean confirmatory updating (fast on confirming
+    evidence).  A schedule's four rates are equal, so its index is 0."""
+    apc, amc, apu, amu = rates.at(0)
+    total = apc + amc + apu + amu
     if total == 0.0:
         raise ValueError("confirmation index undefined for all-zero rates")
-    return (rates.a_plus_c - rates.a_minus_c - rates.a_plus_u + rates.a_minus_u) / total
+    return (apc - amc - apu + amu) / total
 
 
 class BiasSensitivity(NamedTuple):
@@ -242,11 +252,15 @@ def bias_sensitivity(x: float, p: float, beta: float) -> BiasSensitivity:
 
     Differentiates Delta* along the x-curve (where the confirmation index
     equals x - 1, so d/dbias = d/dx) with central steps of 1e-4 in x, and
-    mixed with beta with central steps of 0.05 in beta.
+    mixed with beta with central steps of 0.05 in beta, so beta must be at
+    least 0.05: the closure has no negative inverse temperature.
     """
     dx, dbeta = 1e-4, 0.05
     if not 0.0 < p < 1.0:
         raise ValueError("sensitivity undefined at p in {0, 1}: no reward variance")
+    if not beta >= dbeta:
+        raise ValueError(f"sensitivity needs beta >= {dbeta}, got {beta}: "
+                         "its beta steps would leave the model")
 
     def dstar(xx: float, bb: float) -> float:
         return steady_state_delta(x_curve_rates(xx), p, bb)

@@ -45,7 +45,7 @@ from banditlab.fitting import BETA_MAX
 def test_criterion_1_bayes_maps_onto_scheduled_q_learning():
     env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=200)
     bayes = BayesAgentSpec(Policy(beta=10.0))
-    q = QAgentSpec(LearningRateSet.bayes(), Policy(beta=10.0))
+    q = QAgentSpec(BayesSchedule(), Policy(beta=10.0))
     for seed in range(100):
         tb = run_trajectory(bayes, env, RngStream(seed, 0))
         tq = run_trajectory(q, env, RngStream(seed, 0))
@@ -182,8 +182,7 @@ def test_criterion_6_switching_rate_phenomenology():
 
     sched = StepSchedule(0.1, 0.01, 25)
     stepped = ensemble_switch_rate(
-        QAgentSpec(LearningRateSet.constant(0.1, schedule=sched),
-                   Policy(beta=5.0)), env, 10_000, seed=7)
+        QAgentSpec(sched, Policy(beta=5.0)), env, 10_000, seed=7)
     k = stepped.analytic_mean
     assert k[25] < k[24] - 0.003          # sudden drop at the rate cut
     assert int(np.argmin(k)) >= 25        # minimum sits after the cut

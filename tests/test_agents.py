@@ -192,13 +192,11 @@ def test_rate_set_validation_and_constructors():
 
 
 def test_schedules_override_all_rates():
-    sched = StepSchedule(0.1, 0.01, 25)
-    rs = LearningRateSet(0.5, 0.5, 0.5, 0.5, schedule=sched)
+    rs = StepSchedule(0.1, 0.01, 25)
     assert rs.at(0) == (0.1,) * 4
     assert rs.at(24) == (0.1,) * 4
     assert rs.at(25) == (0.01,) * 4
-    bs = LearningRateSet.bayes()
-    assert bs.schedule == BayesSchedule()
+    bs = BayesSchedule()
     assert bs.at(0) == (1 / 3,) * 4
     assert bs.at(7) == (0.1,) * 4
 
@@ -211,7 +209,7 @@ def test_step_schedule_is_checked_when_built(args, name):
     # an out-of-range rate used to pass until the schedule reached it
     with pytest.raises(ValueError, match=name):
         StepSchedule(*args)
-    assert StepSchedule(0.0, 1.0, np.int64(0)).rate(0) == 1.0
+    assert StepSchedule(0.0, 1.0, np.int64(0)).at(0) == (1.0,) * 4
 
 
 def test_unchosen_zero_property():
@@ -249,6 +247,19 @@ def test_no_counterfactual_requires_zero_unchosen_rates():
     assert traj.n_trials == 5
 
 
+@pytest.mark.parametrize("rates", [StepSchedule(0.3, 0.05, 10), BayesSchedule()],
+                         ids=["step", "bayes"])
+def test_schedules_learn_only_the_chosen_arm_without_counterfactual_feedback(rates):
+    # a schedule has no constant unchosen rates to reject; its own are
+    # multiplied by the feedback flag, so the unchosen value never moves
+    env = make_environment(0.6, 0.4, counterfactual=False, horizon=30)
+    traj = run_trajectory(QAgentSpec(rates, Policy(beta=3.0)), env, RngStream(2, 0))
+    moved1 = np.diff(traj.values1) != 0.0
+    moved2 = np.diff(traj.values2) != 0.0
+    assert not np.any(np.where(traj.actions == 1, moved2, moved1))
+    assert np.any(moved1) and np.any(moved2)
+
+
 def test_bayes_agent_matches_decaying_rate_q_agent():
     # posterior means evolve exactly like the 1/(t+3)-schedule value learner
     env = make_environment(0.5, 0.5, counterfactual=True, horizon=100)
@@ -256,7 +267,7 @@ def test_bayes_agent_matches_decaying_rate_q_agent():
     for seed in range(20):
         tb = run_trajectory(BayesAgentSpec(Policy(beta=beta)), env,
                             RngStream(seed, 0))
-        tq = run_trajectory(QAgentSpec(LearningRateSet.bayes(), Policy(beta=beta)),
+        tq = run_trajectory(QAgentSpec(BayesSchedule(), Policy(beta=beta)),
                             env, RngStream(seed, 0))
         np.testing.assert_array_equal(tb.actions, tq.actions)
         np.testing.assert_allclose(tb.values1, tq.values1, rtol=0, atol=1e-12)

@@ -18,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 import banditlab
 from banditlab import (BayesAgentSpec, Environment, Policy, QAgentSpec, LearningRateSet,
                        RngStream, StepSchedule, run_trajectory)
-from banditlab.cli import (KINDS, SCHEMA, check_config, config_hash, main, read_config,
-                           run_scenario)
+from banditlab.cli import (KINDS, SCHEMA, ConfigError, check_config, config_hash, main,
+                           read_config, run_scenario)
 from banditlab.sessions import BLOCK_ROWS, CSV_HEADER
 
 SIM_CFG = {
@@ -37,7 +37,7 @@ RATES = {"a_plus_c": 0.12, "a_minus_c": 0.08, "a_plus_u": 0.08, "a_minus_u": 0.1
 # one valid config of every kind
 CONFIGS = {cfg["kind"]: cfg for cfg in [
     SIM_CFG,
-    {"kind": "propagate", "p": 0.5, "beta": 3.0, "n_steps": 10, "rates": RATES,
+    {"kind": "propagate", "p": 0.5, "beta": 3.0, "n_steps": 10,
      "schedule": {"kind": "step", "alpha1": 0.3, "alpha2": 0.1, "tau_c": 4}},
     {"kind": "sweep-delta", "p": 0.5, "x_grid": [1.0, 1.2], "beta_grid": [1.0, 3.0]},
     {"kind": "switch-rate",
@@ -135,6 +135,58 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
         rc = main(["validate", write_cfg(tmp_path, cfg)])
         assert rc == 2
         assert field in capsys.readouterr().out
+
+
+STEP = {"kind": "step", "alpha1": 0.3, "alpha2": 0.05, "tau_c": 4}
+
+
+@pytest.mark.parametrize("kind", ["simulate", "switch-rate", "propagate"])
+def test_a_learner_gives_rates_or_a_schedule(tmp_path, kind):
+    # a Q-agent, or a closure-mode propagate config, learns at constant
+    # rates or on a schedule; it never carries rates it does not read
+    cfg = copy.deepcopy(CONFIGS[kind])
+    if kind == "propagate":
+        block, where, what = cfg, "", "closure mode"
+    else:
+        block, where, what = cfg["agent"], "agent.", "type 'q'"
+        block.update(type="q", beta=5.0)
+    block.pop("rates", None)
+    block.pop("schedule", None)
+    for given, got in (({}, "neither"), ({"rates": RATES, "schedule": STEP}, "both")):
+        block.update(given)
+        assert check_config(cfg)[1] == [
+            f"{where}rates, {where}schedule: {what} needs exactly one, got {got}"]
+    del block["rates"]
+    assert check_config(cfg)[1] == []
+    files = run_scenario(cfg, out_dir=str(tmp_path / "o")).files
+    assert all((tmp_path / "o" / name).exists() for name, _ in files)
+
+
+@pytest.mark.parametrize("kind", ["simulate", "switch-rate"])
+def test_step_scheduled_agent_runs_under_partial_feedback(tmp_path, kind):
+    # a schedule's unchosen rates are turned off with the unchosen feedback,
+    # so there are no unchosen rates to forbid
+    cfg = {"kind": kind,
+           "environment": {"p1": 0.6, "p2": 0.4, "counterfactual": False, "horizon": 10},
+           "agent": {"type": "q", "beta": 5.0, "schedule": STEP},
+           "ensemble": {"replicas": 50, "seed": 1}}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["validate", path]) == 0
+    assert main([kind, path, "--out-dir", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_closure_at_the_bayes_schedule_writes_the_exact_unbiased_moments(tmp_path, p):
+    # at equal rates every policy-coupled term of the closure is 0.0, so
+    # closure mode at the Bayes schedule is the exact recursion at any beta
+    for beta in (0, 4.0, 50.0, 1e6):
+        written = []
+        for mode in ({"mode": "exact-unbiased"}, {"schedule": {"kind": "bayes"}}):
+            out = tmp_path / f"{beta}-{len(written)}"
+            run_scenario({"kind": "propagate", "p": p, "beta": beta, "n_steps": 40, **mode},
+                         out_dir=str(out))
+            written.append((out / "moments.csv").read_bytes())
+        assert written[0] == written[1], beta
 
 
 def test_unknown_kind_is_rejected():
@@ -287,11 +339,9 @@ _SIM_AGENTS = {
                       BayesAgentSpec(Policy(beta=8.0))),
     "bayes-counterfactual": (True, {"type": "bayes", "beta": 8.0},
                              BayesAgentSpec(Policy(beta=8.0))),
-    "q-step-greedy": (False, {"type": "q", "beta": 3.0, "policy": "greedy", "rates": {
-        "a_plus_c": 0.3, "a_minus_c": 0.1, "a_plus_u": 0.0, "a_minus_u": 0.0},
+    "q-step-greedy": (False, {"type": "q", "beta": 3.0, "policy": "greedy",
         "schedule": {"kind": "step", "alpha1": 0.4, "alpha2": 0.05, "tau_c": 8}},
-        QAgentSpec(LearningRateSet(0.3, 0.1, 0.0, 0.0, StepSchedule(0.4, 0.05, 8)),
-                   Policy(beta=3.0, mode="greedy"))),
+        QAgentSpec(StepSchedule(0.4, 0.05, 8), Policy(beta=3.0, mode="greedy"))),
 }
 
 
@@ -746,6 +796,15 @@ def test_threads_below_one_are_rejected(tmp_path, capsys):
         assert main(["sweep-delta", cfg, "--out-dir", str(out), "--threads", threads]) == 2
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["fit", "sweep-delta"])
+def test_run_scenario_rejects_threads_below_one(tmp_path, kind):
+    # a fit used to die inside np.array_split, and other kinds ignored it
+    for threads in (0, -1):
+        with pytest.raises(ConfigError, match=f"--threads must be at least 1, got {threads}"):
+            run_scenario(CONFIGS[kind], out_dir=str(tmp_path / "o"), threads=threads)
+    assert not (tmp_path / "o").exists()
 
 
 def test_new_arm_scenario(tmp_path):

@@ -33,6 +33,19 @@ def test_counterfactual_must_be_a_bool(flag):
     assert make_environment(0.6, 0.4, 1, 5).counterfactual is True
 
 
+@pytest.mark.parametrize("args, field", [
+    ((0.6, 0.4, "no", 5), "counterfactual"), ((0.6, 0.4, 2, 5), "counterfactual"),
+    ((0.6, 0.4, True, 5.7), "horizon"), ((0.6, 0.4, True, True), "horizon"),
+    ((0.6, 0.4, True, "5"), "horizon"), ((0.6, 0.4, True, float("inf")), "horizon"),
+    (("0.6", 0.4, True, 5), "p1"), ((0.6, True, True, 5), "p2"),
+])
+def test_make_environment_refuses_lossy_conversions(args, field):
+    # bool("no") is True, int(5.7) is 5 and int(True) is 1: each would get
+    # round a check that Environment makes
+    with pytest.raises(ValueError, match=field):
+        make_environment(*args)
+
+
 def test_stream_determinism():
     draws = RngStream(123, 7).uniform_block((5,))
     assert len(set(draws)) == 5

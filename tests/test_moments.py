@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from banditlab import (
+    BayesSchedule,
     ConvergenceError,
     LearningRateSet,
     MomentState,
+    StepSchedule,
     bias_sensitivity,
     confirmation_index,
     propagate_moments,
@@ -89,7 +91,7 @@ def test_arm_factors_match_reward_enumeration():
 
 @pytest.mark.parametrize("rates", [LearningRateSet.constant(0.1),
                                    LearningRateSet.constant(0.37),
-                                   LearningRateSet.bayes()])
+                                   BayesSchedule()])
 def test_policy_coupled_terms_vanish_at_equal_rates(rates):
     # step_moments multiplies every beta-dependent expectation by a
     # chosen-minus-unchosen difference; at equal rates each is exactly 0.0,
@@ -154,7 +156,7 @@ def test_unbiased_closure_reduces_to_bayes_recursion():
 
 def test_propagate_with_decaying_schedule_matches_bayes_propagation():
     series_q = propagate_moments(MomentState.point_mass(0.5),
-                                 LearningRateSet.bayes(), 0.6, 5.0, 30)
+                                 BayesSchedule(), 0.6, 5.0, 30)
     series_b = [MomentState.point_mass(0.5)]
     for t in range(30):
         series_b.append(step_moments_bayes(series_b[-1], 1.0 / (t + 3), 0.6))
@@ -239,7 +241,27 @@ def test_steady_state_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         steady_state_moments(LearningRateSet(0, 0, 0, 0), 0.5, 1.0)
     with pytest.raises(ValueError):
-        steady_state_moments(LearningRateSet.bayes(), 0.5, 1.0)
+        steady_state_moments(BayesSchedule(), 0.5, 1.0)
+
+
+@pytest.mark.parametrize("rates", [BayesSchedule(), StepSchedule(0.5, 0.5, 3),
+                                   LearningRateSet(0, 0, 0, 0)],
+                         ids=["bayes", "step", "zero"])
+@pytest.mark.parametrize("solve", [steady_state_moments, steady_state_delta_quadratic])
+def test_steady_state_needs_constant_positive_rates(solve, rates):
+    # a schedule has no steady state and all-zero rates never move; the
+    # quadratic used to return a gap for the schedules and divide by zero
+    with pytest.raises(ValueError, match="steady state"):
+        solve(rates, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.049, float("nan")])
+def test_bias_sensitivity_needs_beta_of_at_least_its_step(beta):
+    # the mixed derivative steps beta by 0.05 each way, and the closure has
+    # no negative inverse temperature
+    with pytest.raises(ValueError, match="beta"):
+        bias_sensitivity(1.2, 0.5, beta)
+    assert bias_sensitivity(1.2, 0.5, 0.05).d_delta_dbias > 0
 
 
 def test_bias_sensitivity_signs():
@@ -261,6 +283,12 @@ def test_x_curve_and_confirmation_index():
     assert confirmation_index(LearningRateSet.constant(0.4)) == 0.0
     with pytest.raises(ValueError):
         confirmation_index(LearningRateSet(0, 0, 0, 0))
+
+
+def test_confirmation_index_of_a_schedule_is_zero():
+    # a schedule gives all four rates one value at every trial: it is unbiased
+    for rates in (BayesSchedule(), StepSchedule(0.2, 0.2, 5), StepSchedule(0.3, 0.01, 0)):
+        assert confirmation_index(rates) == 0.0
 
 
 def test_moment_state_helpers():

@@ -151,7 +151,7 @@ GREEDY = Policy(beta=5.0, mode="greedy")
 
 
 @pytest.mark.parametrize("rates", [LearningRateSet.constant(0.15),
-                                   LearningRateSet.constant(0.3, StepSchedule(0.3, 0.02, 20))],
+                                   StepSchedule(0.3, 0.02, 20)],
                          ids=["constant", "step"])
 def test_greedy_q_ensembles_track_realized_switches(rates):
     env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=40)
@@ -173,7 +173,7 @@ def test_rate_drop_schedule_suppresses_late_switching():
     env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=40)
     tau = 20
     sched = StepSchedule(0.3, 0.02, tau)
-    slow = QAgentSpec(LearningRateSet.constant(0.3, schedule=sched), Policy(beta=5.0))
+    slow = QAgentSpec(sched, Policy(beta=5.0))
     flat = QAgentSpec(LearningRateSet.constant(0.3), Policy(beta=5.0))
     s_slow = ensemble_switch_rate(slow, env, n_replicas=3000, seed=5)
     s_flat = ensemble_switch_rate(flat, env, n_replicas=3000, seed=5)

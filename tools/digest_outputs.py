@@ -35,7 +35,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from banditlab.cli import run_scenario  # noqa: E402
 
 Q_RATES = {"a_plus_c": 0.3, "a_minus_c": 0.1, "a_plus_u": 0.1, "a_minus_u": 0.3}
-FACTUAL_RATES = {"a_plus_c": 0.3, "a_minus_c": 0.1, "a_plus_u": 0.0, "a_minus_u": 0.0}
 
 
 def _env(counterfactual: bool, horizon: int = 20, p1: float = 0.6, p2: float = 0.4) -> dict:
@@ -46,7 +45,7 @@ def cases(work: Path):
     """(kind, case, config) in run order; later cases read earlier outputs."""
     q_cf = {"type": "q", "rates": Q_RATES, "beta": 5.0}
     bayes = {"type": "bayes", "beta": 8.0}
-    step = {"type": "q", "rates": FACTUAL_RATES, "beta": 3.0, "policy": "greedy",
+    step = {"type": "q", "beta": 3.0, "policy": "greedy",
             "schedule": {"kind": "step", "alpha1": 0.4, "alpha2": 0.05, "tau_c": 8}}
     sim = {"kind": "simulate", "ensemble": {"replicas": 12}, "output": {"sessions": True}}
     yield "simulate", "q-counterfactual", {**sim, "environment": _env(True), "agent": q_cf}
@@ -66,6 +65,9 @@ def cases(work: Path):
                                    "n_steps": 30, "rates": Q_RATES}
     yield "propagate", "exact-unbiased", {"kind": "propagate", "p": 0.7, "beta": 4.0,
                                           "n_steps": 30, "mode": "exact-unbiased"}
+    # the closure at the Bayes schedule: the same bytes as exact-unbiased
+    yield "propagate", "bayes-schedule", {"kind": "propagate", "p": 0.7, "beta": 4.0,
+                                          "n_steps": 30, "schedule": {"kind": "bayes"}}
     # an integer grid value, a huge beta and a cell with no steady state (blank)
     yield "sweep-delta", "grid", {"kind": "sweep-delta", "p": 0.5, "x_grid": [1, 1.2, 1.8],
                                   "beta_grid": [1.0, 5.0, 1e20]}
@@ -80,6 +82,9 @@ def cases(work: Path):
                                       "agent": {**q_cf, "policy": "greedy"}}
     yield "switch-rate", "bayes-partial-greedy", {**sw, "environment": _env(False),
                                                   "agent": {**bayes, "policy": "greedy"}}
+    yield "switch-rate", "q-step-partial", {**sw, "environment": _env(False), "agent": {
+        "type": "q", "beta": 5.0,
+        "schedule": {"kind": "step", "alpha1": 0.3, "alpha2": 0.05, "tau_c": 8}}}
     for case in ("q-counterfactual", "bayes-partial"):
         yield "fit", case, {"kind": "fit", "sessions": str(work / "simulate" / case / "sessions.csv"),
                             "restarts": 3, "seed": 2}
