@@ -36,7 +36,6 @@ from .moments import (
     bias_sensitivity,
     confirmation_index,
     propagate_moments,
-    propagate_moments_bayes,
     steady_state_delta,
     steady_state_delta_quadratic,
     steady_state_moments,

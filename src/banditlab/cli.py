@@ -33,8 +33,8 @@ from .agents import (RATE_NAMES, BayesAgentSpec, BayesSchedule, LearningRateSet,
 from .env import Environment, is_integer
 from .fitting import (BETA_MAX, MODEL_FAMILIES, FitError, best_model, fit_families,
                       fit_subject, new_arm_curve, recover_bias)
-from .moments import (ConvergenceError, MomentState, propagate_moments,
-                      propagate_moments_bayes, steady_state_delta, x_curve_rates)
+from .moments import (ConvergenceError, MomentState, propagate_moments, steady_state_delta,
+                      x_curve_rates)
 from .sessions import (csv_writer, iter_session_blocks, read_sessions, row_blocks,
                        trial_columns, write_csv, write_sessions)
 from .switching import ensemble_switch_rate
@@ -157,7 +157,9 @@ SCHEMA = {kind: {**_COMMON, **table} for kind, table in {
     "simulate": _ENSEMBLE_RUN,
     "propagate": {"p": (_PROB, REQUIRED), "beta": (_NONNEG, REQUIRED),
                   "n_steps": (_POS_INT, REQUIRED),
-                  "mode": (_one_of("closure", "exact-unbiased"), "closure"),
+                  # configs send "closure", its one value; for "exact-unbiased",
+                  # the exact Bayesian recursion, give {"schedule": {"kind": "bayes"}}
+                  "mode": (_one_of("closure"), "closure"),
                   "rates": _RATES, "schedule": _SCHEDULE},
     "sweep-delta": {"p": (_PROB, REQUIRED),
                     "x_grid": (_grid(0.0, 2.0, "numbers in [0, 2]"), REQUIRED),
@@ -180,7 +182,9 @@ KINDS = tuple(SCHEMA)
 
 def _walk(table, cfg: dict, diags: list, path: str = "") -> dict:
     """The keys of ``table`` from ``cfg``, with defaults filled in; a value
-    that breaks its rule becomes None and adds one diagnostic."""
+    that breaks its rule becomes None and adds one diagnostic, and so does
+    each key of ``cfg`` outside ``table``, which nothing would read."""
+    diags.extend(f"{path}{key}: unknown key" for key in cfg if key not in table)
     out = {}
     for key, (rule, default) in table.items():
         where, v = path + key, cfg.get(key)
@@ -202,14 +206,15 @@ def _walk(table, cfg: dict, diags: list, path: str = "") -> dict:
 def check_config(cfg) -> tuple[Optional[dict], list[str]]:
     """``cfg`` checked against its kind's table and the cross-field rules:
     the config with every default filled in (None if its kind is unknown)
-    and one diagnostic per problem.  Keys outside the table are ignored."""
+    and one diagnostic per problem."""
     if not isinstance(cfg, dict):
         return None, ["config: top level must be a JSON object"]
     kind = cfg.get("kind")
     if kind not in KINDS:
         return None, [f"kind: must be one of {', '.join(KINDS)}; got {kind!r}"]
     diags: list[str] = []
-    c = {"kind": kind, **_walk(SCHEMA[kind], cfg, diags)}
+    c = {"kind": kind, **_walk(SCHEMA[kind], {k: v for k, v in cfg.items() if k != "kind"},
+                               diags)}
     env, agent = c.get("environment") or {}, c.get("agent") or {}
     # a Q-agent and a closure learn at constant rates or on a schedule
     for where, block, learns, what in (("agent.", agent, agent.get("type") == "q", "type 'q'"),
@@ -217,11 +222,19 @@ def check_config(cfg) -> tuple[Optional[dict], list[str]]:
         if learns and (block["rates"] is None) == (block["schedule"] is None):
             diags.append(f"{where}rates, {where}schedule: {what} needs exactly one, got "
                          + ("both" if block["rates"] else "neither"))
+    if agent.get("type") == "bayes":
+        diags.extend(f"agent.{k}: type 'bayes' learns from its counts, not from {k}"
+                     for k in ("rates", "schedule") if agent[k] is not None)
     for where, sched in (("agent.schedule", agent.get("schedule")),
                          ("schedule", c.get("schedule"))):
-        if sched and sched["kind"] == "step" \
-                and None in (sched["alpha1"], sched["alpha2"], sched["tau_c"]):
+        if not sched:
+            continue
+        given = [k for k in ("alpha1", "alpha2", "tau_c") if sched[k] is not None]
+        if sched["kind"] == "step" and len(given) < 3:
             diags.append(f"{where}: a step schedule needs alpha1, alpha2 and tau_c")
+        if sched["kind"] == "bayes":
+            diags.extend(f"{where}.{k}: a bayes schedule's rates are 1/(t+3); it reads no {k}"
+                         for k in given)
     if env.get("counterfactual") is False:
         for k in ("a_plus_u", "a_minus_u"):
             if (agent.get("rates") or {}).get(k):
@@ -334,13 +347,8 @@ def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
 
 
 def _run_propagate(cfg, seed: int, out_dir: Path, threads: int):
-    p = cfg["p"]
-    n_steps = cfg["n_steps"]
-    m0 = MomentState.point_mass(0.5)
-    if cfg["mode"] == "exact-unbiased":
-        series = propagate_moments_bayes(m0, p, n_steps)
-    else:
-        series = propagate_moments(m0, _rates_from_cfg(cfg), p, cfg["beta"], n_steps)
+    series = propagate_moments(MomentState.point_mass(0.5), _rates_from_cfg(cfg), cfg["p"],
+                               cfg["beta"], cfg["n_steps"])
     columns = (list(range(len(series))), [m.m1 for m in series], [m.m11 for m in series],
                [m.m12 for m in series], [m.delta for m in series])
     n = write_csv(out_dir / "moments.csv", ["t", "m1", "m11", "m12", "delta"], [columns], seed)

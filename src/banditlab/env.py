@@ -67,11 +67,17 @@ def make_environment(p1: float, p2: float, counterfactual: bool, horizon: int) -
 _KEY_SPACE = 1 << 64  # a Philox key word is 64 bits: seeds wrap, replica indices must fit
 
 
-def _check_replicas(first: int, count: int) -> None:
+def _key_word(seed: int, first: int, count: int) -> int:
+    """The seed's Philox key word, once the seed and the replicas
+    ``first, ..., first + count - 1`` are checked: integers, not truncated."""
+    if not (is_integer(seed) and is_integer(first)):
+        raise ValueError(f"seed and replica_index must be integers, got {seed!r} and "
+                         f"{first!r}")
     if first < 0:
         raise ValueError("replica_index must be nonnegative")
-    if first + count > _KEY_SPACE:
+    if int(first) + count > _KEY_SPACE:  # a numpy uint64 sum would wrap
         raise ValueError("replica_index must be below 2**64")
+    return int(seed) % _KEY_SPACE
 
 
 class RngStream:
@@ -86,8 +92,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, replica_index: int = 0):
-        _check_replicas(replica_index, 1)
-        self.seed = int(seed) % _KEY_SPACE
+        self.seed = _key_word(seed, replica_index, 1)
         self.replica_index = int(replica_index)
         self._gen = np.random.Generator(
             np.random.Philox(key=np.array([self.seed, self.replica_index], dtype=np.uint64))
@@ -106,9 +111,8 @@ def replica_uniforms(seed: int, first: int, count: int, shape) -> np.ndarray:
     ``(seed, first + i)`` with a zero counter and an empty buffer, which is
     the state a fresh ``RngStream`` starts from, and draws in place.
     """
-    _check_replicas(first, count)
     u = np.empty((count, *shape))
-    key = np.array([int(seed) % _KEY_SPACE, 0], dtype=np.uint64)
+    key = np.array([_key_word(seed, first, count), 0], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # zero counter, buffer_pos 4: nothing buffered

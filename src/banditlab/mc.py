@@ -21,7 +21,7 @@ is strided and a trial's column is contiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +36,6 @@ _DRAW_BLOCK = 512  # replicas per replica_uniforms call, few enough to transpose
 
 
 def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
-                      horizon: Optional[int] = None,
                       chunk_size: int = DEFAULT_CHUNK) -> Iterator[Trajectory]:
     """Yield the whole ensemble's trajectories, one chunk of replicas at a time.
 
@@ -49,7 +48,7 @@ def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
         raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-    horizon = env.horizon if horizon is None else horizon
+    horizon = env.horizon
     chunk_size = min(chunk_size, max(1, _CHUNK_TRIALS // horizon))
     for start in range(0, n_replicas, chunk_size):
         count = min(chunk_size, n_replicas - start)

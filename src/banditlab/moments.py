@@ -30,10 +30,9 @@ A second-order Taylor closure around the mean gives
 with Delta = <Q1**2> - <Q1Q2> = <(Q1-Q2)**2>/2, closing the system.
 For equal (unbiased) rates both roles have the same factors, so every
 policy-coupled coefficient is exactly 0.0 and the closure is the exact
-recursion; :func:`propagate_moments_bayes` runs it at the Bayesian
-agent's rates, :class:`BayesSchedule`.  Rates are read through
-``rates.at(t)``, so a schedule goes wherever constant rates do, except
-into a steady state.
+recursion at any beta; at ``agents.BayesSchedule`` it is the Bayesian
+agent's.  Rates are read through ``rates.at(t)``, so a schedule goes
+wherever constant rates do, except into a steady state.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .agents import BayesSchedule, LearningRateSet, Rates
+from .agents import LearningRateSet, Rates
 
 # damped fixed-point iteration of the steady state: residual bound, budget, step
 _TOL = 1e-12
@@ -119,12 +118,6 @@ def propagate_moments(m0: MomentState, rates: Rates, p: float, beta: float,
     for t in range(n_steps):
         out.append(step_moments(out[-1], rates, p, beta, t=t))
     return out
-
-
-def propagate_moments_bayes(m0: MomentState, p: float, n_steps: int) -> list[MomentState]:
-    """Exact trajectory of the Bayesian agent: the closure at its equal
-    1/(t+3) rates, where no policy-coupled term survives."""
-    return propagate_moments(m0, BayesSchedule(), p, 0.0, n_steps)
 
 
 def _steady_rates(rates: Rates) -> tuple[float, float, float, float]:

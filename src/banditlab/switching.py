@@ -15,7 +15,7 @@ simulated replicas.  The per-state K uses the agent's own
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
     k_sum = np.zeros(horizon)
     k_sqsum = np.zeros(horizon)
     switches = np.zeros(horizon)
-    for chunk in iter_value_chunks(agent, env, n_replicas, seed, horizon + 1):
+    for chunk in iter_value_chunks(agent, replace(env, horizon=horizon + 1), n_replicas, seed):
         for t in range(horizon):
             v1, v2 = chunk.values1[:, t], chunk.values2[:, t]
             if chunk.counts is None:

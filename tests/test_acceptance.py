@@ -30,7 +30,6 @@ from banditlab import (
     fit_families,
     fit_subject,
     propagate_moments,
-    propagate_moments_bayes,
     recover_bias,
     run_trajectory,
     step_delta,
@@ -128,7 +127,7 @@ def enumerate_outcome_tree(p, t_max):
 def test_criterion_3_moment_recursions_match_oracles():
     # exact posterior-mean recursions vs brute-force outcome enumeration
     for p in (0.3, 0.5):
-        series = propagate_moments_bayes(MomentState.point_mass(0.5), p, 8)
+        series = propagate_moments(MomentState.point_mass(0.5), BayesSchedule(), p, 0.0, 8)
         acc = enumerate_outcome_tree(p, 8)
         for t, m in enumerate(series):
             assert m.m1 == pytest.approx(acc[t][0], abs=1e-12)

@@ -176,17 +176,60 @@ def test_step_scheduled_agent_runs_under_partial_feedback(tmp_path, kind):
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
-def test_closure_at_the_bayes_schedule_writes_the_exact_unbiased_moments(tmp_path, p):
+def test_closure_at_the_bayes_schedule_writes_the_exact_unbiased_moments(tmp_path, p, capsys):
     # at equal rates every policy-coupled term of the closure is 0.0, so
     # closure mode at the Bayes schedule is the exact recursion at any beta
+    written = set()
     for beta in (0, 4.0, 50.0, 1e6):
-        written = []
-        for mode in ({"mode": "exact-unbiased"}, {"schedule": {"kind": "bayes"}}):
-            out = tmp_path / f"{beta}-{len(written)}"
-            run_scenario({"kind": "propagate", "p": p, "beta": beta, "n_steps": 40, **mode},
-                         out_dir=str(out))
-            written.append((out / "moments.csv").read_bytes())
-        assert written[0] == written[1], beta
+        run_scenario({"kind": "propagate", "p": p, "beta": beta, "n_steps": 40,
+                      "schedule": {"kind": "bayes"}}, out_dir=str(tmp_path / str(beta)))
+        written.add((tmp_path / str(beta) / "moments.csv").read_bytes())
+    assert len(written) == 1
+    # a config asking for that recursion by a mode of its own is refused,
+    # not run at rates it never gave
+    for rates in ({}, {"rates": RATES}):
+        cfg = {"kind": "propagate", "p": p, "beta": 4.0, "n_steps": 40,
+               "mode": "exact-unbiased", **rates}
+        assert main(["validate", write_cfg(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().out == ("mode: must be one of 'closure', "
+                                           "got 'exact-unbiased'\n")
+
+
+def test_keys_nothing_reads_are_refused():
+    # a misspelt key would otherwise leave its intended key at the default
+    cfg = copy.deepcopy(CONFIGS["simulate"])
+    cfg["restart"] = 3
+    cfg["ensemble"]["seeed"] = 5
+    assert check_config(cfg)[1] == ["restart: unknown key", "ensemble.seeed: unknown key"]
+    # a Bayesian agent learns from its counts, and a bayes schedule at 1/(t+3)
+    cfg = copy.deepcopy(CONFIGS["switch-rate"])
+    cfg["agent"].update(rates=RATES, schedule={"kind": "bayes"})
+    assert check_config(cfg)[1] == [
+        "agent.rates: type 'bayes' learns from its counts, not from rates",
+        "agent.schedule: type 'bayes' learns from its counts, not from schedule"]
+    cfg = dict(CONFIGS["propagate"], schedule={**STEP, "kind": "bayes"})
+    assert check_config(cfg)[1] == [
+        f"schedule.{k}: a bayes schedule's rates are 1/(t+3); it reads no {k}"
+        for k in ("alpha1", "alpha2", "tau_c")]
+
+
+def test_benchmark_configs_validate(tmp_path, monkeypatch):
+    # bench/workloads.py sends these configs through the command line and
+    # changes only with the benchmark, so every one must keep validating
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    sent = []
+    for cls in workloads.WORKLOADS.values():
+        w = cls(banditlab, tmp_path, 0, 1)
+        w.cli = lambda kind, config, seed, out: sent.append((kind, config)) or True
+        w.moments = lambda replicas, horizon: None  # not a config; no simulation here
+        w.pool = [(tmp_path / "sessions.csv", [])]  # what a fit round reads
+        assert w.run_round(0)
+    assert sorted(kind for kind, _ in sent) == ["fit", "propagate", "recover", "recover",
+                                                "simulate", "simulate", "sweep-delta",
+                                                "switch-rate", "switch-rate"]
+    for kind, cfg in sent:
+        assert cfg["kind"] == kind and check_config(cfg)[1] == [], cfg
 
 
 def test_unknown_kind_is_rejected():

@@ -90,3 +90,19 @@ def test_replica_indices_must_fit_the_key():
         replica_uniforms(0, 2**64 - 2, 3, (1, 3))
     last = replica_uniforms(0, 2**64 - 2, 2, (1, 3))[1]
     assert (last == RngStream(0, 2**64 - 1).uniform_block((1, 3))).all()
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.9, True, "3"])
+def test_seeds_and_replica_indices_are_not_truncated(bad):
+    # int() would replay another stream: RngStream(1.5, 0) as RngStream(1, 0)
+    for make in (lambda: RngStream(bad, 0), lambda: RngStream(1, bad),
+                 lambda: replica_uniforms(bad, 0, 1, (1, 3)),
+                 lambda: replica_uniforms(1, bad, 1, (1, 3))):
+        with pytest.raises(ValueError, match="must be integers"):
+            make()
+    # numpy integers are integers, and negative seeds wrap mod 2**64
+    draws = RngStream(np.int64(-1), np.uint64(2)).uniform_block((4,))
+    assert (draws == RngStream(2**64 - 1, 2).uniform_block((4,))).all()
+    assert (replica_uniforms(np.int32(-1), np.int64(2), 1, (4,))[0] == draws).all()
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        replica_uniforms(0, np.uint64(2**64 - 2), 3, (1, 3))

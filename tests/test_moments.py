@@ -15,7 +15,6 @@ from banditlab import (
     bias_sensitivity,
     confirmation_index,
     propagate_moments,
-    propagate_moments_bayes,
     q_step,
     steady_state_delta,
     steady_state_delta_quadratic,
@@ -134,7 +133,7 @@ def enumerate_bayes_moments(p, horizon):
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
 def test_bayes_recursion_matches_enumeration(p):
     horizon = 6
-    series = propagate_moments_bayes(MomentState.point_mass(0.5), p, horizon)
+    series = propagate_moments(MomentState.point_mass(0.5), BayesSchedule(), p, 0.0, horizon)
     oracle = enumerate_bayes_moments(p, horizon)
     for got, want in zip(series, oracle):
         np.testing.assert_allclose(

@@ -63,9 +63,7 @@ def cases(work: Path):
                                                       "environment": _env(True), "agent": bayes}
     yield "propagate", "closure", {"kind": "propagate", "p": 0.7, "beta": 4.0,
                                    "n_steps": 30, "rates": Q_RATES}
-    yield "propagate", "exact-unbiased", {"kind": "propagate", "p": 0.7, "beta": 4.0,
-                                          "n_steps": 30, "mode": "exact-unbiased"}
-    # the closure at the Bayes schedule: the same bytes as exact-unbiased
+    # the closure at the Bayes schedule: the Bayesian agent's exact moments
     yield "propagate", "bayes-schedule", {"kind": "propagate", "p": 0.7, "beta": 4.0,
                                           "n_steps": 30, "schedule": {"kind": "bayes"}}
     # an integer grid value, a huge beta and a cell with no steady state (blank)
