@@ -239,13 +239,16 @@ class Trajectory:
         return np.where(self.actions == 1, self.rewards2, self.rewards1)
 
 
-def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()) -> Trajectory:
+def _simulate(agent: AgentSpec, env: Environment, action_u, reward_bits: np.ndarray,
+              shape: tuple = ()) -> Trajectory:
     """The simulation loop behind run_trajectory and the vectorized ensembles.
 
-    ``draws`` holds each trial's three uniforms (action, arm-1 reward,
-    arm-2 reward): Python floats for one replica (``shape`` ()), or arrays
-    of ``shape`` for a chunk of replicas.  Both go through the same masked
-    learning steps, so a chunk reproduces single runs bit for bit.
+    ``action_u`` holds each trial's action uniform and ``reward_bits`` both
+    arms' 0/1 rewards, int8 of shape (2, T) + ``shape``, drawn beforehand as
+    ``u < p`` from each trial's arm-1 and arm-2 uniforms; they become the
+    record's rewards.  One replica (``shape`` ()) steps on Python numbers,
+    a chunk of replicas on arrays of ``shape``.  Both go through the same
+    masked learning steps, so a chunk reproduces single runs bit for bit.
     """
     bayes = isinstance(agent, BayesAgentSpec)
     if not bayes and not isinstance(agent, QAgentSpec):
@@ -254,26 +257,24 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()) -> T
     if not (bayes or cf) and isinstance(agent.rates, LearningRateSet) \
             and not agent.rates.unchosen_zero:
         raise ValueError("unchosen-arm rates must be zero without counterfactual feedback")
-    T = len(draws)
+    T = len(action_u)
     # trial-major, so that each trial's writes (and later reads) are contiguous
     values1 = np.empty((T + 1,) + shape)
     values2 = np.empty((T + 1,) + shape)
     actions = np.empty((T,) + shape, dtype=np.int8)
-    rewards = np.empty((2, T) + shape, dtype=np.int8)
     # counts never exceed the horizon, so the smallest fitting dtype holds them
     counts = np.empty((T + 1, 4) + shape, dtype=np.min_scalar_type(T)) if bayes else None
     zero = np.zeros(shape, dtype=np.int64) if shape else 0
     s1 = n1 = s2 = n2 = zero
     v1, v2 = count_values(s1, n1, s2, n2) if bayes else (zero + 0.5, zero + 0.5)
     policy = agent.policy
-    for t, (ua, u1, u2) in enumerate(draws):
+    trials = zip(action_u, *reward_bits) if shape else zip(action_u, *reward_bits.tolist())
+    for t, (ua, r1, r2) in enumerate(trials):
         values1[t], values2[t] = v1, v2
         if bayes:
             counts[t] = s1, n1, s2, n2
         # uniforms lie in [0, 1), so a greedy probability of 1 or 0 decides alone
         chose1 = ua < policy.choice_prob(v1, v2)
-        r1 = u1 < env.p1
-        r2 = u2 < env.p2
         if bayes:
             s1, n1, s2, n2 = count_step(s1, n1, s2, n2, chose1, r1, r2, cf)
             v1, v2 = count_values(s1, n1, s2, n2)
@@ -281,13 +282,13 @@ def _simulate(agent: AgentSpec, env: Environment, draws, shape: tuple = ()) -> T
             apc, amc, apu, amu = agent.rates.at(t)
             v1, v2 = q_step(v1, v2, chose1, r1, r2, apc, amc, apu * cf, amu * cf)
         actions[t] = 2 - chose1
-        rewards[0, t], rewards[1, t] = r1, r2
     values1[T], values2[T] = v1, v2
     if bayes:
         counts[T] = s1, n1, s2, n2
         counts = np.moveaxis(counts, 0, -1)
     return Trajectory(np.moveaxis(values1, 0, -1), np.moveaxis(values2, 0, -1),
-                      np.moveaxis(actions, 0, -1), *np.moveaxis(rewards, 1, -1), counts, cf)
+                      np.moveaxis(actions, 0, -1), *np.moveaxis(reward_bits, 1, -1),
+                      counts, cf)
 
 
 def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajectory:
@@ -296,6 +297,9 @@ def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajec
     Each trial consumes exactly three uniforms (action, arm-1 reward,
     arm-2 reward) whether or not the policy is stochastic, so trajectories
     are comparable across agents and feedback conditions under shared
-    randomness.
+    randomness.  The rewards are drawn from the whole (T, 3) block before
+    the loop runs, as the chunk engine draws them.
     """
-    return _simulate(agent, env, rng.uniform_block((env.horizon, 3)).tolist())
+    u = rng.uniform_block((env.horizon, 3))
+    bits = np.ascontiguousarray(u[:, 1:].T < [[env.p1], [env.p2]], dtype=np.int8)
+    return _simulate(agent, env, u[:, 0].tolist(), bits)

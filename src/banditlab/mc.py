@@ -10,12 +10,17 @@ simulation bit for bit for both agent kinds, both choice rules and both
 feedback modes.  A chunk draws its uniforms through
 ``env.replica_uniforms``, which re-keys one Philox per replica rather
 than constructing each replica's ``RngStream``; the draws equal the
-constructed streams' bit for bit.  Replicas are simulated in chunks to
-bound memory; chunking affects only the floating-point summation order
-of the accumulated statistics, never the trajectories.  A chunk comes
-out as the same :class:`agents.Trajectory` record a single run does,
-with a leading replica axis over trial-major storage, so a replica's row
-is strided and a trial's column is contiguous.
+constructed streams' bit for bit.  A chunk keeps only its action
+uniforms as floats; its reward uniforms become the record's int8 reward
+bits as they are drawn.  Replicas are simulated in chunks to bound
+memory: the generator and every consumer here let go of a chunk before
+the next one is drawn, so an ensemble holds at most one chunk record
+and its action uniforms at a time.  Chunking affects only the
+floating-point summation order of the accumulated statistics, never the
+trajectories.  A chunk comes out as the same :class:`agents.Trajectory`
+record a single run does, with a leading replica axis over trial-major
+storage, so a replica's row is strided and a trial's column is
+contiguous.
 """
 
 from __future__ import annotations
@@ -30,9 +35,32 @@ from .env import Environment, replica_uniforms
 
 DEFAULT_CHUNK = 8192
 # a chunk holds at most this many replica-trials, whatever chunk_size asks:
-# their draws take 24 MiB, and T <= 127 keeps DEFAULT_CHUNK replicas
+# their action uniforms take 8 MiB, and T <= 127 keeps DEFAULT_CHUNK replicas
 _CHUNK_TRIALS = 1 << 20
 _DRAW_BLOCK = 512  # replicas per replica_uniforms call, few enough to transpose in cache
+
+
+def _chunk(agent, env: Environment, seed: int, start: int, count: int) -> Trajectory:
+    """Replicas ``start, ..., start + count - 1`` simulated as one chunk.
+
+    Each ``replica_uniforms`` block of ``_DRAW_BLOCK`` replicas fills the
+    chunk's trial-major action uniforms (T, count) float64 and both arms'
+    reward bits (2, T, count) int8, each arm's ``u < p`` compared straight
+    into them, so the reward uniforms never take a chunk-sized array.  The
+    bits are the record's rewards; the uniforms are freed when this returns.
+    """
+    horizon = env.horizon
+    action_u = np.empty((horizon, count))
+    reward_bits = np.empty((2, horizon, count), dtype=np.int8)
+    for lo in range(0, count, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, count)
+        # (action, arm 1, arm 2) x trial x replica
+        u = replica_uniforms(seed, start + lo, hi - lo, (horizon, 3)).transpose(2, 1, 0)
+        action_u[:, lo:hi] = u[0]
+        np.less(u[1], env.p1, out=reward_bits[0, :, lo:hi])
+        np.less(u[2], env.p2, out=reward_bits[1, :, lo:hi])
+    del u  # the last block would otherwise stay alive through the simulation
+    return _simulate(agent, env, action_u, reward_bits, (count,))
 
 
 def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
@@ -43,23 +71,18 @@ def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
     Q-agent carries its values, a Bayesian agent its per-arm counts, whose
     posterior means are the values.  A chunk holds at most ``chunk_size``
     replicas and ``_CHUNK_TRIALS`` replica-trials, but at least one replica.
+    A chunk's draws take 8 bytes per replica-trial (the action uniforms)
+    while it is simulated and nothing once it is yielded; the generator
+    holds no chunk while its consumer runs, so a consumer that lets go of
+    each chunk before asking for the next keeps at most one alive.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-    horizon = env.horizon
-    chunk_size = min(chunk_size, max(1, _CHUNK_TRIALS // horizon))
+    chunk_size = min(chunk_size, max(1, _CHUNK_TRIALS // env.horizon))
     for start in range(0, n_replicas, chunk_size):
-        count = min(chunk_size, n_replicas - start)
-        # contiguous (action, r1, r2) rows per trial, filled a sub-block at a
-        # time so that no second chunk-sized array exists
-        u = np.empty((horizon, 3, count))
-        for lo in range(0, count, _DRAW_BLOCK):
-            hi = min(lo + _DRAW_BLOCK, count)
-            u[..., lo:hi] = replica_uniforms(seed, start + lo, hi - lo,
-                                             (horizon, 3)).transpose(1, 2, 0)
-        yield _simulate(agent, env, u, (count,))
+        yield _chunk(agent, env, seed, start, min(chunk_size, n_replicas - start))
 
 
 @dataclass
@@ -98,13 +121,13 @@ def ensemble_value_moments(agent, env: Environment, n_replicas: int, seed: int,
     s12_sq = np.zeros(shape)
     for chunk in iter_value_chunks(agent, env, n_replicas, seed, chunk_size=chunk_size):
         v1 = chunk.values1
-        sq = v1 * v1
-        cross = v1 * chunk.values2
+        prod = np.empty_like(v1)  # the four products' buffer, trial-major like v1
         s1 += v1.sum(axis=0)
-        s11 += sq.sum(axis=0)
-        s11_sq += (sq * sq).sum(axis=0)
-        s12 += cross.sum(axis=0)
-        s12_sq += (cross * cross).sum(axis=0)
+        s11 += np.multiply(v1, v1, out=prod).sum(axis=0)
+        s11_sq += np.multiply(prod, prod, out=prod).sum(axis=0)
+        s12 += np.multiply(v1, chunk.values2, out=prod).sum(axis=0)
+        s12_sq += np.multiply(prod, prod, out=prod).sum(axis=0)
+        del chunk, v1, prod  # let the chunk go before the next one is drawn
     mean1, se1 = _mean_se(s1, s11, n_replicas)
     mean11, se11 = _mean_se(s11, s11_sq, n_replicas)
     mean12, se12 = _mean_se(s12, s12_sq, n_replicas)

@@ -106,7 +106,8 @@ def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,
     holds at most 65,536 trials).  Each chunk is cut into blocks of
     ``BLOCK_ROWS // env.horizon`` subjects (at least one; a chunk's last
     block may hold fewer), so ``BLOCK_ROWS`` bounds only the rows a
-    consumer formats at once.  A block's arrays are views into its chunk.
+    consumer formats at once.  A block's arrays are views into its chunk,
+    which this generator lets go of before it draws the next one.
     """
     T = env.horizon
     per_block = max(1, BLOCK_ROWS // T)
@@ -123,6 +124,7 @@ def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,
                 SessionData(f"{prefix}{first + i:04d}", chunk.actions[i], rc[i],
                             ru[i] if cf else None, cf) for i in range(lo, hi)]
         first += n
+        del chunk, rc, ru  # held only through the blocks' views from here on
 
 
 def synthesize_sessions(agent: AgentSpec, env: Environment, n_subjects: int,

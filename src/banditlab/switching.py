@@ -104,6 +104,8 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
             k_sum[t] += k.sum()
             k_sqsum[t] += (k * k).sum()
         switches += (chunk.actions[:, 1:] != chunk.actions[:, :-1]).sum(axis=0)
+        # the views hold the chunk too: let it go before the next one is drawn
+        del chunk, v1, v2, after, k
 
     n = n_replicas
     a_mean, a_se = _mean_se(k_sum, k_sqsum, n)

@@ -465,7 +465,7 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
     # cases must stay valid configs whose runs write the files they list
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     import digest_outputs
-    kinds = set()
+    kinds, switch_replicas = set(), []
     for kind, case, cfg in digest_outputs.cases(tmp_path):
         out = tmp_path / kind / case
         out.mkdir(parents=True)
@@ -474,7 +474,11 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
                          if f.name not in ("config.json", "manifest.json"))
         assert written and written == sorted(path for path, _ in manifest.files), case
         kinds.add(kind)
+        if kind == "switch-rate":
+            switch_replicas.append(cfg["ensemble"]["replicas"])
     assert kinds == set(KINDS)
+    # one switch-rate case spans two engine chunks, so its sums cross a boundary
+    assert max(switch_replicas) > banditlab.mc.DEFAULT_CHUNK
 
 
 def test_digest_tool_compares_csv_cells(tmp_path, monkeypatch):

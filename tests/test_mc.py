@@ -1,5 +1,7 @@
 """Vectorized ensemble engine vs the scalar trajectory runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,41 @@ def test_long_horizons_cap_a_chunk_at_a_million_replica_trials(monkeypatch):
     for field in ("values1", "values2", "actions", "rewards1", "rewards2"):
         np.testing.assert_array_equal(
             np.concatenate([getattr(c, field) for c in capped]), getattr(whole, field))
+
+
+@pytest.mark.parametrize("kind", ["moments", "switch-rate"])
+def test_an_ensemble_holds_one_chunk_at_a_time(kind):
+    # the Bayesian moments' and criterion 6's ensembles span three and two
+    # chunks; at most one chunk record and two float64 (H + 1) x 8,192
+    # buffers (the action uniforms and a product buffer) may be alive at once
+    n = mc.DEFAULT_CHUNK
+    if kind == "moments":
+        agent = BayesAgentSpec(Policy(beta=5.0))
+        env = Environment(p1=0.7, p2=0.7, counterfactual=True, horizon=100)
+        horizon = env.horizon
+
+        def run():
+            ensemble_value_moments(agent, env, 20_000, seed=0)
+    else:
+        x = 1.5
+        rates = LearningRateSet(0.1 * x, 0.2 - 0.1 * x, 0.2 - 0.1 * x, 0.1 * x)
+        agent = QAgentSpec(rates, Policy(beta=5.0))
+        env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=100)
+        horizon = env.horizon + 1  # the switching ensemble simulates one trial more
+
+        def run():
+            ensemble_switch_rate(agent, env, 10_000, seed=0)
+    # values, actions and both arms' rewards, and a Bayesian agent's uint8 counts
+    record = 2 * (horizon + 1) * n * 8 + 3 * horizon * n
+    if kind == "moments":
+        record += 4 * (horizon + 1) * n
+    bound = record + 2 * (horizon + 1) * n * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB over {bound / 2**20:.1f} MiB"

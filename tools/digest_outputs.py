@@ -83,6 +83,9 @@ def cases(work: Path):
     yield "switch-rate", "q-step-partial", {**sw, "environment": _env(False), "agent": {
         "type": "q", "beta": 5.0,
         "schedule": {"kind": "step", "alpha1": 0.3, "alpha2": 0.05, "tau_c": 8}}}
+    # 9,000 replicas span two engine chunks, 8,192 + 808, so the sums cross a chunk boundary
+    yield "switch-rate", "q-two-chunks", {**sw, "ensemble": {"replicas": 9000},
+                                          "environment": _env(True), "agent": q_cf}
     for case in ("q-counterfactual", "bayes-partial"):
         yield "fit", case, {"kind": "fit", "sessions": str(work / "simulate" / case / "sessions.csv"),
                             "restarts": 3, "seed": 2}
