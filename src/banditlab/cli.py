@@ -31,8 +31,8 @@ from . import __version__
 from .agents import (RATE_NAMES, BayesAgentSpec, BayesSchedule, LearningRateSet,  # noqa: F401
                      Policy, QAgentSpec, StepSchedule, run_trajectory)
 from .env import Environment, is_integer
-from .fitting import (BETA_MAX, MODEL_FAMILIES, FitError, best_model, fit_families,
-                      fit_subject, new_arm_curve, recover_bias)
+from .fitting import (BETA_MAX, MAX_RESTARTS, MODEL_FAMILIES, FitError, best_model,
+                      fit_families, fit_subject, new_arm_curve, recover_bias)
 from .moments import (ConvergenceError, MomentState, propagate_moments, steady_state_delta,
                       x_curve_rates)
 from .sessions import (csv_writer, iter_session_blocks, read_sessions, row_blocks, write_csv,
@@ -138,7 +138,9 @@ _FAMILIES = ((lambda v: isinstance(v, list) and bool(v)
              f"a nonempty list of distinct families from {sorted(MODEL_FAMILIES)}")
 
 _POLICY = (_one_of("softmax", "greedy"), "softmax")
-_RESTARTS = (_POS_INT, 20)
+# a fit's restart points are Sobol' points, of which there are 2**30
+_RESTARTS = (((lambda v: is_integer(v) and 1 <= v <= MAX_RESTARTS),
+              "an integer from 1 to 2**30"), 20)
 _RATES = ({k: (_PROB, REQUIRED) for k in RATE_NAMES}, None)
 _SCHEDULE = ({"kind": (_one_of("step", "bayes"), REQUIRED), "alpha1": (_PROB, None),
               "alpha2": (_PROB, None), "tau_c": (_NAT, None)}, None)

@@ -33,14 +33,16 @@ alone gets the same result as inside any batch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-# scipy.special, scipy.stats and scipy.optimize are imported where a fit
-# first needs them, so importing the package, and every scenario that does
-# not fit, loads none of them
+# scipy.special and scipy.optimize are imported where a fit first needs them,
+# so importing the package, and every scenario that does not fit, loads
+# neither; no scenario loads scipy.stats, whose Sobol' points and binomial
+# test fitting reproduces below
 
 # run_trajectory is the scalar reference the chunk engine reproduces; it stays
 # importable here because bench/tracing.py wraps it under this module's name
@@ -55,6 +57,14 @@ BETA_MAX = 50.0
 # Offset separating fit-restart streams from trajectory replica streams
 # under the same master seed.
 _FIT_STREAM_BASE = 1 << 48
+# Restart points are the first points of a scrambled 30-bit Sobol' sequence,
+# which has 2**30 of them.
+_SOBOL_BITS = 30
+MAX_RESTARTS = 1 << _SOBOL_BITS
+# (primitive polynomial, initial direction numbers) of Sobol' dimensions
+# 2-5, enough for the largest family, from Joe & Kuo (2008), SIAM J. Sci.
+# Comput. 30:2635; dimension 1 is the van der Corput sequence.
+_SOBOL_DIRECTIONS = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)))
 _FATOL = 1e-8
 _XATOL = 1e-6
 # scipy's Nelder–Mead coefficients (reflection, expansion, contraction,
@@ -341,17 +351,68 @@ def _unpack(y: np.ndarray) -> np.ndarray:
     return p
 
 
+@functools.cache
+def _sobol_direction_bits() -> np.ndarray:
+    """The unscrambled direction numbers of dimensions 1-5 as 0/1 floats,
+    indexed (dimension, number, bit), most significant bit first."""
+    rows = [[1] * _SOBOL_BITS]
+    for poly, vinit in _SOBOL_DIRECTIONS:
+        m, row = len(vinit), list(vinit)
+        for j in range(m, _SOBOL_BITS):
+            new = row[j - m]
+            for k in range(m):
+                if (poly >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        rows.append(row)
+    # number j has at most j + 1 bits: shifted left by 29 - j, they lead its 30
+    down = np.arange(_SOBOL_BITS - 1, -1, -1)
+    v = np.array(rows, dtype=np.int64) << down
+    return ((v[..., None] >> down) & 1).astype(float)
+
+
+def _sobol(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """The first ``n`` points of the d-dimensional scrambled Sobol' sequence,
+    bit for bit those of ``scipy.stats.qmc.Sobol(d, scramble=True,
+    seed=...).random(n)`` for an engine that owns ``gen``.
+
+    As scipy's engine does, it draws a random digital shift, then one random
+    lower-triangular bit matrix per dimension with a unit diagonal (the
+    linear matrix scramble), both as 0/1 ``uint32`` from ``gen``; each
+    scrambled direction number is its dimension's matrix times the number's
+    bits, most significant first, mod 2.  Point i is the shift XOR the
+    direction numbers at the set bits of i's Gray code, scaled by 2**-30.
+    """
+    if n > 1 << _SOBOL_BITS:
+        raise ValueError(f"a Sobol' sequence has at most 2**{_SOBOL_BITS} points, "
+                         f"asked for {n}")
+    bits = _SOBOL_BITS
+    weights = np.uint32(1) << np.arange(bits, dtype=np.uint32)  # least significant first
+    shift = gen.integers(0, 2, size=(d, bits), dtype=np.uint32) @ weights
+    ltm = np.tril(gen.integers(0, 2, size=(d, bits, bits), dtype=np.uint32))
+    ltm[:, range(bits), range(bits)] = 1
+    sv_bits = (_sobol_direction_bits()[:d] @ ltm.transpose(0, 2, 1)).astype(np.uint32) & 1
+    sv = sv_bits @ weights[::-1]
+    i = np.arange(n, dtype=np.uint32)
+    gray = i ^ (i >> 1)
+    q = np.repeat(shift[None], n, axis=0)
+    for b in range((n - 1).bit_length()):
+        q[((gray >> b) & 1).astype(bool)] ^= sv[:, b]
+    return q * 2.0 ** -bits
+
+
 def _start_points(family: str, restarts: int, seed: int, stream_index: int) -> np.ndarray:
+    """Restart points of one fit stream: the first ``restarts`` of the
+    smallest power-of-two count of scrambled Sobol' points, mapped to
+    rates in [0.02, 0.98] and beta log-uniform in [0.1, BETA_MAX]."""
     from scipy.special import logit
-    from scipy.stats import qmc
 
     d = MODEL_FAMILIES[family].df
-    # seeded via a SeedSequence so the Sobol scrambler can spawn children
-    gen = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed % 2**64, _FIT_STREAM_BASE + stream_index])))
-    sob = qmc.Sobol(d=d, scramble=True, seed=gen)
-    n_pow2 = 1 << max(int(np.ceil(np.log2(max(restarts, 1)))), 0)
-    u = sob.random(n_pow2)[:restarts]
+    # scipy's engine spawns a child of the generator it is given and draws
+    # from that; spawning the same child reproduces its points
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        [seed % 2**64, _FIT_STREAM_BASE + stream_index]).spawn(1)[0]))
+    u = _sobol(d, 1 << (restarts - 1).bit_length(), gen)[:restarts]
     y = np.empty_like(u)
     y[:, :-1] = logit(0.02 + 0.96 * u[:, :-1])  # rate starts away from the edges
     y[:, -1] = math.log(0.1) + u[:, -1] * (math.log(BETA_MAX) - math.log(0.1))
@@ -380,8 +441,8 @@ def _embed(target: str, source: str, params: Mapping[str, float]) -> dict:
 
 
 def _check_restarts(restarts: int) -> None:
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must be from 1 to 2**{_SOBOL_BITS}, got {restarts}")
 
 
 def _fit_batch(family: str, tab: _Tables, streams: Sequence[int], restarts: int,
@@ -516,14 +577,22 @@ def best_model(fits: Sequence[FitResult]) -> str:
 def _sign_test(x: Sequence[float], y: Sequence[float]) -> tuple[int, int, Optional[float]]:
     """Two-sided sign test on paired differences.
 
-    Returns (#x > y, #x < y, p); p is None when undecidable."""
-    from scipy.stats import binomtest
+    Returns (#x > y, #x < y, p); p is None when undecidable.  p is the exact
+    two-sided binomial test of the untied pairs at 1/2, bit for bit
+    ``scipy.stats.binomtest(gt, gt + lt, 0.5).pvalue``: with m the smaller
+    count of n, both tails P(K <= m) + P(K >= n - m), or 1 for an even split,
+    summed from the Boost binomial CDF and survival function that
+    ``scipy.stats.binom`` calls."""
+    from scipy.special._ufuncs import _binom_cdf, _binom_sf
 
     gt = sum(1 for a, b in zip(x, y) if a > b)
     lt = sum(1 for a, b in zip(x, y) if a < b)
     if len(x) < 2 or gt + lt == 0:
         return gt, lt, None
-    return gt, lt, float(binomtest(gt, gt + lt, 0.5).pvalue)
+    n, m = gt + lt, min(gt, lt)
+    if 2 * m == n:
+        return gt, lt, 1.0
+    return gt, lt, min(1.0, float(_binom_cdf(m, n, 0.5)) + float(_binom_sf(n - m - 1, n, 0.5)))
 
 
 @dataclass

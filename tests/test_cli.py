@@ -195,6 +195,17 @@ def test_closure_at_the_bayes_schedule_writes_the_exact_unbiased_moments(tmp_pat
                                            "got 'exact-unbiased'\n")
 
 
+@pytest.mark.parametrize("kind", ["fit", "recover", "new-arm"])
+def test_restarts_beyond_the_sobol_sequence_are_refused(kind):
+    # restart points are Sobol' points, and the 30-bit sequence has 2**30;
+    # validation only, so no run starts
+    for restarts in (2**30 + 1, 2**31):
+        assert check_config(dict(CONFIGS[kind], restarts=restarts))[1] == [
+            f"restarts: must be an integer from 1 to 2**30, got {restarts}"]
+    for restarts in (1, 2**30):
+        assert check_config(dict(CONFIGS[kind], restarts=restarts))[1] == []
+
+
 def test_keys_nothing_reads_are_refused():
     # a misspelt key would otherwise leave its intended key at the default
     cfg = copy.deepcopy(CONFIGS["simulate"])
@@ -507,21 +518,26 @@ def loaded():
     return [m for m in heavy if m in sys.modules]
 import banditlab, banditlab.cli
 seen = {"import": loaded()}
-for cfg in sys.argv[2:-1]:
+*others, fit, recover, new_arm = sys.argv[2:]
+for cfg in others:
     banditlab.cli.run_scenario(cfg)
 seen["scenarios"] = loaded()
-banditlab.cli.run_scenario(sys.argv[-1])
+banditlab.cli.run_scenario(fit)
 seen["fit"] = loaded()
+banditlab.cli.run_scenario(recover)
+banditlab.cli.run_scenario(new_arm)
+seen["recover, new-arm"] = loaded()
 print(json.dumps(seen))
 """
 
 
-def test_only_fitting_loads_scipy_stats_and_optimize(tmp_path):
+def test_fitting_loads_scipy_special_and_optimize_but_not_stats(tmp_path):
     # a fresh interpreter: this test module has imported scipy.stats already
     sim = tmp_path / "sim"
     cfgs = [dict(SIM_CFG, ensemble={"replicas": 1, "seed": 33})] + [
         CONFIGS[k] for k in ("switch-rate", "propagate", "sweep-delta")]
-    cfgs.append(dict(CONFIGS["fit"], sessions=str(sim / "sessions.csv")))
+    cfgs += [dict(CONFIGS["fit"], sessions=str(sim / "sessions.csv")), CONFIGS["recover"],
+             dict(CONFIGS["new-arm"], sessions=str(sim / "sessions.csv"), subject=None)]
     paths = []
     for i, cfg in enumerate(cfgs):
         out = sim if i == 0 else tmp_path / f"o{i}"
@@ -533,7 +549,9 @@ def test_only_fitting_loads_scipy_stats_and_optimize(tmp_path):
     assert res.returncode == 0, res.stderr
     seen = json.loads(res.stdout.splitlines()[-1])
     assert seen == {"import": [], "scenarios": [],
-                    "fit": ["scipy.special", "scipy.stats", "scipy.optimize"]}
+                    "fit": ["scipy.special", "scipy.optimize"],
+                    "recover, new-arm": ["scipy.special", "scipy.optimize"]}
+    assert all((tmp_path / f"o{i}" / "manifest.json").exists() for i in (4, 5, 6))
 
 
 def test_rerun_is_byte_identical_outside_manifest(tmp_path):

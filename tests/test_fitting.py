@@ -2,13 +2,15 @@
 
 import hashlib
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
-from scipy.stats import binomtest
+from scipy.special import logit
+from scipy.stats import binomtest, qmc
 
 from banditlab import (
     BayesAgentSpec,
@@ -31,8 +33,9 @@ from banditlab import (
     synthesize_sessions,
     x_curve_rates,
 )
-from banditlab.fitting import (BETA_MAX, MODEL_FAMILIES, P_MIN, FitError, _embed, _evaluate,
-                               _nelder_mead, _start_points, _Tables, _unpack)
+from banditlab.fitting import (_FIT_STREAM_BASE, BETA_MAX, MAX_RESTARTS, MODEL_FAMILIES, P_MIN,
+                               FitError, _embed, _evaluate, _nelder_mead, _sign_test, _sobol,
+                               _start_points, _Tables, _unpack)
 
 ENV24 = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
 
@@ -82,6 +85,24 @@ def test_nll_validates_inputs():
             nll("const", {"alpha": 0.3, "beta": beta}, s)
     with pytest.raises(ValueError):
         nll("const", {"alpha": 1.2, "beta": 1.0}, s)
+
+
+def test_restarts_beyond_the_sobol_sequence_are_refused():
+    # restart points are Sobol' points, and the 30-bit sequence has 2**30
+    s = one_session(BayesAgentSpec(Policy(beta=10.0)), ENV24, seed=4)
+    for restarts in (MAX_RESTARTS + 1, 2**31):
+        for family in ("bayes", "conf", "full"):
+            with pytest.raises(ValueError, match=r"restarts must be from 1 to 2\*\*30"):
+                fit_subject(family, s, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            fit_families([s, s], ["conf"], restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            recover_bias(BayesAgentSpec(Policy(beta=5.0)), ENV24, 2, restarts=restarts)
+        # the generator refuses before it draws or allocates anything
+        gen = np.random.Generator(np.random.Philox(1))
+        with pytest.raises(ValueError, match=r"at most 2\*\*30 points"):
+            _sobol(5, restarts, gen)
+        assert gen.random() == np.random.Generator(np.random.Philox(1)).random()
 
 
 def test_restarts_below_one_are_refused():
@@ -417,3 +438,59 @@ def test_embedding_keeps_the_likelihood_of_every_earlier_family(drawn):
         p = {**dict(zip(names[:-1], rates)), "beta": beta}
         for later in Q_FAMILIES[k + 1:]:
             assert nll(later, _embed(later, earlier, p), s) == nll(earlier, p, s)
+
+
+def _scipy_sobol(d, n, seed, stream):
+    gen = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([seed % 2**64, _FIT_STREAM_BASE + stream])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n that is not a power of two
+        return qmc.Sobol(d, scramble=True, seed=gen).random(n)
+
+
+def _spawned(seed, stream):
+    # the child generator scipy's engine spawns from the one it is given
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        [seed % 2**64, _FIT_STREAM_BASE + stream]).spawn(1)[0]))
+
+
+SOBOL_STREAMS = [(seed, stream) for seed in (0, 1, 7, 2**63 + 5, -3)
+                 for stream in (0, 1, 35, 2_001)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_sobol_points_are_scipys_bit_for_bit(d):
+    for seed, stream in SOBOL_STREAMS:
+        for n in (1, 2, 3, 4, 32, 64):
+            ours = _sobol(d, n, _spawned(seed, stream))
+            ref = _scipy_sobol(d, n, seed, stream)
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape == (n, d)
+            assert np.array_equal(ours, ref), (d, n, seed, stream)
+
+
+@pytest.mark.parametrize("family", ["const", "conf", "full"])
+def test_start_points_are_scipy_sobol_points(family):
+    d = MODEL_FAMILIES[family].df
+    for restarts in (1, 3, 20, 33):
+        for seed, stream in SOBOL_STREAMS[:6]:
+            n = 1 << max(int(np.ceil(np.log2(restarts))), 0)
+            u = _scipy_sobol(d, n, seed, stream)[:restarts]
+            ref = np.empty_like(u)
+            ref[:, :-1] = logit(0.02 + 0.96 * u[:, :-1])
+            ref[:, -1] = math.log(0.1) + u[:, -1] * (math.log(BETA_MAX) - math.log(0.1))
+            assert np.array_equal(_start_points(family, restarts, seed, stream), ref)
+
+
+def test_sign_test_is_binomtest_bit_for_bit():
+    # every split of n untied pairs for n <= 129, and around criterion 2's
+    # 500 agents; one tied pair keeps the n = 1 case testable
+    for n in [*range(1, 130), 499, 500, 501, 1000]:
+        for k in range(n + 1):
+            x, y = [1] * k + [0] * (n - k) + [0], [0] * k + [1] * (n - k) + [0]
+            gt, lt, p = _sign_test(x, y)
+            assert (gt, lt) == (k, n - k)
+            assert type(p) is float and p == binomtest(k, n, 0.5).pvalue, (k, n)
+    # undecidable: fewer than two pairs, or no untied pair
+    assert _sign_test([], []) == (0, 0, None)
+    assert _sign_test([0.4], [0.2]) == (1, 0, None)
+    assert _sign_test([0.3, 0.3, 0.1], [0.3, 0.3, 0.1]) == (0, 0, None)
