@@ -37,9 +37,6 @@ from .moments import (
     confirmation_index,
     propagate_moments,
     steady_state_delta,
-    steady_state_delta_quadratic,
-    steady_state_moments,
-    step_delta,
     step_moments,
     x_curve_rates,
 )
@@ -53,7 +50,6 @@ from .sessions import (
     write_sessions,
 )
 from .fitting import (
-    FitError,
     FitResult,
     MODEL_FAMILIES,
     NewArmPoint,

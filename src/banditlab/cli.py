@@ -31,7 +31,7 @@ from . import __version__
 from .agents import (RATE_NAMES, BayesAgentSpec, BayesSchedule, LearningRateSet,  # noqa: F401
                      Policy, QAgentSpec, StepSchedule, run_trajectory)
 from .env import Environment, is_integer
-from .fitting import (BETA_MAX, MAX_RESTARTS, MODEL_FAMILIES, FitError, best_model,
+from .fitting import (BETA_MAX, MAX_RESTARTS, MODEL_FAMILIES, best_model,
                       fit_families, fit_subject, new_arm_curve, recover_bias)
 from .moments import (ConvergenceError, MomentState, propagate_moments, steady_state_delta,
                       x_curve_rates)
@@ -469,13 +469,8 @@ def _run_new_arm(cfg, seed: int, out_dir: Path, threads: int):
         if not match:
             raise ValueError(f"subject {subject!r} not found in {cfg['sessions']}")
         session = match[0]
-    fits = []
-    for k, family in enumerate(("bayes", cfg["q_family"])):
-        try:
-            fits.append(fit_subject(family, session, restarts=cfg["restarts"],
-                                    seed=seed, stream_index=k))
-        except FitError as e:  # keep its best point; the manifest names it
-            fits.append(e.best)
+    fits = [fit_subject(family, session, restarts=cfg["restarts"], seed=seed, stream_index=k)
+            for k, family in enumerate(("bayes", cfg["q_family"]))]
     fit_b, fit_q = fits
     curve = new_arm_curve(fit_b, fit_q, session, cfg["p3_grid"], n3=cfg["n3"],
                           reps=cfg["reps"], seed=seed)

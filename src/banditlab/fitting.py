@@ -112,14 +112,6 @@ class FitResult:
     n_evals: int = 0
 
 
-class FitError(Exception):
-    """No restart converged; ``best`` holds the best point found anyway."""
-
-    def __init__(self, message: str, best: FitResult):
-        super().__init__(message)
-        self.best = best
-
-
 class _Tables:
     """A batch of sessions as trial-major tables, padded to the longest.
 
@@ -515,17 +507,13 @@ def fit_subject(family: str, session: SessionData, restarts: int = 20,
     log transform capped at 50.  The one-parameter bayes family uses a
     deterministic grid-plus-refine line search instead, so its result
     does not depend on the restart draws at all.  Deterministic given
-    (session, family, seed, stream_index).  Raises :class:`FitError`,
-    carrying the best point, when no restart converged.
+    (session, family, seed, stream_index).  A fit with no converged
+    restart keeps its best point with ``converged`` False.
     """
     if family not in MODEL_FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
     _check_restarts(restarts)
-    result = _fit_batch(family, _Tables([session]), [stream_index], restarts, seed)[0]
-    if not result.converged:
-        raise FitError(f"no simplex restart converged for subject "
-                       f"{session.subject_id!r}, family {family!r}", result)
-    return result
+    return _fit_batch(family, _Tables([session]), [stream_index], restarts, seed)[0]
 
 
 def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
@@ -541,8 +529,8 @@ def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
     Every session of a batch is fitted family by family in one lockstep,
     and a session's fits do not depend on the rest of its batch.  Returns
     ``{family: FitResult}`` for one session, a list of them for a batch.
-    Never raises :class:`FitError`: a fit with no converged restart keeps
-    its best point with ``converged`` False.
+    A fit with no converged restart keeps its best point with
+    ``converged`` False.
     """
     if families is None:
         families = tuple(MODEL_FAMILIES)

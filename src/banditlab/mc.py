@@ -107,8 +107,8 @@ def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int) -> tuple[np.ndarra
     return mean, np.sqrt(var / n)
 
 
-def ensemble_value_moments(agent, env: Environment, n_replicas: int, seed: int,
-                           chunk_size: int = DEFAULT_CHUNK) -> EnsembleMoments:
+def ensemble_value_moments(agent, env: Environment, n_replicas: int,
+                           seed: int) -> EnsembleMoments:
     """Monte-Carlo estimates of <Q1>, <Q1**2> and <Q1Q2> before each trial
     (terminal state included).  Replica sums run along a chunk's contiguous
     axis, where numpy sums pairwise, not in sequence as over a strided one."""
@@ -119,7 +119,7 @@ def ensemble_value_moments(agent, env: Environment, n_replicas: int, seed: int,
     s11_sq = np.zeros(shape)
     s12 = np.zeros(shape)
     s12_sq = np.zeros(shape)
-    for chunk in iter_value_chunks(agent, env, n_replicas, seed, chunk_size=chunk_size):
+    for chunk in iter_value_chunks(agent, env, n_replicas, seed, chunk_size=DEFAULT_CHUNK):
         v1 = chunk.values1
         prod = np.empty_like(v1)  # the four products' buffer, trial-major like v1
         s1 += v1.sum(axis=0)

@@ -33,6 +33,12 @@ policy-coupled coefficient is exactly 0.0 and the closure is the exact
 recursion at any beta; at ``agents.BayesSchedule`` it is the Bayesian
 agent's.  Rates are read through ``rates.at(t)``, so a schedule goes
 wherever constant rates do, except into a steady state.
+
+A steady state is where this one map settles: iterated from a point mass
+at (1/2, 1/2), as ``propagate_moments`` iterates it, it must come to rest
+on the smallest root in [0, 1/4] of the quadratic left after eliminating
+m1 and m12 from the fixed-point equations.  Where the trajectory diverges
+or settles elsewhere there is none, even if the quadratic has that root.
 """
 
 from __future__ import annotations
@@ -42,10 +48,9 @@ from typing import NamedTuple
 
 from .agents import LearningRateSet, Rates
 
-# damped fixed-point iteration of the steady state: residual bound, budget, step
+# the closure's map settles where a step moves no moment by _TOL, within _MAX_ITER steps
 _TOL = 1e-12
 _MAX_ITER = 10**6
-_DAMPING = 0.5
 
 
 class MomentState(NamedTuple):
@@ -106,11 +111,6 @@ def step_moments(m: MomentState, rates: Rates, p: float, beta: float,
     return MomentState(*_closure_step(rates, p, beta, t)(*m))
 
 
-def step_delta(delta: float, alpha_t: float, p: float) -> float:
-    """One step of the value-gap recursion: decay plus reward-noise injection."""
-    return (1.0 - alpha_t) ** 2 * delta + p * (1.0 - p) * alpha_t * alpha_t
-
-
 def propagate_moments(m0: MomentState, rates: Rates, p: float, beta: float,
                       n_steps: int) -> list[MomentState]:
     """Closure trajectory m0..m_{n_steps}; schedules follow the step index."""
@@ -152,12 +152,12 @@ def _quadratic_pieces(rates: LearningRateSet, p: float, beta: float):
     return qa, qb, qc
 
 
-def steady_state_delta_quadratic(rates: LearningRateSet, p: float, beta: float) -> float:
+def _steady_state_delta_quadratic(rates: LearningRateSet, p: float, beta: float) -> float:
     """Steady-state value gap from the eliminated quadratic.
 
     Picks the smallest root in [0, 1/4], the branch the dynamics reach
     from a point-mass start; :func:`steady_state_delta` reports it where
-    the damped iteration reaches it too.  The roots are qc/q and q/qa with
+    the closure's map settles on it too.  The roots are qc/q and q/qa with
     q = -(qb + sign(qb)*sqrt(disc))/2, which never subtracts nearly equal
     numbers, so they stay accurate as qa -> 0 near unbiased rates; at
     qa = 0 (p = 1/2 on the x-curve) only the linear root qc/q = -qc/qb
@@ -176,43 +176,49 @@ def steady_state_delta_quadratic(rates: LearningRateSet, p: float, beta: float) 
     return candidates[0]
 
 
-def steady_state_moments(rates: LearningRateSet, p: float, beta: float) -> MomentState:
-    """Fixed point of the closed moment system by damped iteration from a
-    point mass at (1/2, 1/2), until the undamped residual is below _TOL."""
+def _steady_state_moments(rates: LearningRateSet, p: float,
+                          beta: float) -> tuple[MomentState, int]:
+    """Where the closure's own map settles from a point mass at (1/2, 1/2).
+
+    Runs the trajectory :func:`propagate_moments` runs, step for step, and
+    stops at the first step n that moves no moment by _TOL; returns the
+    moments after it and n, so they are
+    ``propagate_moments(MomentState.point_mass(0.5), rates, p, beta, n)[-1]``.
+    """
     _steady_rates(rates)
     step = _closure_step(rates, p, beta)
     m1, m11, m12 = MomentState.point_mass(0.5)
-    for it in range(_MAX_ITER):
+    for n in range(1, _MAX_ITER + 1):
         n1, n11, n12 = step(m1, m11, m12)
         res = max(abs(n1 - m1), abs(n11 - m11), abs(n12 - m12))
         if res < _TOL:
-            return MomentState(n1, n11, n12)
+            return MomentState(n1, n11, n12), n
         # moments live in [0, 1]; leaving a slack box means the closure's
         # policy feedback has gain > 1 and no admissible fixed point exists
         if not (math.isfinite(res) and -0.5 < n1 < 1.5
                 and -0.5 < n11 < 1.5 and -0.5 < n12 < 1.5):
             raise ConvergenceError(
-                f"moment iteration diverged after {it + 1} iterations; the "
-                "closed system has no admissible steady state here")
-        m1, m11, m12 = (m1 + _DAMPING * (n1 - m1), m11 + _DAMPING * (n11 - m11),
-                        m12 + _DAMPING * (n12 - m12))
+                f"the closure left the moment box after {n} steps; it has "
+                "no admissible steady state here")
+        m1, m11, m12 = n1, n11, n12
     raise ConvergenceError(
-        f"no fixed point within {_MAX_ITER} iterations (residual {res:.3e})")
+        f"the closure did not settle within {_MAX_ITER} steps (last step {res:.3e})")
 
 
 def steady_state_delta(rates: LearningRateSet, p: float, beta: float) -> float:
     """Steady-state value gap Delta* of the closed moment system.
 
-    The eliminated quadratic's admissible root in [0, 1/4], accepted only
-    where the damped fixed-point iteration reaches it within 1e-8.  The
-    root is reported because it is accurate to rounding, while the
-    iteration stops at a residual of _TOL.
+    The eliminated quadratic's smallest root in [0, 1/4], accepted only
+    where the closure's own map, iterated from a point mass at (1/2, 1/2)
+    as :func:`propagate_moments` iterates it, settles within 1e-8 of it.
+    The root is reported because it is accurate to rounding, while the
+    map stops once a step moves no moment by _TOL.
     """
-    d = steady_state_moments(rates, p, beta).delta
-    dq = steady_state_delta_quadratic(rates, p, beta)
+    d = _steady_state_moments(rates, p, beta)[0].delta
+    dq = _steady_state_delta_quadratic(rates, p, beta)
     if abs(d - dq) > 1e-8:
         raise ConvergenceError(
-            f"iterative steady state {d!r} disagrees with quadratic root {dq!r}")
+            f"the closure settles at {d!r}, not at the quadratic root {dq!r}")
     return dq
 
 

@@ -32,8 +32,8 @@ from banditlab import (
     propagate_moments,
     recover_bias,
     run_trajectory,
-    step_delta,
     steady_state_delta,
+    step_moments,
     synthesize_sessions,
     x_curve_rates,
 )
@@ -148,15 +148,18 @@ def test_criterion_3_moment_recursions_match_oracles():
 
 def test_criterion_4_constant_rate_steady_state_formula():
     for alpha in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
+        rates = LearningRateSet.constant(alpha)
         for p in np.arange(0.1, 0.95, 0.1):
             p = float(p)
             want = p * (1.0 - p) * alpha / (2.0 - alpha)
-            delta = 0.0
+            m = MomentState.point_mass(0.5)
             for _ in range(100_000):
-                delta = step_delta(delta, alpha, p)
-                if abs(delta - want) < 1e-10:
+                m = step_moments(m, rates, p, 0.0)
+                if abs(m.delta - want) < 1e-10:
                     break
-            assert abs(delta - want) < 1e-10, (alpha, p)
+            assert abs(m.delta - want) < 1e-10, (alpha, p)
+            for beta in (0.0, 1.0, 5.0, 50.0):
+                assert abs(steady_state_delta(rates, p, beta) - want) < 1e-10, (alpha, p, beta)
 
 
 def test_criterion_5_confirmation_raises_value_splitting():

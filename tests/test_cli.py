@@ -614,7 +614,8 @@ def test_sweep_delta_covers_the_grid(tmp_path, capsys):
     assert main(["sweep-delta", write_cfg(tmp_path, cfg), "--out-dir", str(out)]) == 0
     lines = (out / "delta_star.csv").read_text().splitlines()
     assert len(lines) == 2 + 4
-    from banditlab import steady_state_delta, steady_state_delta_quadratic, x_curve_rates
+    from banditlab import steady_state_delta, x_curve_rates
+    from banditlab.moments import _steady_state_delta_quadratic
     x, beta, p, d = lines[3].split(",")
     assert (float(x), float(beta)) == (1.0, 3.0)
     assert float(d) == steady_state_delta(x_curve_rates(1.0), 0.5, 3.0)
@@ -637,8 +638,22 @@ def test_sweep_delta_covers_the_grid(tmp_path, capsys):
     lines = (out / "delta_star.csv").read_text().splitlines()
     assert len(lines) == 2 + 2
     cells = [float(ln.split(",")[3]) for ln in lines[2:]]
-    assert cells[0] == steady_state_delta_quadratic(x_curve_rates(0.9999), 0.3, 0.5)
+    assert cells[0] == _steady_state_delta_quadratic(x_curve_rates(0.9999), 0.3, 0.5)
     assert cells[1] == pytest.approx(0.21 * 0.1 / 1.9, abs=1e-12)
+
+
+def test_sweep_delta_blanks_cells_where_the_closure_leaves_the_unit_interval(tmp_path, capsys):
+    # weak confirmation (x <= 0.7) at high beta: the quadratic has a root in
+    # [0, 1/4], but the closure's trajectory from the point mass leaves [0, 1]
+    cfg = {"kind": "sweep-delta", "p": 0.5, "x_grid": [0.0, 0.3], "beta_grid": [30.0, 50.0]}
+    out = tmp_path / "o"
+    assert main(["sweep-delta", write_cfg(tmp_path, cfg), "--out-dir", str(out)]) == 1
+    blank = ["x=0.0/beta=30.0", "x=0.0/beta=50.0", "x=0.3/beta=50.0"]
+    assert ", ".join(blank) in capsys.readouterr().err
+    rows = [ln.split(",") for ln in (out / "delta_star.csv").read_text().splitlines()[2:]]
+    assert [(float(r[0]), float(r[1])) for r in rows if r[3] == ""] == \
+        [(0.0, 30.0), (0.0, 50.0), (0.3, 50.0)]
+    assert json.loads((out / "manifest.json").read_text())["not_converged"] == blank
 
 
 def test_sweep_delta_unbiased_cells_match_closed_form(tmp_path):

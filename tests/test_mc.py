@@ -68,11 +68,12 @@ def test_chunk_size_does_not_change_results():
         np.testing.assert_array_equal(x, y)
 
 
-def test_ensemble_moments_equal_direct_averages():
+def test_ensemble_moments_equal_direct_averages(monkeypatch):
     env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=20)
     agent = QAgentSpec(LearningRateSet(0.12, 0.08, 0.08, 0.12), Policy(beta=4.0))
     n = 500
-    mom = ensemble_value_moments(agent, env, n, seed=9, chunk_size=64)
+    monkeypatch.setattr(mc, "DEFAULT_CHUNK", 64)  # eight chunks, the last one partial
+    mom = ensemble_value_moments(agent, env, n, seed=9)
     q1, q2, _ = collect(agent, env, n, seed=9, chunk_size=64)
     assert mom.t.shape == (21,)
     np.testing.assert_allclose(mom.mean1, q1.mean(axis=0), rtol=0, atol=1e-12)
@@ -165,13 +166,14 @@ def test_trial_major_chunk_matches_scalar_runs(agent, env):
 @pytest.mark.parametrize("n_replicas, chunk_size, name", [
     (10, -3, "chunk_size"), (10, 0, "chunk_size"), (0, 4, "n_replicas"), (-1, 4, "n_replicas"),
 ])
-def test_empty_ensembles_and_chunks_are_refused(n_replicas, chunk_size, name):
+def test_empty_ensembles_and_chunks_are_refused(monkeypatch, n_replicas, chunk_size, name):
     env = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=5)
     agent = QAgentSpec(LearningRateSet.constant(0.2), Policy(beta=3.0))
     with pytest.raises(ValueError, match=name):
         next(iter_value_chunks(agent, env, n_replicas, seed=0, chunk_size=chunk_size))
+    monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk_size)
     with pytest.raises(ValueError, match=name):
-        ensemble_value_moments(agent, env, n_replicas, seed=0, chunk_size=chunk_size)
+        ensemble_value_moments(agent, env, n_replicas, seed=0)
     if name == "n_replicas":  # the switching ensemble has no chunk size to pass
         with pytest.raises(ValueError, match=name):
             ensemble_switch_rate(agent, env, n_replicas, seed=0)

@@ -17,13 +17,10 @@ from banditlab import (
     propagate_moments,
     q_step,
     steady_state_delta,
-    steady_state_delta_quadratic,
-    steady_state_moments,
-    step_delta,
     step_moments,
     x_curve_rates,
 )
-from banditlab.moments import _arm_factors
+from banditlab.moments import _arm_factors, _steady_state_delta_quadratic, _steady_state_moments
 
 
 def step_moments_bayes(m, alpha_t, p):
@@ -164,49 +161,50 @@ def test_propagate_with_decaying_schedule_matches_bayes_propagation():
                                    [mb.m1, mb.m11, mb.m12], rtol=0, atol=1e-12)
 
 
-def test_step_delta_examples():
-    assert step_delta(0.0, 0.1, 0.5) == pytest.approx(0.0025, abs=1e-15)
-    assert step_delta(0.0, 1.0 / 3.0, 0.5) == pytest.approx(1.0 / 36.0, abs=1e-15)
-    # contraction plus source
-    d = 0.02
-    assert step_delta(d, 0.2, 0.3) == pytest.approx(
-        (1 - 0.2) ** 2 * d + 0.3 * 0.7 * 0.04, abs=1e-15)
-
-
-def test_delta_series_consistency():
-    p, alpha = 0.4, 0.25
-    m = MomentState.point_mass(0.5)
-    d = m.delta
-    for _ in range(40):
-        m = step_moments_bayes(m, alpha, p)
-        d = step_delta(d, alpha, p)
-        assert m.delta == pytest.approx(d, abs=1e-12)
-
-
-def test_iterated_delta_recursion_converges_to_formula():
-    for alpha in (0.05, 0.3, 0.8):
-        for p in (0.2, 0.6):
-            d = 0.0
-            for _ in range(5000):
-                d = step_delta(d, alpha, p)
-            assert d == pytest.approx(p * (1 - p) * alpha / (2 - alpha), abs=1e-10)
-
-
 def test_steady_state_iteration_agrees_with_quadratic():
     for x in (0.6, 1.0, 1.3):
         for beta in (1.0, 3.0):
             rates = x_curve_rates(x)
-            it = steady_state_moments(rates, 0.5, beta).delta
-            quad = steady_state_delta_quadratic(rates, 0.5, beta)
+            it = _steady_state_moments(rates, 0.5, beta)[0].delta
+            quad = _steady_state_delta_quadratic(rates, 0.5, beta)
             assert it == pytest.approx(quad, abs=1e-8)
     # near unbiased rates off p = 1/2 the quadratic term vanishes; its roots
     # must not lose digits to cancellation
     for p, dx, sign, beta in product((0.3, 0.6), (1e-3, 1e-4, 1e-5), (-1, 1),
                                      (0.1, 0.5, 3.0)):
         rates = x_curve_rates(1.0 + sign * dx)
-        it = steady_state_moments(rates, p, beta).delta
-        quad = steady_state_delta_quadratic(rates, p, beta)
+        it = _steady_state_moments(rates, p, beta)[0].delta
+        quad = _steady_state_delta_quadratic(rates, p, beta)
         assert it == pytest.approx(quad, abs=1e-10)
+
+
+def test_steady_state_is_where_propagation_settles():
+    # an accepted cell's moments are the closure trajectory's, bit for bit,
+    # at the step where the map settled
+    accepted = 0
+    for x, p, beta in product((0.0, 0.5, 1.0, 1.3, 2.0), (0.1, 0.5, 0.8), (0.5, 5.0, 50.0)):
+        rates = x_curve_rates(x)
+        try:
+            steady_state_delta(rates, p, beta)
+        except ConvergenceError:
+            continue
+        m, n = _steady_state_moments(rates, p, beta)
+        assert m == propagate_moments(MomentState.point_mass(0.5), rates, p, beta, n)[-1]
+        accepted += 1
+    assert accepted == 32
+
+
+@pytest.mark.parametrize("x, beta, leaves_at", [(0.0, 30.0, 10), (0.3, 50.0, 8)])
+def test_no_steady_state_where_propagation_leaves_the_unit_interval(x, beta, leaves_at):
+    # the quadratic has an admissible root here, but the closure's trajectory
+    # from the point mass leaves [0, 1], so the root is no steady state
+    rates = x_curve_rates(x)
+    assert 0.0 <= _steady_state_delta_quadratic(rates, 0.5, beta) <= 0.25
+    series = propagate_moments(MomentState.point_mass(0.5), rates, 0.5, beta, leaves_at)
+    assert all(0.0 <= v <= 1.0 for m in series[:-1] for v in m)
+    assert not all(0.0 <= v <= 1.0 for v in series[-1])
+    with pytest.raises(ConvergenceError):
+        steady_state_delta(rates, 0.5, beta)
 
 
 def test_steady_state_unbiased_is_beta_independent():
@@ -229,7 +227,7 @@ def test_steady_state_diverges_cleanly_when_feedback_too_strong():
     with pytest.raises(ConvergenceError):
         steady_state_delta(x_curve_rates(1.5), 0.5, 5.0)
     # the iteration settles, but on a gap outside [0, 1/4] (<Q1Q2> < 0 here)
-    m = steady_state_moments(x_curve_rates(1.22), 0.5, 10.0)
+    m, _ = _steady_state_moments(x_curve_rates(1.22), 0.5, 10.0)
     assert m.delta > 0.25 and m.m12 < 0
     for p in (0.4, 0.5):
         with pytest.raises(ConvergenceError):
@@ -238,15 +236,16 @@ def test_steady_state_diverges_cleanly_when_feedback_too_strong():
 
 def test_steady_state_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
-        steady_state_moments(LearningRateSet(0, 0, 0, 0), 0.5, 1.0)
+        _steady_state_moments(LearningRateSet(0, 0, 0, 0), 0.5, 1.0)
     with pytest.raises(ValueError):
-        steady_state_moments(BayesSchedule(), 0.5, 1.0)
+        _steady_state_moments(BayesSchedule(), 0.5, 1.0)
 
 
 @pytest.mark.parametrize("rates", [BayesSchedule(), StepSchedule(0.5, 0.5, 3),
                                    LearningRateSet(0, 0, 0, 0)],
                          ids=["bayes", "step", "zero"])
-@pytest.mark.parametrize("solve", [steady_state_moments, steady_state_delta_quadratic])
+@pytest.mark.parametrize("solve", [_steady_state_moments, _steady_state_delta_quadratic],
+                         ids=["steady_state_moments", "steady_state_delta_quadratic"])
 def test_steady_state_needs_constant_positive_rates(solve, rates):
     # a schedule has no steady state and all-zero rates never move; the
     # quadratic used to return a gap for the schedules and divide by zero

@@ -73,6 +73,9 @@ def cases(work: Path):
     yield "sweep-delta", "near-unbiased", {"kind": "sweep-delta", "p": 0.3,
                                            "x_grid": [0.999, 0.9999, 1.0001],
                                            "beta_grid": [0.1, 0.5]}
+    # weak confirmation at high beta: blank where the closure leaves [0, 1]
+    yield "sweep-delta", "closure-leaves", {"kind": "sweep-delta", "p": 0.5,
+                                            "x_grid": [0, 0.3, 1], "beta_grid": [1, 30, 50]}
     sw = {"kind": "switch-rate", "ensemble": {"replicas": 200}}
     yield "switch-rate", "q", {**sw, "environment": _env(True), "agent": q_cf}
     yield "switch-rate", "bayes-partial", {**sw, "environment": _env(False), "agent": bayes}
