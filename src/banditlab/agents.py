@@ -12,10 +12,12 @@ means follow exactly a symmetric Q-update with the decaying rate
 :func:`effective_rate`, 1/(t+3), the rate the Bayesian schedule uses.
 
 The two learning rules are written once, in :func:`q_step` and
-:func:`count_step`.  One loop, run on Python scalars for a single
-replica (:func:`run_trajectory`) and on arrays for an ensemble chunk,
-simulates both agent kinds into one :class:`Trajectory` record, and the
-switching kernel calls the same steps.  The likelihood engine in
+:func:`count_step`.  One loop, ``_trials``, simulates both agent kinds
+on Python scalars for a single replica (:func:`run_trajectory`) and on
+arrays for an ensemble chunk.  It is a generator of trial states, which
+``_record`` collects into one :class:`Trajectory` record and the
+ensemble statistics reduce trial by trial without one; the switching
+kernel calls the same steps.  The likelihood engine in
 ``fitting`` scores whole sessions at once: it counts through
 :func:`count_values` and composes the Q rule over trials as a prefix
 scan, pinned to folds of both steps by property tests.  Bayesian
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -239,16 +241,19 @@ class Trajectory:
         return np.where(self.actions == 1, self.rewards2, self.rewards1)
 
 
-def _simulate(agent: AgentSpec, env: Environment, action_u, reward_bits: np.ndarray,
-              shape: tuple = ()) -> Trajectory:
-    """The simulation loop behind run_trajectory and the vectorized ensembles.
+def _trials(agent: AgentSpec, env: Environment, action_u, reward_bits: np.ndarray,
+            actions: np.ndarray) -> Iterator[tuple]:
+    """The simulation loop behind every simulator, as a generator of trial states.
 
     ``action_u`` holds each trial's action uniform and ``reward_bits`` both
     arms' 0/1 rewards, int8 of shape (2, T) + ``shape``, drawn beforehand as
-    ``u < p`` from each trial's arm-1 and arm-2 uniforms; they become the
-    record's rewards.  One replica (``shape`` ()) steps on Python numbers,
-    a chunk of replicas on arrays of ``shape``.  Both go through the same
-    masked learning steps, so a chunk reproduces single runs bit for bit.
+    ``u < p`` from each trial's arm-1 and arm-2 uniforms.  The generator
+    yields (v1, v2, counts) before each trial and at the end: the values
+    and a Bayesian agent's int64 counts (s1, n1, s2, n2), None for a
+    Q-agent; it writes each action into ``actions``, int8 (T,) + ``shape``.
+    One replica (``shape`` ()) steps on Python numbers, a chunk on arrays
+    of ``shape``, through the same masked learning steps, so a chunk
+    reproduces single runs bit for bit.  The agent is checked at the call.
     """
     bayes = isinstance(agent, BayesAgentSpec)
     if not bayes and not isinstance(agent, QAgentSpec):
@@ -257,38 +262,47 @@ def _simulate(agent: AgentSpec, env: Environment, action_u, reward_bits: np.ndar
     if not (bayes or cf) and isinstance(agent.rates, LearningRateSet) \
             and not agent.rates.unchosen_zero:
         raise ValueError("unchosen-arm rates must be zero without counterfactual feedback")
-    T = len(action_u)
-    # trial-major, so that each trial's writes (and later reads) are contiguous
-    values1 = np.empty((T + 1,) + shape)
-    values2 = np.empty((T + 1,) + shape)
-    actions = np.empty((T,) + shape, dtype=np.int8)
+    shape = actions.shape[1:]
+
+    def steps():
+        zero = np.zeros(shape, dtype=np.int64) if shape else 0
+        s1 = n1 = s2 = n2 = zero
+        v1, v2 = count_values(s1, n1, s2, n2) if bayes else (zero + 0.5, zero + 0.5)
+        policy = agent.policy
+        trials = zip(action_u, *reward_bits) if shape else zip(action_u, *reward_bits.tolist())
+        for t, (ua, r1, r2) in enumerate(trials):
+            yield v1, v2, (s1, n1, s2, n2) if bayes else None
+            # uniforms lie in [0, 1), so a greedy probability of 1 or 0 decides alone
+            chose1 = ua < policy.choice_prob(v1, v2)
+            if bayes:
+                s1, n1, s2, n2 = count_step(s1, n1, s2, n2, chose1, r1, r2, cf)
+                v1, v2 = count_values(s1, n1, s2, n2)
+            else:
+                apc, amc, apu, amu = agent.rates.at(t)
+                v1, v2 = q_step(v1, v2, chose1, r1, r2, apc, amc, apu * cf, amu * cf)
+            actions[t] = 2 - chose1
+        yield v1, v2, (s1, n1, s2, n2) if bayes else None
+
+    return steps()
+
+
+def _record(agent: AgentSpec, env: Environment, trials: Iterator[tuple],
+            actions: np.ndarray, reward_bits: np.ndarray) -> Trajectory:
+    """Collect a :func:`_trials` generator's states into its trial-major
+    :class:`Trajectory`; ``actions`` is the array it fills, viewed with the
+    trial axis last, and ``reward_bits`` its rewards."""
+    shape, T = actions.shape[:-1], actions.shape[-1]
+    values = np.empty((2, T + 1) + shape)
     # counts never exceed the horizon, so the smallest fitting dtype holds them
-    counts = np.empty((T + 1, 4) + shape, dtype=np.min_scalar_type(T)) if bayes else None
-    zero = np.zeros(shape, dtype=np.int64) if shape else 0
-    s1 = n1 = s2 = n2 = zero
-    v1, v2 = count_values(s1, n1, s2, n2) if bayes else (zero + 0.5, zero + 0.5)
-    policy = agent.policy
-    trials = zip(action_u, *reward_bits) if shape else zip(action_u, *reward_bits.tolist())
-    for t, (ua, r1, r2) in enumerate(trials):
-        values1[t], values2[t] = v1, v2
-        if bayes:
-            counts[t] = s1, n1, s2, n2
-        # uniforms lie in [0, 1), so a greedy probability of 1 or 0 decides alone
-        chose1 = ua < policy.choice_prob(v1, v2)
-        if bayes:
-            s1, n1, s2, n2 = count_step(s1, n1, s2, n2, chose1, r1, r2, cf)
-            v1, v2 = count_values(s1, n1, s2, n2)
-        else:
-            apc, amc, apu, amu = agent.rates.at(t)
-            v1, v2 = q_step(v1, v2, chose1, r1, r2, apc, amc, apu * cf, amu * cf)
-        actions[t] = 2 - chose1
-    values1[T], values2[T] = v1, v2
-    if bayes:
-        counts[T] = s1, n1, s2, n2
-        counts = np.moveaxis(counts, 0, -1)
-    return Trajectory(np.moveaxis(values1, 0, -1), np.moveaxis(values2, 0, -1),
-                      np.moveaxis(actions, 0, -1), *np.moveaxis(reward_bits, 1, -1),
-                      counts, cf)
+    counts = (np.empty((T + 1, 4) + shape, dtype=np.min_scalar_type(T))
+              if isinstance(agent, BayesAgentSpec) else None)
+    for t, (v1, v2, c) in enumerate(trials):
+        values[0, t], values[1, t] = v1, v2
+        if c is not None:
+            counts[t] = c
+    return Trajectory(*np.moveaxis(values, 1, -1), actions, *np.moveaxis(reward_bits, 1, -1),
+                      None if counts is None else np.moveaxis(counts, 0, -1),
+                      env.counterfactual)
 
 
 def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajectory:
@@ -302,4 +316,6 @@ def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajec
     """
     u = rng.uniform_block((env.horizon, 3))
     bits = np.ascontiguousarray(u[:, 1:].T < [[env.p1], [env.p2]], dtype=np.int8)
-    return _simulate(agent, env, u[:, 0].tolist(), bits)
+    actions = np.empty(env.horizon, dtype=np.int8)
+    return _record(agent, env, _trials(agent, env, u[:, 0].tolist(), bits, actions),
+                   actions, bits)

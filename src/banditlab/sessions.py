@@ -106,14 +106,16 @@ def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,
     holds at most 65,536 trials).  Each chunk is cut into blocks of
     ``BLOCK_ROWS // env.horizon`` subjects (at least one; a chunk's last
     block may hold fewer), so ``BLOCK_ROWS`` bounds only the rows a
-    consumer formats at once.  A block's arrays are views into its chunk,
-    which this generator lets go of before it draws the next one.
+    consumer formats at once.  A block's arrays are views into its chunk's
+    record (``Chunk.record``), which this generator lets go of before it
+    draws the next chunk.
     """
     T = env.horizon
     per_block = max(1, BLOCK_ROWS // T)
     first = 0
-    for chunk in mc.iter_value_chunks(agent, env, n_subjects, seed,
+    for drawn in mc.iter_value_chunks(agent, env, n_subjects, seed,
                                       chunk_size=max(1, min(mc._DRAW_BLOCK, _CHUNK_ROWS // T))):
+        chunk = drawn.record()
         cf = chunk.counterfactual
         rc = chunk.reward_chosen()
         ru = chunk.reward_unchosen() if cf else None
@@ -124,7 +126,7 @@ def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,
                 SessionData(f"{prefix}{first + i:04d}", chunk.actions[i], rc[i],
                             ru[i] if cf else None, cf) for i in range(lo, hi)]
         first += n
-        del chunk, rc, ru  # held only through the blocks' views from here on
+        del drawn, chunk, rc, ru  # held only through the blocks' views from here on
 
 
 def synthesize_sessions(agent: AgentSpec, env: Environment, n_subjects: int,

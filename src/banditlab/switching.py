@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import mc
 from .agents import LearningRateSet, Policy, count_step, count_values, q_step
 from .env import Environment
 from .mc import _mean_se, iter_value_chunks
@@ -84,7 +85,9 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
     """<K>_t for t = 0..horizon-1 from n_replicas simulated trajectories.
 
     Simulates one extra trial so the realized-switch estimator covers the
-    same trials as the analytic one.
+    same trials as the analytic one.  Each trial's K is summed over the
+    chunk's replicas as the chunk steps, and switches are counted from its
+    actions, so no chunk record is built.
     """
     horizon = env.horizon
     cf = env.counterfactual
@@ -92,20 +95,19 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
     k_sum = np.zeros(horizon)
     k_sqsum = np.zeros(horizon)
     switches = np.zeros(horizon)
-    for chunk in iter_value_chunks(agent, replace(env, horizon=horizon + 1), n_replicas, seed):
-        for t in range(horizon):
-            v1, v2 = chunk.values1[:, t], chunk.values2[:, t]
-            if chunk.counts is None:
-                after = _q_after(v1, v2, agent.rates, t, cf)
-            else:
-                # widened so a stored count plus one cannot wrap
-                after = _count_after(*chunk.counts[:, :, t].astype(np.int64), cf)
-            k = _k_mixture(v1, v2, after, env.p1, env.p2, agent.policy)
-            k_sum[t] += k.sum()
-            k_sqsum[t] += (k * k).sum()
+    for chunk in iter_value_chunks(agent, replace(env, horizon=horizon + 1), n_replicas, seed,
+                                   chunk_size=mc.DEFAULT_CHUNK):
+        # the two last states are stepped only to fill the actions
+        for t, (v1, v2, counts) in enumerate(chunk.steps()):
+            if t < horizon:
+                after = (_q_after(v1, v2, agent.rates, t, cf) if counts is None
+                         else _count_after(*counts, cf))
+                k = _k_mixture(v1, v2, after, env.p1, env.p2, agent.policy)
+                k_sum[t] += k.sum()
+                k_sqsum[t] += (k * k).sum()
         switches += (chunk.actions[:, 1:] != chunk.actions[:, :-1]).sum(axis=0)
-        # the views hold the chunk too: let it go before the next one is drawn
-        del chunk, v1, v2, after, k
+        # the trial states hold arrays too: let them go before the next chunk is drawn
+        del chunk, v1, v2, counts, after, k
 
     n = n_replicas
     a_mean, a_se = _mean_se(k_sum, k_sqsum, n)

@@ -1,6 +1,7 @@
 """Vectorized ensemble engine vs the scalar trajectory runner."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,18 +13,20 @@ from banditlab import (
     Policy,
     QAgentSpec,
     RngStream,
+    StepSchedule,
     Trajectory,
     ensemble_switch_rate,
     ensemble_value_moments,
     iter_value_chunks,
     run_trajectory,
 )
-from banditlab import mc
+from banditlab import mc, switching
 
 
 def collect(agent, env, n, seed, chunk_size):
     q1_parts, q2_parts, a_parts = [], [], []
     for chunk in iter_value_chunks(agent, env, n, seed, chunk_size=chunk_size):
+        chunk = chunk.record()
         q1_parts.append(chunk.values1)
         q2_parts.append(chunk.values2)
         a_parts.append(chunk.actions)
@@ -89,7 +92,7 @@ def test_bayes_chunk_counts_match_scalar_counts():
     # under partial feedback only the chosen arm's counts grow
     env = Environment(p1=0.6, p2=0.4, counterfactual=False, horizon=10)
     agent = BayesAgentSpec(Policy(beta=5.0))
-    chunk = next(iter_value_chunks(agent, env, 4, seed=0))
+    chunk = next(iter_value_chunks(agent, env, 4, seed=0)).record()
     s1, n1, s2, n2 = chunk.counts
     np.testing.assert_array_equal(n1 + n2, np.broadcast_to(np.arange(11), (4, 11)))
     for i in range(4):
@@ -97,7 +100,22 @@ def test_bayes_chunk_counts_match_scalar_counts():
         np.testing.assert_array_equal(counts, chunk.counts[:, i])
         assert counts.dtype == chunk.counts.dtype
     assert next(iter_value_chunks(QAgentSpec(LearningRateSet(0.1, 0.1, 0, 0), Policy()),
-                                  env, 4, seed=0)).counts is None
+                                  env, 4, seed=0)).record().counts is None
+
+
+def test_a_chunk_steps_once_and_fills_its_actions():
+    env = Environment(p1=0.6, p2=0.4, counterfactual=False, horizon=12)
+    agent = BayesAgentSpec(Policy(beta=5.0))
+    (streamed,) = iter_value_chunks(agent, env, 5, seed=3)
+    states = list(streamed.steps())
+    assert len(states) == env.horizon + 1
+    (chunk,) = iter_value_chunks(agent, env, 5, seed=3)
+    rec = chunk.record()
+    np.testing.assert_array_equal(streamed.actions, rec.actions)
+    np.testing.assert_array_equal(states[-1][0], rec.values1[:, -1])
+    for used in (streamed, chunk):
+        with pytest.raises(RuntimeError, match="once"):
+            used.record()
 
 
 def test_unchosen_rates_refused_without_counterfactual():
@@ -139,7 +157,7 @@ def test_chunks_match_scalar_runs_at_a_negative_seed():
 def test_trial_major_chunk_matches_scalar_runs(agent, env):
     # one chunk of 1,100 replicas spans several draw sub-blocks, the last partial
     n = 1100
-    (chunk,) = iter_value_chunks(agent, env, n, seed=8)
+    (chunk,) = [c.record() for c in iter_value_chunks(agent, env, n, seed=8)]
     for t in range(env.horizon):
         assert chunk.values1[:, t].flags.c_contiguous
         assert chunk.actions[:, t].flags.c_contiguous
@@ -174,29 +192,95 @@ def test_empty_ensembles_and_chunks_are_refused(monkeypatch, n_replicas, chunk_s
     monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk_size)
     with pytest.raises(ValueError, match=name):
         ensemble_value_moments(agent, env, n_replicas, seed=0)
-    if name == "n_replicas":  # the switching ensemble has no chunk size to pass
-        with pytest.raises(ValueError, match=name):
-            ensemble_switch_rate(agent, env, n_replicas, seed=0)
+    with pytest.raises(ValueError, match=name):
+        ensemble_switch_rate(agent, env, n_replicas, seed=0)
 
 
 def test_long_horizons_cap_a_chunk_at_a_million_replica_trials(monkeypatch):
     # 4,096 trials leave room for 256 replicas a chunk, whatever chunk_size asks
     env = Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=4096)
     agent = QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0))
-    capped = list(iter_value_chunks(agent, env, 300, seed=2))
+    capped = [c.record() for c in iter_value_chunks(agent, env, 300, seed=2)]
     assert [c.actions.shape for c in capped] == [(256, 4096), (44, 4096)]
     monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1 << 40)
-    (whole,) = iter_value_chunks(agent, env, 300, seed=2)
+    (whole,) = [c.record() for c in iter_value_chunks(agent, env, 300, seed=2)]
     for field in ("values1", "values2", "actions", "rewards1", "rewards2"):
         np.testing.assert_array_equal(
             np.concatenate([getattr(c, field) for c in capped]), getattr(whole, field))
 
 
+def _record_moments(agent, env, n, seed):
+    """ensemble_value_moments' sums taken, as before streaming, from each
+    chunk's whole record along its replica axis."""
+    sums = np.zeros((5, env.horizon + 1))
+    for chunk in iter_value_chunks(agent, env, n, seed, chunk_size=mc.DEFAULT_CHUNK):
+        rec = chunk.record()
+        v1 = rec.values1
+        prod = np.empty_like(v1)
+        sums[0] += v1.sum(axis=0)
+        sums[1] += np.multiply(v1, v1, out=prod).sum(axis=0)
+        sums[2] += np.multiply(prod, prod, out=prod).sum(axis=0)
+        sums[3] += np.multiply(v1, rec.values2, out=prod).sum(axis=0)
+        sums[4] += np.multiply(prod, prod, out=prod).sum(axis=0)
+    s1, s11, s11_sq, s12, s12_sq = sums
+    return (*mc._mean_se(s1, s11, n), *mc._mean_se(s11, s11_sq, n),
+            *mc._mean_se(s12, s12_sq, n))
+
+
+def _record_switch_rate(agent, env, n, seed):
+    """ensemble_switch_rate's sums taken, as before streaming, from each
+    chunk's whole record."""
+    horizon, cf = env.horizon, env.counterfactual
+    k_sum, k_sqsum, switches = np.zeros((3, horizon))
+    for chunk in iter_value_chunks(agent, replace(env, horizon=horizon + 1), n, seed,
+                                   chunk_size=mc.DEFAULT_CHUNK):
+        rec = chunk.record()
+        for t in range(horizon):
+            v1, v2 = rec.values1[:, t], rec.values2[:, t]
+            if rec.counts is None:
+                after = switching._q_after(v1, v2, agent.rates, t, cf)
+            else:
+                after = switching._count_after(*rec.counts[:, :, t].astype(np.int64), cf)
+            k = switching._k_mixture(v1, v2, after, env.p1, env.p2, agent.policy)
+            k_sum[t] += k.sum()
+            k_sqsum[t] += (k * k).sum()
+        switches += (rec.actions[:, 1:] != rec.actions[:, :-1]).sum(axis=0)
+    e_mean = switches / n
+    return (*mc._mean_se(k_sum, k_sqsum, n), e_mean, np.sqrt(e_mean * (1.0 - e_mean) / n))
+
+
+@pytest.mark.parametrize("agent, counterfactual", [
+    (QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0)), True),
+    (QAgentSpec(StepSchedule(0.3, 0.05, 8), Policy(beta=5.0)), False),
+    (BayesAgentSpec(Policy(beta=8.0)), True),
+    (BayesAgentSpec(Policy(beta=8.0)), False),
+    (BayesAgentSpec(Policy(mode="greedy")), True),
+    (BayesAgentSpec(Policy(mode="greedy")), False),
+], ids=["q-asymmetric-counterfactual", "q-step-partial", "bayes-softmax-counterfactual",
+        "bayes-softmax-partial", "bayes-greedy-counterfactual", "bayes-greedy-partial"])
+def test_streamed_statistics_equal_record_reductions(monkeypatch, agent, counterfactual):
+    # 513 replicas in chunks of 200: three chunks, the last one partial
+    monkeypatch.setattr(mc, "DEFAULT_CHUNK", 200)
+    env = Environment(p1=0.6, p2=0.4, counterfactual=counterfactual, horizon=30)
+    n, seed = 513, 4
+    assert [len(c.actions) for c in iter_value_chunks(agent, env, n, seed, 200)] == [200, 200, 113]
+    mom = ensemble_value_moments(agent, env, n, seed)
+    got = (mom.mean1, mom.se1, mom.mean11, mom.se11, mom.mean12, mom.se12)
+    for a, b in zip(got, _record_moments(agent, env, n, seed), strict=True):
+        assert np.array_equal(a, b)
+    sw = ensemble_switch_rate(agent, env, n, seed)
+    got = (sw.analytic_mean, sw.analytic_se, sw.empirical_mean, sw.empirical_se)
+    for a, b in zip(got, _record_switch_rate(agent, env, n, seed), strict=True):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("kind", ["moments", "switch-rate"])
 def test_an_ensemble_holds_one_chunk_at_a_time(kind):
     # the Bayesian moments' and criterion 6's ensembles span three and two
-    # chunks; at most one chunk record and two float64 (H + 1) x 8,192
-    # buffers (the action uniforms and a product buffer) may be alive at once
+    # chunks, each reduced trial by trial as it steps: at most one chunk's
+    # action uniforms, reward bits and actions (11 bytes a replica-trial) may
+    # be alive at once, plus 64 float64 vectors of its replicas for the trial
+    # state, a step's temporaries and the draw blocks in flight
     n = mc.DEFAULT_CHUNK
     if kind == "moments":
         agent = BayesAgentSpec(Policy(beta=5.0))
@@ -214,11 +298,7 @@ def test_an_ensemble_holds_one_chunk_at_a_time(kind):
 
         def run():
             ensemble_switch_rate(agent, env, 10_000, seed=0)
-    # values, actions and both arms' rewards, and a Bayesian agent's uint8 counts
-    record = 2 * (horizon + 1) * n * 8 + 3 * horizon * n
-    if kind == "moments":
-        record += 4 * (horizon + 1) * n
-    bound = record + 2 * (horizon + 1) * n * 8
+    bound = 11 * horizon * n + 64 * 8 * n
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

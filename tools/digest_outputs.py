@@ -89,6 +89,9 @@ def cases(work: Path):
     # 9,000 replicas span two engine chunks, 8,192 + 808, so the sums cross a chunk boundary
     yield "switch-rate", "q-two-chunks", {**sw, "ensemble": {"replicas": 9000},
                                           "environment": _env(True), "agent": q_cf}
+    # Bayesian counts streamed across the same chunk boundary, under partial feedback
+    yield "switch-rate", "bayes-partial-two-chunks", {**sw, "ensemble": {"replicas": 9000},
+                                                      "environment": _env(False), "agent": bayes}
     for case in ("q-counterfactual", "bayes-partial"):
         yield "fit", case, {"kind": "fit", "sessions": str(work / "simulate" / case / "sessions.csv"),
                             "restarts": 3, "seed": 2}
