@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -214,12 +214,10 @@ class Trajectory:
     ``values1``/``values2`` hold the agents' value estimates before each
     trial plus the terminal state (shape + (T+1,)): Q-values for a
     Q-agent, posterior means for a Bayesian agent.  ``actions`` and both
-    arms' 0/1 rewards have shape + (T,), int8.  A Bayesian agent's
-    ``counts`` stack its arms' success and outcome counts (s1, n1, s2, n2)
-    at the same times, (4,) + shape + (T+1,), in the smallest unsigned
-    dtype that holds the horizon; None for a Q-agent.  All are views over
-    trial-major storage: for a chunk, ``values1[:, t]``, ``actions[:, t]``
-    and ``counts[:, :, t]`` are contiguous, ``values1[i]`` is not.
+    arms' 0/1 rewards have shape + (T,), int8.  All are views over
+    trial-major storage: for a chunk, ``values1[:, t]`` and
+    ``actions[:, t]`` are contiguous, ``values1[i]`` is not.  A Bayesian
+    agent's counts are not kept: the trial states of ``_trials`` carry them.
     """
 
     values1: np.ndarray
@@ -227,7 +225,6 @@ class Trajectory:
     actions: np.ndarray
     rewards1: np.ndarray
     rewards2: np.ndarray
-    counts: Optional[np.ndarray]
     counterfactual: bool
 
     @property
@@ -286,22 +283,16 @@ def _trials(agent: AgentSpec, env: Environment, action_u, reward_bits: np.ndarra
     return steps()
 
 
-def _record(agent: AgentSpec, env: Environment, trials: Iterator[tuple],
-            actions: np.ndarray, reward_bits: np.ndarray) -> Trajectory:
-    """Collect a :func:`_trials` generator's states into its trial-major
-    :class:`Trajectory`; ``actions`` is the array it fills, viewed with the
-    trial axis last, and ``reward_bits`` its rewards."""
+def _record(env: Environment, trials: Iterator[tuple], actions: np.ndarray,
+            reward_bits: np.ndarray) -> Trajectory:
+    """Collect the values of a :func:`_trials` generator's states into its
+    trial-major :class:`Trajectory`; ``actions`` is the array it fills,
+    viewed with the trial axis last, and ``reward_bits`` its rewards."""
     shape, T = actions.shape[:-1], actions.shape[-1]
     values = np.empty((2, T + 1) + shape)
-    # counts never exceed the horizon, so the smallest fitting dtype holds them
-    counts = (np.empty((T + 1, 4) + shape, dtype=np.min_scalar_type(T))
-              if isinstance(agent, BayesAgentSpec) else None)
-    for t, (v1, v2, c) in enumerate(trials):
+    for t, (v1, v2, _) in enumerate(trials):
         values[0, t], values[1, t] = v1, v2
-        if c is not None:
-            counts[t] = c
     return Trajectory(*np.moveaxis(values, 1, -1), actions, *np.moveaxis(reward_bits, 1, -1),
-                      None if counts is None else np.moveaxis(counts, 0, -1),
                       env.counterfactual)
 
 
@@ -317,5 +308,4 @@ def run_trajectory(agent: AgentSpec, env: Environment, rng: RngStream) -> Trajec
     u = rng.uniform_block((env.horizon, 3))
     bits = np.ascontiguousarray(u[:, 1:].T < [[env.p1], [env.p2]], dtype=np.int8)
     actions = np.empty(env.horizon, dtype=np.int8)
-    return _record(agent, env, _trials(agent, env, u[:, 0].tolist(), bits, actions),
-                   actions, bits)
+    return _record(env, _trials(agent, env, u[:, 0].tolist(), bits, actions), actions, bits)

@@ -50,11 +50,12 @@ class ConfigError(Exception):
 
 @dataclass
 class RunManifest:
-    """What a run wrote, and what failed to converge: fits as
-    ``subject/family``, grid cells as ``x=X/beta=B``.  Runs that fit carry
-    fit counters; runs that simulate count their replica-steps.  ``timings``
-    holds wall-clock seconds: ``run_s`` for the handler and its shares,
-    ``simulate_s``, ``read_s``, ``fit_s``, ``recover_s`` and ``write_s``."""
+    """What a run wrote, one ``{"path", "rows"}`` object per file, and what
+    failed to converge: fits as ``subject/family``, grid cells as
+    ``x=X/beta=B``.  Runs that fit carry fit counters; runs that simulate
+    count their replica-steps.  ``timings`` holds wall-clock seconds:
+    ``run_s`` for the handler and its shares, ``simulate_s``, ``read_s``,
+    ``fit_s``, ``recover_s`` and ``write_s``."""
 
     config_hash: str
     tool_version: str
@@ -67,15 +68,7 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {"config_hash": self.config_hash, "tool_version": self.tool_version,
-               "seed": self.seed, "started_at": self.started_at,
-               "finished_at": self.finished_at,
-               "files": [{"path": p, "rows": r} for p, r in self.files]}
-        if self.counters is not None:
-            out["counters"] = dict(self.counters)
-        out["not_converged"] = list(self.not_converged)
-        out["timings"] = dict(self.timings)
-        return out
+        return {k: v for k, v in asdict(self).items() if not (k == "counters" and v is None)}
 
 
 def _fit_health(fits) -> dict:
@@ -150,13 +143,13 @@ _ENSEMBLE_RUN = {"environment": _ENV,
                  "agent": ({"type": (_one_of("q", "bayes"), REQUIRED),
                             "beta": (_NONNEG, REQUIRED), "policy": _POLICY,
                             "rates": _RATES, "schedule": _SCHEDULE}, REQUIRED),
-                 "ensemble": ({"replicas": (_POS_INT, REQUIRED), "seed": (_NAT, None)},
-                              REQUIRED)}
-_COMMON = {"seed": (_NAT, 0),
-           "output": ({"directory": (_STR, None), "sessions": (_BOOL, False)}, {})}
+                 "ensemble": ({"replicas": (_POS_INT, REQUIRED)}, REQUIRED)}
+_OUTPUT = {"directory": (_STR, None)}
+_COMMON = {"seed": (_NAT, 0), "output": (_OUTPUT, {})}
 
 SCHEMA = {kind: {**_COMMON, **table} for kind, table in {
-    "simulate": _ENSEMBLE_RUN,
+    # only simulate writes sessions.csv, so only it reads output.sessions
+    "simulate": {**_ENSEMBLE_RUN, "output": ({**_OUTPUT, "sessions": (_BOOL, False)}, {})},
     "propagate": {"p": (_PROB, REQUIRED), "beta": (_NONNEG, REQUIRED),
                   "n_steps": (_POS_INT, REQUIRED),
                   # configs send "closure", its one value; for "exact-unbiased",
@@ -499,8 +492,7 @@ def run_scenario(config, seed: Optional[int] = None,
     cfg, diags = check_config(raw)
     if diags:
         raise ConfigError(diags)
-    ens_seed = cfg["ensemble"]["seed"] if "ensemble" in cfg else None
-    seed = _first(seed, ens_seed, cfg["seed"])
+    seed = _first(seed, cfg["seed"])
     out = Path(_first(out_dir, cfg["output"]["directory"],
                       os.environ.get(OUT_DIR_ENV), "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -511,7 +503,8 @@ def run_scenario(config, seed: Optional[int] = None,
     finished = datetime.now(timezone.utc).isoformat()
     manifest = RunManifest(config_hash=config_hash(raw), tool_version=__version__,
                            seed=seed, started_at=started, finished_at=finished,
-                           files=files, timings=timings, **health)
+                           files=[{"path": p, "rows": r} for p, r in files],
+                           timings=timings, **health)
     _write_json(out / "manifest.json", manifest.to_dict())
     return manifest
 
@@ -565,8 +558,8 @@ def main(argv=None) -> int:
     except Exception as e:  # an unreadable config or a module error, with context
         print(f"error: {args.command} failed: {e}", file=sys.stderr)
         return 1
-    for path, rows in manifest.files:
-        print(f"wrote {path} ({rows} rows)")
+    for f in manifest.files:
+        print(f"wrote {f['path']} ({f['rows']} rows)")
     if manifest.not_converged:
         print(f"error: {len(manifest.not_converged)} result(s) did not converge: "
               f"{', '.join(manifest.not_converged)}", file=sys.stderr)

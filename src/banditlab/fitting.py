@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 # scipy.special and scipy.optimize are imported where a fit first needs them,
@@ -516,21 +516,21 @@ def fit_subject(family: str, session: SessionData, restarts: int = 20,
     return _fit_batch(family, _Tables([session]), [stream_index], restarts, seed)[0]
 
 
-def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
-                 families: Optional[Sequence[str]] = None,
-                 restarts: int = 20, seed: int = 0, stream_index: int = 0):
-    """Fit several families to one session or a batch, warm-starting nested ones.
+def fit_families(sessions: Sequence[SessionData], families: Optional[Sequence[str]] = None,
+                 restarts: int = 20, seed: int = 0,
+                 stream_index: int = 0) -> list[dict[str, FitResult]]:
+    """Fit several families to a batch of sessions, warm-starting nested ones.
 
     Families are fitted in the order of :data:`MODEL_FAMILIES`, and each Q
     family receives the optima of every Q family already fitted as extra
     restart points, so NLL(full) <= NLL(conf) <= NLL(const) holds exactly
-    rather than up to restart luck.  Session i of a batch fits family k of
-    that order from restart stream ``stream_index + 4 i + k``.
-    Every session of a batch is fitted family by family in one lockstep,
-    and a session's fits do not depend on the rest of its batch.  Returns
-    ``{family: FitResult}`` for one session, a list of them for a batch.
-    A fit with no converged restart keeps its best point with
-    ``converged`` False.
+    rather than up to restart luck.  Session i of the batch fits family k
+    of that order from restart stream ``stream_index + 4 i + k``.
+    Every session is fitted family by family in one lockstep, and a
+    session's fits do not depend on the rest of its batch.  Returns one
+    ``{family: FitResult}`` per session, in order; a single session is fitted
+    as ``fit_families([session])[0]``.  A fit with no converged restart
+    keeps its best point with ``converged`` False.
     """
     if families is None:
         families = tuple(MODEL_FAMILIES)
@@ -538,7 +538,7 @@ def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
         if f not in MODEL_FAMILIES:
             raise ValueError(f"unknown model family {f!r}")
     _check_restarts(restarts)
-    batch = [sessions] if isinstance(sessions, SessionData) else list(sessions)
+    batch = list(sessions)
     out: list[dict[str, FitResult]] = [{} for _ in batch]
     if batch:
         tab = _Tables(batch)
@@ -551,7 +551,7 @@ def fit_families(sessions: Union[SessionData, Sequence[SessionData]],
             streams = [stream_index + len(MODEL_FAMILIES) * i + k for i in range(len(batch))]
             for fits, r in zip(out, _fit_batch(fam, tab, streams, restarts, seed, warm)):
                 fits[fam] = r
-    return out[0] if isinstance(sessions, SessionData) else out
+    return out
 
 
 def best_model(fits: Sequence[FitResult]) -> str:

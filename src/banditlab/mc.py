@@ -16,9 +16,11 @@ its consumer steps it: the ensemble statistics here and in
 working set is one chunk's action uniforms, int8 reward bits and int8
 actions, 11 bytes per replica-trial, plus one trial's state, never a
 full record.  ``Chunk.record`` collects the :class:`agents.Trajectory`
-(a leading replica axis over trial-major storage) for consumers that
-need one.  Every consumer here lets go of a chunk before the next one is
-drawn.  Chunking affects only the floating-point summation order of the
+(values, actions and rewards, with a leading replica axis over
+trial-major storage) for consumers that need one; a Bayesian agent's
+counts are in the trial states of ``Chunk.steps`` only.  Every
+consumer here lets go of a chunk before the next one is drawn.
+Chunking affects only the floating-point summation order of the
 accumulated statistics, never the trajectories.
 """
 
@@ -46,10 +48,11 @@ class Chunk:
     Each ``replica_uniforms`` block of ``_DRAW_BLOCK`` replicas fills the
     chunk's trial-major action uniforms (T, count) float64 and both arms'
     reward bits (2, T, count) int8, each arm's ``u < p`` compared straight
-    into them, so the reward uniforms never take a chunk-sized array.
-    ``actions`` (count, T) int8, over trial-major storage, is filled as the
-    chunk is stepped, once, by :meth:`steps` or :meth:`record`; the action
-    uniforms are freed when the stepping ends.
+    into them, so the reward uniforms never take a chunk-sized array; a
+    block is let go before the next one is drawn.  ``actions`` (count, T)
+    int8, over trial-major storage, is filled as the chunk is stepped,
+    once, by :meth:`steps` or :meth:`record`; the action uniforms are
+    freed when the stepping ends.
     """
 
     def __init__(self, agent, env: Environment, seed: int, start: int, count: int):
@@ -63,10 +66,10 @@ class Chunk:
             action_u[:, lo:hi] = u[0]
             np.less(u[1], env.p1, out=reward_bits[0, :, lo:hi])
             np.less(u[2], env.p2, out=reward_bits[1, :, lo:hi])
-        del u  # the last block would otherwise stay alive through the simulation
+            del u  # else two blocks are alive while the next one is drawn
         actions = np.empty((horizon, count), dtype=np.int8)
         self.actions = np.moveaxis(actions, 0, -1)
-        self._agent, self._env, self._reward_bits = agent, env, reward_bits
+        self._env, self._reward_bits = env, reward_bits
         self._trials = _trials(agent, env, action_u, reward_bits, actions)
 
     def steps(self) -> Iterator[tuple]:
@@ -79,7 +82,7 @@ class Chunk:
 
     def record(self) -> Trajectory:
         """Simulate the chunk into its full :class:`agents.Trajectory` record."""
-        return _record(self._agent, self._env, self.steps(), self.actions, self._reward_bits)
+        return _record(self._env, self.steps(), self.actions, self._reward_bits)
 
 
 def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,

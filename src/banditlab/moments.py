@@ -181,7 +181,8 @@ def _steady_state_moments(rates: LearningRateSet, p: float,
     """Where the closure's own map settles from a point mass at (1/2, 1/2).
 
     Runs the trajectory :func:`propagate_moments` runs, step for step, and
-    stops at the first step n that moves no moment by _TOL; returns the
+    stops at the first step n that moves no moment by _TOL, raising
+    ConvergenceError if a step before it leaves [0, 1]; returns the
     moments after it and n, so they are
     ``propagate_moments(MomentState.point_mass(0.5), rates, p, beta, n)[-1]``.
     """
@@ -193,10 +194,9 @@ def _steady_state_moments(rates: LearningRateSet, p: float,
         res = max(abs(n1 - m1), abs(n11 - m11), abs(n12 - m12))
         if res < _TOL:
             return MomentState(n1, n11, n12), n
-        # moments live in [0, 1]; leaving a slack box means the closure's
-        # policy feedback has gain > 1 and no admissible fixed point exists
-        if not (math.isfinite(res) and -0.5 < n1 < 1.5
-                and -0.5 < n11 < 1.5 and -0.5 < n12 < 1.5):
+        # values live in [0, 1], and so do their moments: a step that leaves
+        # that box is off the dynamics, so its fixed point is no steady state
+        if not (0.0 <= n1 <= 1.0 and 0.0 <= n11 <= 1.0 and 0.0 <= n12 <= 1.0):
             raise ConvergenceError(
                 f"the closure left the moment box after {n} steps; it has "
                 "no admissible steady state here")

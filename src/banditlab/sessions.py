@@ -87,9 +87,8 @@ def session_from_trajectory(traj: Trajectory, subject_id: str) -> SessionData:
 
 def _replicas(traj: Trajectory, lo: int, hi: int) -> Trajectory:
     """Replicas ``lo, ..., hi - 1`` of a chunk, as views."""
-    counts = None if traj.counts is None else traj.counts[:, lo:hi]
     return Trajectory(traj.values1[lo:hi], traj.values2[lo:hi], traj.actions[lo:hi],
-                      traj.rewards1[lo:hi], traj.rewards2[lo:hi], counts, traj.counterfactual)
+                      traj.rewards1[lo:hi], traj.rewards2[lo:hi], traj.counterfactual)
 
 
 def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,

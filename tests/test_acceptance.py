@@ -232,7 +232,8 @@ def test_criterion_9_reruns_are_byte_identical(tmp_path):
         "environment": {"p1": 0.6, "p2": 0.4, "counterfactual": True,
                         "horizon": 20},
         "agent": {"type": "bayes", "beta": 8.0},
-        "ensemble": {"replicas": 5, "seed": 99},
+        "ensemble": {"replicas": 5},
+        "seed": 99,
         "output": {"sessions": True},
     }
     data_dir = tmp_path / "data"

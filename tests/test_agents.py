@@ -9,6 +9,7 @@ from scipy.special import expit
 from banditlab import (
     BayesAgentSpec,
     BayesSchedule,
+    Environment,
     LearningRateSet,
     Policy,
     QAgentSpec,
@@ -17,7 +18,6 @@ from banditlab import (
     count_step,
     count_values,
     effective_rate,
-    make_environment,
     q_step,
     run_trajectory,
 )
@@ -81,7 +81,7 @@ def test_steps_on_arrays_equal_scalar_steps():
 
 def test_indifferent_softmax_chooses_arm_one_below_half():
     # at beta = 0 arm 1 is chosen exactly when the trial's action draw is below 1/2
-    env = make_environment(0.7, 0.2, counterfactual=True, horizon=200)
+    env = Environment(0.7, 0.2, counterfactual=True, horizon=200)
     agents = (QAgentSpec(RATES, Policy(beta=0.0)), BayesAgentSpec(Policy(beta=0.0)))
     for agent in agents:
         traj = run_trajectory(agent, env, RngStream(8, 2))
@@ -92,7 +92,7 @@ def test_indifferent_softmax_chooses_arm_one_below_half():
 
 def test_greedy_policy_ties_to_arm_one():
     # equal starting values choose arm 1; after that the larger value wins
-    env = make_environment(0.5, 0.5, counterfactual=True, horizon=60)
+    env = Environment(0.5, 0.5, counterfactual=True, horizon=60)
     rates = LearningRateSet.constant(0.3)
     agents = (QAgentSpec(rates, Policy(mode="greedy")), BayesAgentSpec(Policy(mode="greedy")))
     for agent in agents:
@@ -218,7 +218,7 @@ def test_unchosen_zero_property():
 
 
 def test_trajectory_shapes_and_records():
-    env = make_environment(0.6, 0.4, counterfactual=True, horizon=30)
+    env = Environment(0.6, 0.4, counterfactual=True, horizon=30)
     traj = run_trajectory(QAgentSpec(RATES, Policy(beta=3.0)), env,
                           RngStream(11, 0))
     assert traj.n_trials == 30
@@ -229,17 +229,20 @@ def test_trajectory_shapes_and_records():
 
 
 def test_bayes_trajectory_counts_both_arms():
-    env = make_environment(0.5, 0.5, counterfactual=True, horizon=20)
+    env = Environment(0.5, 0.5, counterfactual=True, horizon=20)
     traj = run_trajectory(BayesAgentSpec(Policy(beta=2.0)), env, RngStream(3, 1))
-    s1, n1, s2, n2 = traj.counts
-    np.testing.assert_array_equal(n1, np.arange(21))
-    np.testing.assert_array_equal(n2, np.arange(21))
-    np.testing.assert_array_equal(traj.values1, (s1 + 1.0) / (n1 + 2.0))
-    assert run_trajectory(QAgentSpec(RATES, Policy()), env, RngStream(3, 1)).counts is None
+    # with counterfactual feedback each arm has t outcomes before trial t,
+    # its rewards so far, whichever arm was chosen
+    n = np.arange(21)
+    s1, s2 = (np.concatenate([[0], np.cumsum(r)]) for r in (traj.rewards1, traj.rewards2))
+    np.testing.assert_array_equal(traj.values1, (s1 + 1.0) / (n + 2.0))
+    np.testing.assert_array_equal(traj.values2, (s2 + 1.0) / (n + 2.0))
+    # a record keeps values, actions and rewards; the counts stay in the trial states
+    assert not hasattr(traj, "counts")
 
 
 def test_no_counterfactual_requires_zero_unchosen_rates():
-    env = make_environment(0.5, 0.5, counterfactual=False, horizon=5)
+    env = Environment(0.5, 0.5, counterfactual=False, horizon=5)
     with pytest.raises(ValueError):
         run_trajectory(QAgentSpec(RATES, Policy(beta=1.0)), env, RngStream(0, 0))
     ok = QAgentSpec(LearningRateSet(0.2, 0.1, 0.0, 0.0), Policy(beta=1.0))
@@ -252,7 +255,7 @@ def test_no_counterfactual_requires_zero_unchosen_rates():
 def test_schedules_learn_only_the_chosen_arm_without_counterfactual_feedback(rates):
     # a schedule has no constant unchosen rates to reject; its own are
     # multiplied by the feedback flag, so the unchosen value never moves
-    env = make_environment(0.6, 0.4, counterfactual=False, horizon=30)
+    env = Environment(0.6, 0.4, counterfactual=False, horizon=30)
     traj = run_trajectory(QAgentSpec(rates, Policy(beta=3.0)), env, RngStream(2, 0))
     moved1 = np.diff(traj.values1) != 0.0
     moved2 = np.diff(traj.values2) != 0.0
@@ -262,7 +265,7 @@ def test_schedules_learn_only_the_chosen_arm_without_counterfactual_feedback(rat
 
 def test_bayes_agent_matches_decaying_rate_q_agent():
     # posterior means evolve exactly like the 1/(t+3)-schedule value learner
-    env = make_environment(0.5, 0.5, counterfactual=True, horizon=100)
+    env = Environment(0.5, 0.5, counterfactual=True, horizon=100)
     beta = 8.0
     for seed in range(20):
         tb = run_trajectory(BayesAgentSpec(Policy(beta=beta)), env,

@@ -28,7 +28,8 @@ SIM_CFG = {
     "agent": {"type": "q", "beta": 5.0,
               "rates": {"a_plus_c": 0.3, "a_minus_c": 0.1,
                         "a_plus_u": 0.1, "a_minus_u": 0.3}},
-    "ensemble": {"replicas": 3, "seed": 33},
+    "ensemble": {"replicas": 3},
+    "seed": 33,
     "output": {"sessions": True},
 }
 
@@ -42,7 +43,7 @@ CONFIGS = {cfg["kind"]: cfg for cfg in [
     {"kind": "sweep-delta", "p": 0.5, "x_grid": [1.0, 1.2], "beta_grid": [1.0, 3.0]},
     {"kind": "switch-rate",
      "environment": {"p1": 0.5, "p2": 0.5, "counterfactual": True, "horizon": 8},
-     "agent": {"type": "bayes", "beta": 6.0}, "ensemble": {"replicas": 200, "seed": 4}},
+     "agent": {"type": "bayes", "beta": 6.0}, "ensemble": {"replicas": 200}, "seed": 4},
     {"kind": "fit", "sessions": "sessions.csv", "families": ["bayes", "const"],
      "restarts": 2, "seed": 11},
     {"kind": "recover",
@@ -159,7 +160,7 @@ def test_a_learner_gives_rates_or_a_schedule(tmp_path, kind):
     del block["rates"]
     assert check_config(cfg)[1] == []
     files = run_scenario(cfg, out_dir=str(tmp_path / "o")).files
-    assert all((tmp_path / "o" / name).exists() for name, _ in files)
+    assert all((tmp_path / "o" / f["path"]).exists() for f in files)
 
 
 @pytest.mark.parametrize("kind", ["simulate", "switch-rate"])
@@ -169,7 +170,7 @@ def test_step_scheduled_agent_runs_under_partial_feedback(tmp_path, kind):
     cfg = {"kind": kind,
            "environment": {"p1": 0.6, "p2": 0.4, "counterfactual": False, "horizon": 10},
            "agent": {"type": "q", "beta": 5.0, "schedule": STEP},
-           "ensemble": {"replicas": 50, "seed": 1}}
+           "ensemble": {"replicas": 50}, "seed": 1}
     path = write_cfg(tmp_path, cfg)
     assert main(["validate", path]) == 0
     assert main([kind, path, "--out-dir", str(tmp_path / "o")]) == 0
@@ -212,6 +213,13 @@ def test_keys_nothing_reads_are_refused():
     cfg["restart"] = 3
     cfg["ensemble"]["seeed"] = 5
     assert check_config(cfg)[1] == ["restart: unknown key", "ensemble.seeed: unknown key"]
+    # the seed has one key, and only simulate writes sessions
+    cfg = copy.deepcopy(CONFIGS["switch-rate"])
+    cfg["ensemble"]["seed"] = 7
+    assert check_config(cfg)[1] == ["ensemble.seed: unknown key"]
+    for kind in (k for k in KINDS if k != "simulate"):
+        cfg = dict(CONFIGS[kind], output={"sessions": True})
+        assert check_config(cfg)[1] == ["output.sessions: unknown key"], kind
     # a Bayesian agent learns from its counts, and a bayes schedule at 1/(t+3)
     cfg = copy.deepcopy(CONFIGS["switch-rate"])
     cfg["agent"].update(rates=RATES, schedule={"kind": "bayes"})
@@ -222,6 +230,52 @@ def test_keys_nothing_reads_are_refused():
     assert check_config(cfg)[1] == [
         f"schedule.{k}: a bayes schedule's rates are 1/(t+3); it reads no {k}"
         for k in ("alpha1", "alpha2", "tau_c")]
+
+
+class _Reads(dict):
+    """A checked config that records the dotted path of each key read from it."""
+
+    def __init__(self, cfg: dict, seen: set, path: str = ""):
+        super().__init__({k: _Reads(v, seen, f"{path}{k}.") if isinstance(v, dict) else v
+                          for k, v in cfg.items()})
+        self.seen, self.path = seen, path
+
+    def __getitem__(self, key):
+        self.seen.add(self.path + key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(self.path + key)
+        return super().get(key, default)
+
+
+def _leaves(cfg: dict, path: str = ""):
+    for k, v in cfg.items():
+        if isinstance(v, dict):
+            yield from _leaves(v, f"{path}{k}.")
+        elif v is not None:
+            yield path + k
+
+
+def test_every_key_a_config_sets_is_read(tmp_path, monkeypatch):
+    # a key that validates but that no run reads is surface with no effect;
+    # propagate's mode has one value, which validation reads and configs send
+    unread = {"propagate": {"mode"}}
+    checked = {}
+
+    def recording(cfg):
+        c, diags = check_config(cfg)
+        checked[c["kind"]] = (c, set())
+        return _Reads(c, checked[c["kind"]][1]), diags
+
+    monkeypatch.setattr(banditlab.cli, "check_config", recording)
+    # simulate runs first and writes the sessions.csv that fit and new-arm read
+    monkeypatch.chdir(tmp_path)
+    for kind in KINDS:
+        run_scenario(CONFIGS[kind], out_dir=str(tmp_path))
+    assert sorted(checked) == sorted(KINDS)
+    for kind, (cfg, seen) in checked.items():
+        assert set(_leaves(cfg)) - seen == unread.get(kind, set()), kind
 
 
 def test_benchmark_configs_validate(tmp_path, monkeypatch):
@@ -422,7 +476,7 @@ def test_simulate_without_sessions_writes_the_same_trajectories(tmp_path):
     run_scenario(write_cfg(tmp_path, cfg), out_dir=str(tmp_path / "with"))
     cfg["output"]["sessions"] = False
     files = run_scenario(write_cfg(tmp_path, cfg, "no.json"), out_dir=str(tmp_path / "no")).files
-    assert files == [("trajectories.csv", 3 * 12)]
+    assert files == [{"path": "trajectories.csv", "rows": 3 * 12}]
     assert not (tmp_path / "no" / "sessions.csv").exists()
     assert ((tmp_path / "no" / "trajectories.csv").read_bytes()
             == (tmp_path / "with" / "trajectories.csv").read_bytes())
@@ -483,7 +537,7 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
         manifest = run_scenario(write_cfg(out, cfg, "config.json"), out_dir=str(out))
         written = sorted(f.name for f in out.iterdir()
                          if f.name not in ("config.json", "manifest.json"))
-        assert written and written == sorted(path for path, _ in manifest.files), case
+        assert written and written == sorted(f["path"] for f in manifest.files), case
         kinds.add(kind)
         if kind == "switch-rate":
             switch_replicas.append(cfg["ensemble"]["replicas"])
@@ -534,7 +588,7 @@ print(json.dumps(seen))
 def test_fitting_loads_scipy_special_and_optimize_but_not_stats(tmp_path):
     # a fresh interpreter: this test module has imported scipy.stats already
     sim = tmp_path / "sim"
-    cfgs = [dict(SIM_CFG, ensemble={"replicas": 1, "seed": 33})] + [
+    cfgs = [dict(SIM_CFG, ensemble={"replicas": 1})] + [
         CONFIGS[k] for k in ("switch-rate", "propagate", "sweep-delta")]
     cfgs += [dict(CONFIGS["fit"], sessions=str(sim / "sessions.csv")), CONFIGS["recover"],
              dict(CONFIGS["new-arm"], sessions=str(sim / "sessions.csv"), subject=None)]
@@ -675,7 +729,7 @@ def test_switch_rate_run(tmp_path):
            "environment": {"p1": 0.5, "p2": 0.5, "counterfactual": True,
                            "horizon": 8},
            "agent": {"type": "bayes", "beta": 6.0},
-           "ensemble": {"replicas": 200, "seed": 4}}
+           "ensemble": {"replicas": 200}, "seed": 4}
     out = tmp_path / "o"
     assert main(["switch-rate", write_cfg(tmp_path, cfg), "--out-dir", str(out)]) == 0
     lines = (out / "switch_rate.csv").read_text().splitlines()
@@ -699,7 +753,7 @@ def test_switch_rate_reproduces_readme_switching_column(tmp_path):
             agent["rates"] = {k: 0.3 for k in RATES}
         cfg = {"kind": "switch-rate",
                "environment": {"p1": 0.5, "p2": 0.5, "counterfactual": True, "horizon": 24},
-               "agent": agent, "ensemble": {"replicas": 2000, "seed": 0}}
+               "agent": agent, "ensemble": {"replicas": 2000}, "seed": 0}
         path = write_cfg(tmp_path, cfg, f"{policy}-{kind}.json")
         assert check_config(cfg)[1] == []
         out = tmp_path / f"{policy}-{kind}"
@@ -716,7 +770,7 @@ def test_switch_rate_runs_bayes_agents_without_counterfactual(tmp_path):
            "environment": {"p1": 0.6, "p2": 0.4, "counterfactual": False,
                            "horizon": 8},
            "agent": {"type": "bayes", "beta": 6.0},
-           "ensemble": {"replicas": 200, "seed": 4}}
+           "ensemble": {"replicas": 200}, "seed": 4}
     path = write_cfg(tmp_path, cfg)
     assert main(["validate", path]) == 0
     out = tmp_path / "o"
@@ -866,7 +920,10 @@ def test_fit_batches_match_single_subject_fits(tmp_path):
     results = json.loads((outs[0] / "fits.json").read_text())["results"]
     assert [asdict(f) for fits in batch for f in fits.values()] == results
     for i, s in enumerate(sessions):
-        assert banditlab.fit_families(s, restarts=3, seed=4, stream_index=4 * i) == batch[i]
+        assert banditlab.fit_families([s], restarts=3, seed=4, stream_index=4 * i) == [batch[i]]
+    # one session is a batch of one; a bare session is not a batch
+    with pytest.raises(TypeError):
+        banditlab.fit_families(sessions[0], restarts=3, seed=4)
 
 
 def test_threads_below_one_are_rejected(tmp_path, capsys):

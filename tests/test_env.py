@@ -9,11 +9,13 @@ from banditlab.env import replica_uniforms
 
 def test_environment_validation():
     with pytest.raises(ValueError):
-        make_environment(1.2, 0.5, counterfactual=True, horizon=10)
+        Environment(1.2, 0.5, counterfactual=True, horizon=10)
     with pytest.raises(ValueError):
-        make_environment(0.5, -0.1, counterfactual=True, horizon=10)
+        Environment(0.5, -0.1, counterfactual=True, horizon=10)
     with pytest.raises(ValueError):
-        make_environment(0.5, 0.5, counterfactual=True, horizon=0)
+        Environment(0.5, 0.5, counterfactual=True, horizon=0)
+    # make_environment is the same validator under its older name; it converts nothing
+    assert make_environment is Environment
 
 
 @pytest.mark.parametrize("horizon", [3.0, True, 2.5, np.float64(4.0)])
@@ -21,7 +23,6 @@ def test_horizon_must_be_an_integer(horizon):
     with pytest.raises(ValueError, match="horizon"):
         Environment(0.5, 0.5, True, horizon)
     assert Environment(0.5, 0.5, True, np.int64(3)).horizon == 3
-    assert make_environment(0.5, 0.5, True, 3.0).horizon == 3
 
 
 @pytest.mark.parametrize("flag", [2, 1, 0, 1.0, "yes", None, np.int64(1)])
@@ -30,20 +31,21 @@ def test_counterfactual_must_be_a_bool(flag):
         Environment(0.6, 0.4, flag, 5)
     assert Environment(0.6, 0.4, np.bool_(True), 5).counterfactual
     assert not Environment(0.6, 0.4, False, 5).counterfactual
-    assert make_environment(0.6, 0.4, 1, 5).counterfactual is True
 
 
 @pytest.mark.parametrize("args, field", [
     ((0.6, 0.4, "no", 5), "counterfactual"), ((0.6, 0.4, 2, 5), "counterfactual"),
     ((0.6, 0.4, True, 5.7), "horizon"), ((0.6, 0.4, True, True), "horizon"),
     ((0.6, 0.4, True, "5"), "horizon"), ((0.6, 0.4, True, float("inf")), "horizon"),
-    (("0.6", 0.4, True, 5), "p1"), ((0.6, True, True, 5), "p2"),
+    (("0.6", 0.4, True, 5), "p1"), ((0.6, True, True, 5), "p2"), ((True, 0.5, True, 3), "p1"),
 ])
 def test_make_environment_refuses_lossy_conversions(args, field):
-    # bool("no") is True, int(5.7) is 5 and int(True) is 1: each would get
-    # round a check that Environment makes
+    # bool("no") is True, int(5.7) is 5 and int(True) is 1: a conversion would
+    # get round a check, so Environment converts nothing and refuses each
     with pytest.raises(ValueError, match=field):
-        make_environment(*args)
+        Environment(*args)
+    # a numpy scalar of the right kind is no conversion
+    assert Environment(np.float64(0.6), np.int64(0), np.bool_(True), 5).p2 == 0
 
 
 def test_stream_determinism():

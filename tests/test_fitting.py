@@ -112,7 +112,7 @@ def test_restarts_below_one_are_refused():
             with pytest.raises(ValueError, match="restarts"):
                 fit_subject(family, s, restarts=restarts)
         with pytest.raises(ValueError, match="restarts"):
-            fit_families(s, restarts=restarts)
+            fit_families([s], restarts=restarts)
         with pytest.raises(ValueError, match="restarts"):
             fit_families([s, s], ["conf"], restarts=restarts)
         with pytest.raises(ValueError, match="restarts"):
@@ -190,7 +190,7 @@ def test_nested_families_never_fit_worse():
     sessions = synthesize_sessions(BayesAgentSpec(Policy(beta=10.0)), ENV24,
                                    5, seed=101)
     for i, s in enumerate(sessions):
-        fits = fit_families(s, restarts=8, seed=0, stream_index=i * 4)
+        fits = fit_families([s], restarts=8, seed=0, stream_index=i * 4)[0]
         assert fits["full"].nll <= fits["conf"].nll + 1e-12
         assert fits["conf"].nll <= fits["const"].nll + 1e-12
         assert fits["full"].nll <= fits["const"].nll + 1e-12
@@ -227,7 +227,7 @@ def test_bayes_generated_population_prefers_bayes_or_conf():
                                    12, seed=33)
     winners = []
     for i, s in enumerate(sessions):
-        fits = fit_families(s, restarts=6, seed=0, stream_index=i * 4)
+        fits = fit_families([s], restarts=6, seed=0, stream_index=i * 4)[0]
         winners.append(best_model(list(fits.values())))
     modal = max(set(winners), key=winners.count)
     assert modal in ("bayes", "conf")
@@ -288,7 +288,7 @@ def test_single_agent_recovery_has_no_significance():
 
 def test_new_arm_preference_rises_with_its_reward_rate():
     s = one_session(BayesAgentSpec(Policy(beta=10.0)), ENV24, seed=8)
-    fits = fit_families(s, families=("bayes", "full"), restarts=8, seed=0)
+    fits = fit_families([s], families=("bayes", "full"), restarts=8, seed=0)[0]
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     pts = new_arm_curve(fits["bayes"], fits["full"], s, grid, reps=4000, seed=5)
     assert len(pts) == 2 * len(grid)
@@ -315,7 +315,7 @@ def test_new_arm_rejects_mismatched_subject():
                              seed=10, prefix="A")[0]
     s2 = synthesize_sessions(BayesAgentSpec(Policy(beta=10.0)), ENV24, 1,
                              seed=11, prefix="B")[0]
-    fits = fit_families(s1, families=("bayes", "full"), restarts=4, seed=0)
+    fits = fit_families([s1], families=("bayes", "full"), restarts=4, seed=0)[0]
     with pytest.raises(ValueError):
         new_arm_curve(fits["bayes"], fits["full"], s2, [0.5], reps=10)
     # a Q-family fit in the bayes slot is refused too

@@ -20,7 +20,7 @@ from banditlab import (
     iter_value_chunks,
     run_trajectory,
 )
-from banditlab import mc, switching
+from banditlab import agents, mc, switching
 
 
 def collect(agent, env, n, seed, chunk_size):
@@ -88,19 +88,28 @@ def test_ensemble_moments_equal_direct_averages(monkeypatch):
     assert np.all(mom.mean11 >= mom.mean1**2 - 1e-12)
 
 
-def test_bayes_chunk_counts_match_scalar_counts():
+def test_bayes_chunk_counts_match_scalar_counts(monkeypatch):
     # under partial feedback only the chosen arm's counts grow
     env = Environment(p1=0.6, p2=0.4, counterfactual=False, horizon=10)
     agent = BayesAgentSpec(Policy(beta=5.0))
-    chunk = next(iter_value_chunks(agent, env, 4, seed=0)).record()
-    s1, n1, s2, n2 = chunk.counts
+    states = next(iter_value_chunks(agent, env, 4, seed=0)).steps()
+    counts = np.array([c for *_, c in states])  # (T + 1, s1 n1 s2 n2, replica)
+    s1, n1, s2, n2 = counts.transpose(1, 2, 0)
     np.testing.assert_array_equal(n1 + n2, np.broadcast_to(np.arange(11), (4, 11)))
+    scalar_trials, scalar_states = agents._trials, []
+
+    def recorded(*args):
+        for state in scalar_trials(*args):
+            scalar_states.append(state)
+            yield state
+
+    monkeypatch.setattr(agents, "_trials", recorded)
     for i in range(4):
-        counts = run_trajectory(agent, env, RngStream(0, i)).counts
-        np.testing.assert_array_equal(counts, chunk.counts[:, i])
-        assert counts.dtype == chunk.counts.dtype
-    assert next(iter_value_chunks(QAgentSpec(LearningRateSet(0.1, 0.1, 0, 0), Policy()),
-                                  env, 4, seed=0)).record().counts is None
+        scalar_states.clear()
+        run_trajectory(agent, env, RngStream(0, i))
+        np.testing.assert_array_equal([c for *_, c in scalar_states], counts[:, :, i])
+    q_agent = QAgentSpec(LearningRateSet(0.1, 0.1, 0, 0), Policy())
+    assert all(c is None for *_, c in next(iter_value_chunks(q_agent, env, 4, seed=0)).steps())
 
 
 def test_a_chunk_steps_once_and_fills_its_actions():
@@ -161,8 +170,6 @@ def test_trial_major_chunk_matches_scalar_runs(agent, env):
     for t in range(env.horizon):
         assert chunk.values1[:, t].flags.c_contiguous
         assert chunk.actions[:, t].flags.c_contiguous
-        if chunk.counts is not None:
-            assert chunk.counts[:, :, t].flags.c_contiguous
     assert isinstance(chunk, Trajectory)
     assert chunk.n_trials == env.horizon
     rc, ru = chunk.reward_chosen(), chunk.reward_unchosen()
@@ -177,8 +184,6 @@ def test_trial_major_chunk_matches_scalar_runs(agent, env):
         np.testing.assert_array_equal(chunk.rewards2[i], traj.rewards2)
         np.testing.assert_array_equal(rc[i], traj.reward_chosen())
         np.testing.assert_array_equal(ru[i], traj.reward_unchosen())
-        if traj.counts is not None:
-            np.testing.assert_array_equal(chunk.counts[:, i], traj.counts)
 
 
 @pytest.mark.parametrize("n_replicas, chunk_size, name", [
@@ -227,6 +232,18 @@ def _record_moments(agent, env, n, seed):
             *mc._mean_se(s12, s12_sq, n))
 
 
+def _record_counts(rec):
+    """A Bayesian agent's counts (s1, n1, s2, n2) before each trial and after
+    the last, summed from a record: an arm's outcome is observed when the arm
+    is chosen, and every trial under counterfactual feedback."""
+    seen1 = (rec.actions == 1) | rec.counterfactual
+    seen2 = (rec.actions == 2) | rec.counterfactual
+    out = np.zeros((4, rec.actions.shape[0], rec.n_trials + 1), dtype=np.int64)
+    for c, x in zip(out, (seen1 * rec.rewards1, seen1, seen2 * rec.rewards2, seen2)):
+        np.cumsum(x, axis=1, out=c[:, 1:])
+    return out
+
+
 def _record_switch_rate(agent, env, n, seed):
     """ensemble_switch_rate's sums taken, as before streaming, from each
     chunk's whole record."""
@@ -235,12 +252,13 @@ def _record_switch_rate(agent, env, n, seed):
     for chunk in iter_value_chunks(agent, replace(env, horizon=horizon + 1), n, seed,
                                    chunk_size=mc.DEFAULT_CHUNK):
         rec = chunk.record()
+        counts = _record_counts(rec) if isinstance(agent, BayesAgentSpec) else None
         for t in range(horizon):
             v1, v2 = rec.values1[:, t], rec.values2[:, t]
-            if rec.counts is None:
+            if counts is None:
                 after = switching._q_after(v1, v2, agent.rates, t, cf)
             else:
-                after = switching._count_after(*rec.counts[:, :, t].astype(np.int64), cf)
+                after = switching._count_after(*counts[:, :, t], cf)
             k = switching._k_mixture(v1, v2, after, env.p1, env.p2, agent.policy)
             k_sum[t] += k.sum()
             k_sqsum[t] += (k * k).sum()
@@ -308,3 +326,27 @@ def test_an_ensemble_holds_one_chunk_at_a_time(kind):
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak / 2**20:.1f} MiB over {bound / 2**20:.1f} MiB"
+
+
+def test_a_chunk_draws_within_the_memory_it_steps_in():
+    # each replica_uniforms block (512 replicas x T x 3 float64, 1.2 MiB at
+    # T = 100) is let go before the next is drawn, so drawing an 8,192-replica
+    # chunk peaks below stepping it, which holds the chunk and a trial's state
+    env = Environment(p1=0.7, p2=0.7, counterfactual=True, horizon=100)
+    agent = BayesAgentSpec(Policy(beta=5.0))
+    for _ in mc.Chunk(agent, env, 0, 0, 2).steps():  # first-call allocations
+        pass
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        chunk = mc.Chunk(agent, env, 0, 0, mc.DEFAULT_CHUNK)
+        draw_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        for _ in chunk.steps():
+            pass
+        step_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert draw_peak < step_peak, f"drawing {draw_peak / 2**20:.2f} MiB, " \
+                                  f"stepping {step_peak / 2**20:.2f} MiB"

@@ -226,12 +226,17 @@ def test_confirmation_bias_raises_steady_state_gap():
 def test_steady_state_diverges_cleanly_when_feedback_too_strong():
     with pytest.raises(ConvergenceError):
         steady_state_delta(x_curve_rates(1.5), 0.5, 5.0)
-    # the iteration settles, but on a gap outside [0, 1/4] (<Q1Q2> < 0 here)
-    m, _ = _steady_state_moments(x_curve_rates(1.22), 0.5, 10.0)
-    assert m.delta > 0.25 and m.m12 < 0
+    # the map heads for a gap outside [0, 1/4] and leaves the box on the way,
+    # where <Q1Q2> turns negative
+    with pytest.raises(ConvergenceError, match="left the moment box"):
+        _steady_state_moments(x_curve_rates(1.22), 0.5, 10.0)
     for p in (0.4, 0.5):
         with pytest.raises(ConvergenceError):
             steady_state_delta(x_curve_rates(1.22), p, 10.0)
+    # <Q1**2> dips below 0 before the map settles on a root in [0, 1/4]
+    for x, p, beta in ((0.3, 0.1, 50.0), (0.6, 0.05, 100.0)):
+        with pytest.raises(ConvergenceError, match="left the moment box"):
+            steady_state_delta(x_curve_rates(x), p, beta)
 
 
 def test_steady_state_rejects_degenerate_inputs():

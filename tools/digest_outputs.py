@@ -76,6 +76,11 @@ def cases(work: Path):
     # weak confirmation at high beta: blank where the closure leaves [0, 1]
     yield "sweep-delta", "closure-leaves", {"kind": "sweep-delta", "p": 0.5,
                                             "x_grid": [0, 0.3, 1], "beta_grid": [1, 30, 50]}
+    # <Q1**2> dips below 0 on the way to a root in [0, 1/4] at x = 0.3, beta = 50
+    # (p = 0.1) and x = 0.6, beta = 100 (p = 0.05): blank, since a step must stay in [0, 1]
+    for p in (0.05, 0.1):
+        yield "sweep-delta", f"unit-box-p{p}", {"kind": "sweep-delta", "p": p,
+                                                "x_grid": [0.3, 0.6], "beta_grid": [50, 100]}
     sw = {"kind": "switch-rate", "ensemble": {"replicas": 200}}
     yield "switch-rate", "q", {**sw, "environment": _env(True), "agent": q_cf}
     yield "switch-rate", "bayes-partial", {**sw, "environment": _env(False), "agent": bayes}
