@@ -23,12 +23,14 @@ session; the engine then scores many (session, parameter) points in one
 vectorized pass.  Q values come from an inclusive prefix scan of the
 per-trial affine maps q -> (1 - a) q + a r, Bayesian values from
 cumulative counts, and each trial costs the log-sigmoid
--log pi = log(1 + exp(-s beta dv)), capped at -log P_MIN.  Fits run
-scipy's default Nelder–Mead rules on every (subject, restart) lane of a
-batch in lockstep (:func:`_nelder_mead`): one engine call per simplex
-step serves every lane.  A lane's numbers do not depend on which lanes
-share its batch or how far its session is padded, so a subject fitted
-alone gets the same result as inside any batch.
+-log pi = log(1 + exp(-s beta dv)), capped at -log P_MIN.  Every family
+is fitted by one optimizer, scipy's default Nelder–Mead rules run on
+every (subject, restart) lane of a batch in lockstep (:func:`_nelder_mead`):
+one engine call per simplex step serves every lane.  The bayes family
+has one lane per subject, started at the minimum of a beta grid.  A
+lane's numbers do not depend on which lanes share its batch or how far
+its session is padded, so a subject fitted alone gets the same result as
+inside any batch.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
-# scipy.special and scipy.optimize are imported where a fit first needs them,
-# so importing the package, and every scenario that does not fit, loads
-# neither; no scenario loads scipy.stats, whose Sobol' points and binomial
-# test fitting reproduces below
+# scipy.special is imported where a fit first needs it, so importing the
+# package, and every scenario that does not fit, loads no scipy; no scenario
+# loads scipy.stats, whose Sobol' points and binomial test fitting reproduces
+# below, nor scipy's optimizers, whose Nelder–Mead it runs itself
 
 # run_trajectory is the scalar reference the chunk engine reproduces; it stays
 # importable here because bench/tracing.py wraps it under this module's name
@@ -222,7 +224,7 @@ def _nelder_mead(f, x0: np.ndarray, fatol: float, xatol: float):
     """scipy's default Nelder–Mead, run on every row of ``x0`` in lockstep.
 
     Each row is an independent minimization (a lane) that takes the steps
-    ``scipy.optimize.minimize(method="Nelder-Mead")`` takes: the same
+    scipy's ``minimize(method="Nelder-Mead")`` takes: the same
     initial simplex, reflection, expansion, contraction and shrink rules,
     sorts, termination tests and budget of 200 N evaluations, also where
     the budget runs out inside an iteration.  ``f(points, lanes)``
@@ -444,54 +446,43 @@ def _fit_batch(family: str, tab: _Tables, streams: Sequence[int], restarts: int,
 
     Session i restarts from the Sobol points of stream ``streams[i]`` plus
     its ``warm`` parameter sets; the best start or simplex optimum over its
-    restarts, the first on ties, is its fit.  The bayes family scans a
-    201-point beta grid for every session in one pass and polishes each
-    minimum with a bounded Brent search.  No result raises: a session with
-    no converged restart keeps its best point with ``converged`` False.
+    restarts, the first on ties, is its fit.  The bayes family instead
+    scans a 201-point beta grid for every session in one pass and refines
+    each session's grid minimum with one simplex lane on beta clipped to
+    [0, BETA_MAX], with no restarts.  No result raises: a session with no
+    converged lane keeps its best point with ``converged`` False.
     """
     fam = MODEL_FAMILIES[family]
     S = len(tab.ids)
     if family == "bayes":
-        # looked up on the module at each call, where bench/tracing.py wraps it
-        from scipy import optimize
-
         grid = np.linspace(0.0, BETA_MAX, 201)
         vals = _evaluate(tab, "bayes", np.repeat(np.arange(S), grid.size),
                          np.tile(grid, S)[:, None])[0].reshape(S, grid.size)
-        best = np.empty((S, 1))
-        evals = np.empty(S, dtype=int)
-        for i in range(S):
-            def f(b, i=i):
-                return _evaluate(tab, "bayes", [i], np.array([[b]]))[0][0]
+        x0 = grid[np.argmin(vals, axis=1)][:, None]
+        restarts_used, grid_evals = 0, grid.size
 
-            j = int(np.argmin(vals[i]))
-            lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
-            res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                           options={"xatol": 1e-10})
-            best[i, 0] = float(res.x) if res.fun <= vals[i, j] else grid[j]
-            evals[i] = grid.size + res.nfev
-        converged = np.ones(S, dtype=bool)
-        restarts_used = 0
+        def unpack(y):
+            return np.clip(y, 0.0, BETA_MAX)
     else:
         x0 = np.concatenate([
             np.vstack([_start_points(family, restarts, seed, k)]
                       + [_pack(family, p) for p in (warm[i] if warm else ())])
             for i, k in enumerate(streams)])
-        restarts_used = len(x0) // S
-        lane_sess = np.repeat(np.arange(S), restarts_used)
+        restarts_used, grid_evals, unpack = len(x0) // S, 0, _unpack
+    lane_sess = np.repeat(np.arange(S), len(x0) // S)
 
-        def objective(points, lanes):
-            return _evaluate(tab, family, lane_sess[lanes], _unpack(points))[0]
+    def objective(points, lanes):
+        return _evaluate(tab, family, lane_sess[lanes], unpack(points))[0]
 
-        x, fun, f0, nfev, ok = _nelder_mead(objective, x0, _FATOL, _XATOL)
-        # each restart offers its start, then its optimum; the first strict
-        # minimum over that sequence wins
-        cand_f = np.stack([f0, fun], axis=1).reshape(S, -1)
-        cand_y = np.stack([x0, x], axis=1).reshape(S, -1, fam.df)
-        pick = np.argmin(np.where(np.isnan(cand_f), np.inf, cand_f), axis=1)
-        best = _unpack(cand_y[np.arange(S), pick])
-        converged = ok.reshape(S, -1).any(axis=1)
-        evals = nfev.reshape(S, -1).sum(axis=1)
+    x, fun, f0, nfev, ok = _nelder_mead(objective, x0, _FATOL, _XATOL)
+    # each lane offers its start, then its optimum; the first strict minimum
+    # over that sequence wins
+    cand_f = np.stack([f0, fun], axis=1).reshape(S, -1)
+    cand_y = np.stack([x0, x], axis=1).reshape(S, -1, fam.df)
+    pick = np.argmin(np.where(np.isnan(cand_f), np.inf, cand_f), axis=1)
+    best = unpack(cand_y[np.arange(S), pick])
+    converged = ok.reshape(S, -1).any(axis=1)
+    evals = grid_evals + nfev.reshape(S, -1).sum(axis=1)
     nlls, clamped, _, _ = _evaluate(tab, family, np.arange(S), best)
     return [FitResult(tab.ids[i], family, _params_dict(family, best[i]), float(nlls[i]),
                       bic(float(nlls[i]), fam.df, int(tab.n[i])), bool(converged[i]),
@@ -504,11 +495,11 @@ def fit_subject(family: str, session: SessionData, restarts: int = 20,
     """Fit one family to one session by restarted simplex search.
 
     Rates are optimized through a logistic transform and beta through a
-    log transform capped at 50.  The one-parameter bayes family uses a
-    deterministic grid-plus-refine line search instead, so its result
-    does not depend on the restart draws at all.  Deterministic given
-    (session, family, seed, stream_index).  A fit with no converged
-    restart keeps its best point with ``converged`` False.
+    log transform capped at 50.  The one-parameter bayes family is
+    refined by the same simplex from the minimum of a beta grid instead,
+    so its result does not depend on the restart draws at all.
+    Deterministic given (session, family, seed, stream_index).  A fit with
+    no converged restart keeps its best point with ``converged`` False.
     """
     if family not in MODEL_FAMILIES:
         raise ValueError(f"unknown model family {family!r}")

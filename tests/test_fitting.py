@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import logit
 from scipy.stats import binomtest, qmc
 
@@ -365,6 +365,56 @@ def test_lockstep_simplex_takes_scipys_steps():
             assert f0[i] == fn(x0[i])
             outcomes.add(bool(ok[i]))
     assert outcomes == {True, False}
+
+
+def _brent_bayes_fit(session):
+    """(beta, NLL) of a bayes fit by the 201-point grid scan and a bounded
+    Brent search between the grid minimum's neighbours, keeping the grid
+    point where Brent does worse: the reference the simplex refinement is
+    held to."""
+    tab = _Tables([session])
+    grid = np.linspace(0.0, BETA_MAX, 201)
+    vals = _evaluate(tab, "bayes", np.zeros(grid.size, dtype=int), grid[:, None])[0]
+    j = int(np.argmin(vals))
+    res = minimize_scalar(lambda b: _evaluate(tab, "bayes", [0], np.array([[b]]))[0][0],
+                          bounds=(grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]),
+                          method="bounded", options={"xatol": 1e-10})
+    return (res.x, res.fun) if res.fun <= vals[j] else (grid[j], vals[j])
+
+
+def test_bayes_fit_is_as_good_as_a_bounded_brent_search():
+    # both feedback modes and choice rules, Bayesian and Q generators; noise
+    # agents fit at beta = 0 and greedy ones at BETA_MAX
+    greedy = Policy(mode="greedy")
+    generators = [
+        (BayesAgentSpec(Policy(0.0)), True, 24), (BayesAgentSpec(Policy(0.0)), False, 60),
+        (BayesAgentSpec(Policy(4.0)), False, 24), (BayesAgentSpec(Policy(10.0)), True, 60),
+        (BayesAgentSpec(greedy), True, 24), (BayesAgentSpec(greedy), False, 60),
+        (QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(5.0)), True, 24),
+        (QAgentSpec(LearningRateSet(0.3, 0.1, 0.0, 0.0), greedy), False, 60)]
+    sessions = []
+    for k, (agent, cf, horizon) in enumerate(generators):
+        env = Environment(p1=0.7, p2=0.4, counterfactual=cf, horizon=horizon)
+        sessions += synthesize_sessions(agent, env, 25, seed=k, prefix=f"G{k}-")
+    # a trial at the P_MIN floor, where the NLL stops being convex in beta:
+    # arm 1 pays and is chosen for 20 trials, arm 2 is chosen once against a
+    # posterior gap of 10/11, the arms swap until arm 1 leads by one success,
+    # then both pay for 100 trials while arm 1 is chosen
+    a = np.array([1] * 20 + [2] + [1] * 119, dtype=np.int8)
+    r1 = np.array([1] * 21 + [0] * 19 + [1] * 100, dtype=np.int8)
+    r2 = np.array([0] * 21 + [1] * 19 + [1] * 100, dtype=np.int8)
+    sessions.append(SessionData("floor", a, np.where(a == 1, r1, r2), np.where(a == 1, r2, r1),
+                                True))
+    fits = [f["bayes"] for f in fit_families(sessions, families=("bayes",))]
+    refs = [_brent_bayes_fit(s) for s in sessions]
+    for fit, (beta, value) in zip(fits, refs):
+        assert fit.converged and fit.restarts_used == 0, fit.subject_id
+        assert fit.nll <= value + 1e-9, fit.subject_id
+        # an edge fit lands exactly on the edge, as the reference's does
+        for edge in (0.0, BETA_MAX):
+            assert (fit.params["beta"] == edge) == (beta == edge), fit.subject_id
+    edges = [sum(f.params["beta"] == edge for f in fits) for edge in (0.0, BETA_MAX)]
+    assert min(edges) > 0 and fits[-1].clamped
 
 
 def test_fit_subject_without_a_converged_restart_returns_its_best_point():

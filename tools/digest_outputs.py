@@ -12,7 +12,8 @@ change from run to run.  Run it on two commits and diff the output:
 under DIR, written by an earlier ``--keep`` run, and prints a line for
 each that differs: for a CSV, how many numeric cells differ and the
 largest |difference| among them, plus a count of the cells that differ
-but are not both finite numbers; any other file is reported as differing.
+but are not both finite numbers; for a JSON file the same, leaf by leaf;
+any other file is reported as differing.
 For a tolerance between two commits:
 
     python tools/digest_outputs.py --keep /tmp/before     # on the first commit
@@ -113,10 +114,14 @@ def cases(work: Path):
         "subject": "S0003", "p3_grid": [0.2, 0.8], "n3": 6, "reps": 50, "restarts": 3}
 
 
-def _number(cell: str) -> float:
+def _number(cell) -> float:
+    """A CSV cell or JSON leaf as a finite number, else NaN; booleans are
+    not numbers."""
+    if isinstance(cell, bool):
+        return math.nan
     try:
         x = float(cell)
-    except ValueError:
+    except (TypeError, ValueError):
         return math.nan
     return x if math.isfinite(x) else math.nan
 
@@ -126,31 +131,63 @@ def _csv_cells(path: Path) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
+def _json_leaves(node, path=()) -> dict:
+    """Every leaf of a parsed JSON document by its path of keys and list
+    indices; an empty object or list is a leaf."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return {p: v for k, child in items for p, v in _json_leaves(child, path + (k,)).items()}
+    return {path: node}
+
+
+def _tally(pairs) -> tuple[int, float, int]:
+    """(numeric pairs that differ, their largest |difference|, other pairs
+    that differ)"""
+    n_num = n_other = 0
+    worst = 0.0
+    for x, y in pairs:
+        if x == y:
+            continue
+        d = abs(_number(x) - _number(y))
+        if math.isnan(d):
+            n_other += 1
+        else:
+            n_num += 1
+            worst = max(worst, d)
+    return n_num, worst, n_other
+
+
+def _report(pairs, unit: str) -> str:
+    n_num, worst, n_other = _tally(pairs)
+    return (f"{n_num} numeric {unit} differ, max |delta| {worst:.3g}; "
+            f"{n_other} non-numeric {unit} differ")
+
+
 def compare(new: Path, old: Path) -> str:
     """How artifact ``new`` differs from ``old``; "" if their bytes are equal."""
     if not old.exists():
         return "missing from the reference"
     if new.read_bytes() == old.read_bytes():
         return ""
+    if new.suffix == ".json":
+        a, b = (_json_leaves(json.loads(p.read_text(encoding="utf-8"))) for p in (new, old))
+        if a.keys() != b.keys():
+            return "differs in its keys or in the length of a list"
+        # numeric differences per field, a leaf's last key, so that a tolerance
+        # reads per quantity
+        fields: dict = {}
+        for p in a:
+            fields.setdefault(next((k for k in reversed(p) if isinstance(k, str)), ""),
+                              []).append((a[p], b[p]))
+        by_field = [(f, *_tally(pairs)[:2]) for f, pairs in sorted(fields.items())]
+        return _report(((a[p], b[p]) for p in a), "leaves") + "".join(
+            f"; {f}: {n} differ, max |delta| {w:.3g}" for f, n, w in by_field if n)
     if new.suffix != ".csv":
-        return "differs (not a CSV)"
+        return "differs (neither a CSV nor JSON)"
     a, b = _csv_cells(new), _csv_cells(old)
     if [len(r) for r in a] != [len(r) for r in b]:
         return "differs in its number of rows or of cells in a row"
-    n_num = n_other = 0
-    worst = 0.0
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if x == y:
-                continue
-            d = abs(_number(x) - _number(y))
-            if math.isnan(d):
-                n_other += 1
-            else:
-                n_num += 1
-                worst = max(worst, d)
-    return (f"{n_num} numeric cells differ, max |delta| {worst:.3g}; "
-            f"{n_other} non-numeric cells differ")
+    return _report(((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), "cells")
 
 
 def main(argv=None) -> int:
