@@ -15,13 +15,14 @@ its consumer steps it: the ensemble statistics here and in
 ``switching`` reduce each trial's state as it is simulated, so their
 working set is one chunk's action uniforms, int8 reward bits and int8
 actions, 11 bytes per replica-trial, plus one trial's state, never a
-full record.  ``Chunk.record`` collects the :class:`agents.Trajectory`
-(values, actions and rewards, with a leading replica axis over
-trial-major storage) for consumers that need one; a Bayesian agent's
-counts are in the trial states of ``Chunk.steps`` only.  Every
-consumer here lets go of a chunk before the next one is drawn.
-Chunking affects only the floating-point summation order of the
-accumulated statistics, never the trajectories.
+full record; a large group of replicas is stepped in two halves, so
+that is about 5.5 MiB at the trial cap (see :func:`iter_value_chunks`).
+``Chunk.record`` collects the :class:`agents.Trajectory` (values,
+actions and rewards, with a leading replica axis over trial-major
+storage) for consumers that need one; a Bayesian agent's counts are in
+the trial states of ``Chunk.steps`` only.  Every consumer here lets go
+of a chunk before the next one is drawn.  Grouping changes only the
+summation order of the statistics, never the trajectories.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class Chunk:
     once, by :meth:`steps` or :meth:`record`; the action uniforms are
     freed when the stepping ends.
     """
+
+    left_half = False  # True for a split group's left half: its right half comes next
 
     def __init__(self, agent, env: Environment, seed: int, start: int, count: int):
         horizon = env.horizon
@@ -91,13 +94,18 @@ def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
 
     Both agent kinds run fully vectorized under either feedback mode: a
     Q-agent carries its values, a Bayesian agent its per-arm counts, whose
-    posterior means are the values.  A chunk holds at most ``chunk_size``
+    posterior means are the values.  A group holds at most ``chunk_size``
     replicas and ``_CHUNK_TRIALS`` replica-trials, but at least one replica.
+    A group over half that cap and 128 replicas comes as two chunks, split
+    where numpy's pairwise summation splits a contiguous vector, so a
+    trial's sum over the group is its halves' sums added, bit for bit.
     A chunk comes out drawn, not simulated: 8 bytes per replica-trial of
-    action uniforms until it is stepped, 2 of reward bits and 1 of actions.
-    Stepping adds one trial's state, and a record if one is collected.  The
-    generator holds no chunk while its consumer runs, so a consumer that
-    lets go of each chunk before asking for the next keeps at most one alive.
+    action uniforms until it is stepped, 2 of reward bits and 1 of actions
+    (half a group at the cap: about 5.5 MiB).  Stepping adds one trial's
+    state, and a record if one is collected.  The generator holds no chunk
+    while its consumer runs, so a consumer that lets go of each chunk
+    before asking for the next keeps at most one alive: a right half is
+    drawn only after its left half is reduced.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
@@ -105,7 +113,29 @@ def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     chunk_size = min(chunk_size, max(1, _CHUNK_TRIALS // env.horizon))
     for start in range(0, n_replicas, chunk_size):
-        yield Chunk(agent, env, seed, start, min(chunk_size, n_replicas - start))
+        n = min(chunk_size, n_replicas - start)
+        split = n > 128 and n * env.horizon > _CHUNK_TRIALS // 2
+        half = n // 2 - (n // 2) % 8 if split else n  # numpy's pairwise_sum split
+        first = Chunk(agent, env, seed, start, half)
+        first.left_half = split
+        yield first
+        del first  # let the left half go before the right one is drawn
+        if split:
+            yield Chunk(agent, env, seed, start + half, n - half)
+
+
+def _group_sums(chunks: Iterator[Chunk], reduce) -> np.ndarray:
+    """Sum ``reduce(chunk)``, a chunk's (k, T) per-trial replica sums, over the
+    groups, a split group's halves added first: bit for bit as if unsplit."""
+    total, left = 0.0, None
+    for chunk in chunks:
+        sums, left_half = reduce(chunk), chunk.left_half
+        del chunk  # let the chunk go before the next one is drawn
+        if left_half:
+            left = sums
+        else:
+            total, left = total + (sums if left is None else left + sums), None
+    return total
 
 
 @dataclass
@@ -137,21 +167,21 @@ def ensemble_value_moments(agent, env: Environment, n_replicas: int,
     Each trial's replica sum runs over a contiguous vector, where numpy
     sums pairwise, not in sequence as over a strided one."""
     shape = env.horizon + 1
-    s1 = np.zeros(shape)
-    # s11 sums Q1**2: the mean <Q1**2>, and the second moment behind <Q1>'s SE
-    s11 = np.zeros(shape)
-    s11_sq = np.zeros(shape)
-    s12 = np.zeros(shape)
-    s12_sq = np.zeros(shape)
-    for chunk in iter_value_chunks(agent, env, n_replicas, seed, chunk_size=DEFAULT_CHUNK):
+
+    def reduce(chunk):
+        sums = np.empty((5, shape))
         prod = np.empty(len(chunk.actions))  # the four products' buffer
         for t, (v1, v2, _) in enumerate(chunk.steps()):
-            s1[t] += v1.sum()
-            s11[t] += np.multiply(v1, v1, out=prod).sum()
-            s11_sq[t] += np.multiply(prod, prod, out=prod).sum()
-            s12[t] += np.multiply(v1, v2, out=prod).sum()
-            s12_sq[t] += np.multiply(prod, prod, out=prod).sum()
-        del chunk, v1, v2, prod  # let the chunk go before the next one is drawn
+            sums[0, t] = v1.sum()
+            sums[1, t] = np.multiply(v1, v1, out=prod).sum()
+            sums[2, t] = np.multiply(prod, prod, out=prod).sum()
+            sums[3, t] = np.multiply(v1, v2, out=prod).sum()
+            sums[4, t] = np.multiply(prod, prod, out=prod).sum()
+        return sums
+
+    # s11 sums Q1**2: the mean <Q1**2>, and the second moment behind <Q1>'s SE
+    s1, s11, s11_sq, s12, s12_sq = _group_sums(
+        iter_value_chunks(agent, env, n_replicas, seed, chunk_size=DEFAULT_CHUNK), reduce)
     mean1, se1 = _mean_se(s1, s11, n_replicas)
     mean11, se11 = _mean_se(s11, s11_sq, n_replicas)
     mean12, se12 = _mean_se(s12, s12_sq, n_replicas)

@@ -22,7 +22,7 @@ import numpy as np
 from . import mc
 from .agents import LearningRateSet, Policy, count_step, count_values, q_step
 from .env import Environment
-from .mc import _mean_se, iter_value_chunks
+from .mc import _group_sums, _mean_se, iter_value_chunks
 
 
 def _k_mixture(v1, v2, after, p1, p2, policy: Policy):
@@ -87,28 +87,28 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
     Simulates one extra trial so the realized-switch estimator covers the
     same trials as the analytic one.  Each trial's K is summed over the
     chunk's replicas as the chunk steps, and switches are counted from its
-    actions, so no chunk record is built.
+    actions, so no chunk record is built; the integer switch counts add
+    exactly, and a split group's K sums as one group (``mc._group_sums``).
     """
     horizon = env.horizon
     cf = env.counterfactual
 
-    k_sum = np.zeros(horizon)
-    k_sqsum = np.zeros(horizon)
-    switches = np.zeros(horizon)
-    for chunk in iter_value_chunks(agent, replace(env, horizon=horizon + 1), n_replicas, seed,
-                                   chunk_size=mc.DEFAULT_CHUNK):
+    def reduce(chunk):
+        sums = np.empty((3, horizon))
         # the two last states are stepped only to fill the actions
         for t, (v1, v2, counts) in enumerate(chunk.steps()):
             if t < horizon:
                 after = (_q_after(v1, v2, agent.rates, t, cf) if counts is None
                          else _count_after(*counts, cf))
                 k = _k_mixture(v1, v2, after, env.p1, env.p2, agent.policy)
-                k_sum[t] += k.sum()
-                k_sqsum[t] += (k * k).sum()
-        switches += (chunk.actions[:, 1:] != chunk.actions[:, :-1]).sum(axis=0)
-        # the trial states hold arrays too: let them go before the next chunk is drawn
-        del chunk, v1, v2, counts, after, k
+                sums[0, t] = k.sum()
+                sums[1, t] = (k * k).sum()
+        sums[2] = (chunk.actions[:, 1:] != chunk.actions[:, :-1]).sum(axis=0)
+        return sums
 
+    k_sum, k_sqsum, switches = _group_sums(
+        iter_value_chunks(agent, replace(env, horizon=horizon + 1), n_replicas, seed,
+                          chunk_size=mc.DEFAULT_CHUNK), reduce)
     n = n_replicas
     a_mean, a_se = _mean_se(k_sum, k_sqsum, n)
     e_mean = switches / n

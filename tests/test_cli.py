@@ -531,7 +531,15 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
     # cases must stay valid configs whose runs write the files they list
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     import digest_outputs
-    kinds, switch_replicas = set(), []
+    kinds, switch_replicas, left_halves = set(), [], []
+    chunks = banditlab.switching.iter_value_chunks
+
+    def spy(*args, **kwargs):
+        for chunk in chunks(*args, **kwargs):
+            left_halves.append(chunk.left_half)
+            yield chunk
+
+    monkeypatch.setattr(banditlab.switching, "iter_value_chunks", spy)
     for kind, case, cfg in digest_outputs.cases(tmp_path):
         out = tmp_path / kind / case
         out.mkdir(parents=True)
@@ -543,8 +551,10 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
         if kind == "switch-rate":
             switch_replicas.append(cfg["ensemble"]["replicas"])
     assert kinds == set(KINDS)
-    # one switch-rate case spans two engine chunks, so its sums cross a boundary
+    # one switch-rate case spans two engine chunks, so its sums cross a boundary,
+    # and one steps a group in two halves, whose sums are added
     assert max(switch_replicas) > banditlab.mc.DEFAULT_CHUNK
+    assert any(left_halves)
 
 
 def test_digest_tool_compares_csv_cells(tmp_path, monkeypatch):

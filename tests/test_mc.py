@@ -206,7 +206,8 @@ def test_long_horizons_cap_a_chunk_at_a_million_replica_trials(monkeypatch):
     env = Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=4096)
     agent = QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0))
     capped = [c.record() for c in iter_value_chunks(agent, env, 300, seed=2)]
-    assert [c.actions.shape for c in capped] == [(256, 4096), (44, 4096)]
+    # the 256-replica group holds the whole cap, so it is stepped in two halves
+    assert [c.actions.shape for c in capped] == [(128, 4096), (128, 4096), (44, 4096)]
     monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1 << 40)
     (whole,) = [c.record() for c in iter_value_chunks(agent, env, 300, seed=2)]
     for field in ("values1", "values2", "actions", "rewards1", "rewards2"):
@@ -214,11 +215,18 @@ def test_long_horizons_cap_a_chunk_at_a_million_replica_trials(monkeypatch):
             np.concatenate([getattr(c, field) for c in capped]), getattr(whole, field))
 
 
+def _groups(agent, env, n, seed):
+    """The ensemble's groups of mc.DEFAULT_CHUNK replicas, each drawn as one
+    chunk (T <= 127, so the trial cap does not shrink them)."""
+    for start in range(0, n, mc.DEFAULT_CHUNK):
+        yield mc.Chunk(agent, env, seed, start, min(mc.DEFAULT_CHUNK, n - start))
+
+
 def _record_moments(agent, env, n, seed):
     """ensemble_value_moments' sums taken, as before streaming, from each
-    chunk's whole record along its replica axis."""
+    group's whole record along its replica axis."""
     sums = np.zeros((5, env.horizon + 1))
-    for chunk in iter_value_chunks(agent, env, n, seed, chunk_size=mc.DEFAULT_CHUNK):
+    for chunk in _groups(agent, env, n, seed):
         rec = chunk.record()
         v1 = rec.values1
         prod = np.empty_like(v1)
@@ -246,11 +254,10 @@ def _record_counts(rec):
 
 def _record_switch_rate(agent, env, n, seed):
     """ensemble_switch_rate's sums taken, as before streaming, from each
-    chunk's whole record."""
+    group's whole record."""
     horizon, cf = env.horizon, env.counterfactual
     k_sum, k_sqsum, switches = np.zeros((3, horizon))
-    for chunk in iter_value_chunks(agent, replace(env, horizon=horizon + 1), n, seed,
-                                   chunk_size=mc.DEFAULT_CHUNK):
+    for chunk in _groups(agent, replace(env, horizon=horizon + 1), n, seed):
         rec = chunk.record()
         counts = _record_counts(rec) if isinstance(agent, BayesAgentSpec) else None
         for t in range(horizon):
@@ -277,29 +284,49 @@ def _record_switch_rate(agent, env, n, seed):
 ], ids=["q-asymmetric-counterfactual", "q-step-partial", "bayes-softmax-counterfactual",
         "bayes-softmax-partial", "bayes-greedy-counterfactual", "bayes-greedy-partial"])
 def test_streamed_statistics_equal_record_reductions(monkeypatch, agent, counterfactual):
-    # 513 replicas in chunks of 200: three chunks, the last one partial
-    monkeypatch.setattr(mc, "DEFAULT_CHUNK", 200)
-    env = Environment(p1=0.6, p2=0.4, counterfactual=counterfactual, horizon=30)
-    n, seed = 513, 4
-    assert [len(c.actions) for c in iter_value_chunks(agent, env, n, seed, 200)] == [200, 200, 113]
-    mom = ensemble_value_moments(agent, env, n, seed)
-    got = (mom.mean1, mom.se1, mom.mean11, mom.se11, mom.mean12, mom.se12)
-    for a, b in zip(got, _record_moments(agent, env, n, seed), strict=True):
-        assert np.array_equal(a, b)
-    sw = ensemble_switch_rate(agent, env, n, seed)
-    got = (sw.analytic_mean, sw.analytic_se, sw.empirical_mean, sw.empirical_se)
-    for a, b in zip(got, _record_switch_rate(agent, env, n, seed), strict=True):
-        assert np.array_equal(a, b)
+    # 513 replicas at T = 30 in groups of 200: three chunks, the last one
+    # partial; 8,193 at T = 100: the first group of 8,192 holds over half the
+    # trial cap, so it is stepped as two chunks whose sums are added
+    shapes = [(513, 30, 200, [200, 200, 113]),
+              (8193, 100, mc.DEFAULT_CHUNK, [4096, 4096, 1])]
+    seed = 4
+    for n, horizon, group, chunks in shapes:
+        monkeypatch.setattr(mc, "DEFAULT_CHUNK", group)
+        env = Environment(p1=0.6, p2=0.4, counterfactual=counterfactual, horizon=horizon)
+        assert [len(c.actions) for c in iter_value_chunks(agent, env, n, seed, group)] == chunks
+        mom = ensemble_value_moments(agent, env, n, seed)
+        got = (mom.mean1, mom.se1, mom.mean11, mom.se11, mom.mean12, mom.se12)
+        for a, b in zip(got, _record_moments(agent, env, n, seed), strict=True):
+            assert np.array_equal(a, b)
+        sw = ensemble_switch_rate(agent, env, n, seed)
+        got = (sw.analytic_mean, sw.analytic_se, sw.empirical_mean, sw.empirical_se)
+        for a, b in zip(got, _record_switch_rate(agent, env, n, seed), strict=True):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [129, 3616, 5000, 8191, 8192])
+def test_a_split_group_sums_to_the_whole_groups_sum(n):
+    # numpy sums a contiguous float64 vector pairwise: past 128 values it
+    # sums v[:n2] and v[n2:] separately and adds them, at this n2.  The
+    # ensemble statistics step a large group as two chunks split there and
+    # add their sums, so a numpy change to pairwise summation fails here first
+    n2 = n // 2 - (n // 2) % 8
+    rng = np.random.default_rng(n)
+    for scale in (1e-9, 1.0, 1e9):
+        for v in (scale * rng.random(n), scale * rng.standard_normal(n),
+                  scale * rng.random(n) * 10.0 ** rng.integers(-8, 9, n)):
+            assert v.sum() == v[:n2].sum() + v[n2:].sum()
 
 
 @pytest.mark.parametrize("kind", ["moments", "switch-rate"])
 def test_an_ensemble_holds_one_chunk_at_a_time(kind):
     # the Bayesian moments' and criterion 6's ensembles span three and two
-    # chunks, each reduced trial by trial as it steps: at most one chunk's
-    # action uniforms, reward bits and actions (11 bytes a replica-trial) may
-    # be alive at once, plus 64 float64 vectors of its replicas for the trial
-    # state, a step's temporaries and the draw blocks in flight
-    n = mc.DEFAULT_CHUNK
+    # groups, each reduced trial by trial as it steps; a full group at T = 100
+    # is stepped in two halves.  At most one chunk's action uniforms, reward
+    # bits and actions (11 bytes a replica-trial) may be alive at once, half
+    # a group and the halves' rounding to 8, plus 64 float64 vectors of its
+    # replicas for the trial state, a step's temporaries and the draw blocks
+    n = mc.DEFAULT_CHUNK // 2 + 8
     if kind == "moments":
         agent = BayesAgentSpec(Policy(beta=5.0))
         env = Environment(p1=0.7, p2=0.7, counterfactual=True, horizon=100)

@@ -98,6 +98,10 @@ def cases(work: Path):
     # Bayesian counts streamed across the same chunk boundary, under partial feedback
     yield "switch-rate", "bayes-partial-two-chunks", {**sw, "ensemble": {"replicas": 9000},
                                                       "environment": _env(False), "agent": bayes}
+    # at T = 100 the first group of 8,192 replicas holds over half the 2**20 trial
+    # cap, so it is stepped in two halves, 4,096 + 4,096, whose sums are added; 808 follow
+    yield "switch-rate", "q-split-chunk", {**sw, "ensemble": {"replicas": 9000},
+                                           "environment": _env(True, 100), "agent": q_cf}
     for case in ("q-counterfactual", "bayes-partial"):
         yield "fit", case, {"kind": "fit", "sessions": str(work / "simulate" / case / "sessions.csv"),
                             "restarts": 3, "seed": 2}
