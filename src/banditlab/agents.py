@@ -35,6 +35,9 @@ import numpy as np
 
 from .env import Environment, RngStream, is_integer
 
+# the largest float whose np.exp is finite: exp of the next one overflows
+_EXP_MAX = 709.782712893384
+
 
 def effective_rate(t: int) -> float:
     """Learning rate at which posterior-mean updating matches a Q-update.
@@ -140,9 +143,13 @@ class Policy:
 
         Both go through numpy's ``exp``, so a chunk reproduces single runs
         bit for bit.  Where beta * |v1 - v2| overflows ``exp`` the result is
-        exactly 0.0 or 1.0, without a warning."""
+        exactly 0.0 or 1.0, without a warning; floats skip numpy's costly
+        error-state switch by returning 0.0 above ``_EXP_MAX``."""
         if self.mode == "greedy":
             return (v1 >= v2) * 1.0
+        if isinstance(v1, float) and isinstance(v2, float):
+            x = float(self.beta) * (float(v2) - float(v1))
+            return 0.0 if x > _EXP_MAX else float(1.0 / (1.0 + np.exp(x)))
         with np.errstate(over="ignore"):
             p = 1.0 / (1.0 + np.exp(self.beta * (v2 - v1)))
         return p if isinstance(p, np.ndarray) else float(p)

@@ -19,18 +19,20 @@ effective learning rate masquerades as rate asymmetry, and
 
 Every likelihood goes through one batched engine, :func:`_evaluate`.  A
 batch of sessions is laid out once as trial tables padded to its longest
-session; the engine then scores many (session, parameter) points in one
-vectorized pass.  Q values come from an inclusive prefix scan of the
-per-trial affine maps q -> (1 - a) q + a r, Bayesian values from
-cumulative counts, and each trial costs the log-sigmoid
+session; the engine then scores many (session, parameter) points in
+vectorized passes of at most ``_MAX_CELLS`` = 2**14 (point, trial) cells,
+each writing every step into its signs and at most three reused (T, P, 2)
+float buffers, 56 bytes a cell.  Q values come from an inclusive prefix
+scan of the per-trial affine maps q -> (1 - a) q + a r, Bayesian values
+from cumulative counts, and each trial costs the log-sigmoid
 -log pi = log(1 + exp(-s beta dv)), capped at -log P_MIN.  Every family
 is fitted by one optimizer, scipy's default Nelder–Mead rules run on
 every (subject, restart) lane of a batch in lockstep (:func:`_nelder_mead`):
 one engine call per simplex step serves every lane.  The bayes family
 has one lane per subject, started at the minimum of a beta grid.  A
-lane's numbers do not depend on which lanes share its batch or how far
-its session is padded, so a subject fitted alone gets the same result as
-inside any batch.
+lane's numbers do not depend on which lanes share its batch, how far its
+session is padded or how the passes split, so a subject fitted alone gets
+the same result as inside any batch.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ _XATOL = 1e-6
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 # the engine scores at most this many (point, trial) cells per pass
-_MAX_CELLS = 1 << 15
+_MAX_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -167,36 +169,47 @@ def _evaluate_pass(tab: _Tables, family: str, sess: np.ndarray, params: np.ndarr
     if columns is None:
         dv = np.take(tab.bayes_dv, sess, axis=1)
         end = np.take(tab.bayes_end, sess, axis=0)
+        x = np.empty((T, P))
     else:
         rates = np.zeros((P, 5))
         rates[:, :4] = params[:, columns]
-        idx = np.take(tab.rate, sess, axis=1)
-        idx += 5 * np.arange(P)[:, None]
-        a = np.take(rates, idx)
+        add = np.take(rates, np.take(tab.rate, sess, axis=1) + 5 * np.arange(P)[:, None])
         # compose the maps q -> mul q + add over trials, the start value 1/2
-        # folded into trial 0, so that add[t] ends as the values after t
-        mul = 1.0 - a
-        add = a * np.take(tab.reward, sess, axis=1)
+        # folded into trial 0, so that add[t] ends as the values after t; each
+        # step's products go to tmp, which swaps with mul when mul moves
+        mul = np.subtract(1.0, add)
+        tmp = np.take(tab.reward, sess, axis=1)
+        add *= tmp
         add[0] += 0.5 * mul[0]
         d = 1
         while d < T:
-            add[d:] += mul[d:] * add[:-d]
+            np.multiply(mul[d:], add[:-d], out=tmp[:T - d])
+            add[d:] += tmp[:T - d]
             if 2 * d < T:
-                mul[d:] = mul[d:] * mul[:-d]
+                np.multiply(mul[d:], mul[:-d], out=tmp[d:])
+                tmp[:d] = mul[:d]
+                mul, tmp = tmp, mul
             d *= 2
-        dv = np.zeros((T, P))
-        dv[1:] = add[:-1, :, 0] - add[:-1, :, 1]
+        dv = tmp.reshape(2, T, P)[0]
+        dv[0] = 0.0
+        np.subtract(add[:-1, :, 0], add[:-1, :, 1], out=dv[1:])
         # each session's own last trial: a padded position composes the maps
         # in another order
         end = add[tab.n[sess] - 1, np.arange(P)]
-    x = (-sign * params[:, -1]) * dv
-    z = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))  # log(1 + e^x)
+        x = mul.reshape(2, T, P)[0]
+    np.negative(sign, out=x)
+    x *= params[:, -1]
+    x *= dv
+    z = dv  # log(1 + e^x) = max(x, 0) + log1p(e^-|x|)
+    np.negative(np.abs(x, out=z), out=z)
+    np.log1p(np.exp(z, out=z), out=z)
+    z += np.maximum(x, 0.0, out=x)
     clamped = (z > _NLL_CAP).any(axis=0)
     np.minimum(z, _NLL_CAP, out=z)
-    z *= np.abs(sign)
+    z *= np.abs(sign, out=sign)
     # accumulate adds in trial order whatever the padding or the batch;
     # a pairwise sum would regroup the terms
-    nll = np.add.accumulate(z, axis=0)[-1]
+    nll = np.add.accumulate(z, axis=0, out=x)[-1].copy()
     return nll, clamped, end[:, 0], end[:, 1]
 
 

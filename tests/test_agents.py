@@ -157,6 +157,32 @@ def test_softmax_choice_prob_saturates_without_warning():
                 soft.choice_prob(np.array([1.0, 0.0]), np.array([0.0, 1.0])), [1.0, 0.0])
 
 
+
+def test_scalar_softmax_skips_the_error_state_bit_for_bit():
+    # a pair of floats returns 0.0 above _EXP_MAX, the largest float whose exp
+    # is finite, instead of switching numpy's error state; its array element
+    # must agree bit for bit at the threshold, its neighbours and random pairs
+    from banditlab.agents import _EXP_MAX
+    up, down = np.nextafter(_EXP_MAX, np.inf), np.nextafter(_EXP_MAX, -np.inf)
+    assert np.isfinite(np.exp(_EXP_MAX))
+    with np.errstate(over="ignore"):
+        assert np.exp(up) == np.inf
+    edges = [_EXP_MAX, up, down, np.nextafter(up, np.inf), np.nextafter(down, -np.inf),
+             0.0, -_EXP_MAX, 800.0, -800.0, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta, v1, v2 in [(1.0, np.zeros(len(edges)), np.array(edges)),
+                             (1.0, np.array(edges), np.zeros(len(edges))),
+                             *[(beta, *rng.uniform(-1.0, 1.0, (2, 2000)))
+                               for beta in (0.3, 5.0, 354.9, 710.0, 1e3, 1e20)]]:
+            soft = Policy(beta)
+            p = soft.choice_prob(v1, v2)
+            q = np.array([soft.choice_prob(a, b) for a, b in zip(v1.tolist(), v2.tolist())])
+            assert np.array_equal(np.isnan(p), np.isnan(q))
+            assert np.array_equal(p[~np.isnan(p)].view(np.int64), q[~np.isnan(q)].view(np.int64))
+
+
 def test_policy_validation():
     # a NaN beta would make every softmax draw pick arm 2
     for beta in (-1.0, float("nan"), float("inf"), -float("inf")):

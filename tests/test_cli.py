@@ -531,15 +531,28 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
     # cases must stay valid configs whose runs write the files they list
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     import digest_outputs
-    kinds, switch_replicas, left_halves = set(), [], []
+    kinds, switch_replicas, left_halves, q_passes = set(), [], [], []
     chunks = banditlab.switching.iter_value_chunks
+    fitting = banditlab.fitting
+    evaluate, evaluate_pass = fitting._evaluate, fitting._evaluate_pass
 
     def spy(*args, **kwargs):
         for chunk in chunks(*args, **kwargs):
             left_halves.append(chunk.left_half)
             yield chunk
 
+    def spy_evaluate(tab, family, sess, params):
+        q_passes.append(0)
+        return evaluate(tab, family, sess, params)
+
+    def spy_pass(tab, family, sess, params):
+        if family != "bayes" and kind == "fit":
+            q_passes[-1] += 1
+        return evaluate_pass(tab, family, sess, params)
+
     monkeypatch.setattr(banditlab.switching, "iter_value_chunks", spy)
+    monkeypatch.setattr(fitting, "_evaluate", spy_evaluate)
+    monkeypatch.setattr(fitting, "_evaluate_pass", spy_pass)
     for kind, case, cfg in digest_outputs.cases(tmp_path):
         out = tmp_path / kind / case
         out.mkdir(parents=True)
@@ -555,6 +568,8 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
     # and one steps a group in two halves, whose sums are added
     assert max(switch_replicas) > banditlab.mc.DEFAULT_CHUNK
     assert any(left_halves)
+    # and one fit case scores a Q family's points in more than one engine pass
+    assert max(q_passes) > 1
 
 
 def test_digest_tool_compares_csv_cells(tmp_path, monkeypatch):

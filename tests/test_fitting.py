@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -12,6 +13,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import logit
 from scipy.stats import binomtest, qmc
 
+from banditlab import fitting
 from banditlab import (
     BayesAgentSpec,
     Environment,
@@ -492,6 +494,65 @@ def test_embedding_keeps_the_likelihood_of_every_earlier_family(drawn):
         p = {**dict(zip(names[:-1], rates)), "beta": beta}
         for later in Q_FAMILIES[k + 1:]:
             assert nll(later, _embed(later, earlier, p), s) == nll(earlier, p, s)
+
+
+
+def mixed_batch():
+    """Four sessions of 24, 24, 100 and 110 trials under both feedback
+    modes, so that all but the longest are padded."""
+    sessions = []
+    for i, (horizon, cf) in enumerate(((24, True), (24, False), (100, True), (110, False))):
+        env = Environment(p1=0.7, p2=0.4, counterfactual=cf, horizon=horizon)
+        sessions += synthesize_sessions(BayesAgentSpec(Policy(5.0)), env, 1, seed=i,
+                                        prefix=f"T{horizon}-")
+    return _Tables(sessions)
+
+
+def test_engine_values_do_not_depend_on_its_passes(monkeypatch):
+    # the engine scores points in passes of at most _MAX_CELLS (point, trial)
+    # cells; every output must be the same bit for bit whether a point is
+    # scored alone, in a few passes or in one, and for the empty point set
+    # that the lockstep's budget-limited shrink sends
+    tab = mixed_batch()
+    rng = np.random.default_rng(3)
+    caps = (1, 7, 64, 500, fitting._MAX_CELLS, 1 << 30)
+    for family, fam in MODEL_FAMILIES.items():
+        for n in (0, 1, 400):
+            sess = rng.integers(0, len(tab.ids), n)
+            params = rng.uniform(0.0, 1.0, (n, fam.df))
+            params[:, -1] *= BETA_MAX
+            params[:n // 2, -1] *= 1e3  # betas past BETA_MAX: some trials hit P_MIN
+            outs = []
+            for cap in caps:
+                monkeypatch.setattr(fitting, "_MAX_CELLS", cap)
+                outs.append(_evaluate(tab, family, sess, params))
+            for out in outs:
+                assert [(a.dtype, a.shape, a.tobytes()) for a in out] == [
+                    (a.dtype, a.shape, a.tobytes()) for a in outs[-1]], family
+            assert outs[0][0].shape == (n,)
+            if n > 1:
+                assert outs[0][1].any() and not outs[0][1].all(), family
+
+
+@pytest.mark.parametrize("family", ["full", "bayes"])
+def test_an_engine_call_holds_one_small_pass_at_a_time(family):
+    # 600 points at T = 110 span five passes of at most 2**14 cells; a Q pass
+    # holds its signs and three (T, P, 2) float buffers, 56 bytes a cell, a
+    # bayes pass three (T, P) ones, and each lets them go before the next
+    tab = mixed_batch()
+    rng = np.random.default_rng(4)
+    sess = rng.integers(0, len(tab.ids), 600)
+    params = rng.uniform(0.0, 1.0, (600, MODEL_FAMILIES[family].df))
+    bound = 1.6 * 2**20
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _evaluate(tab, family, sess, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
 
 
 def _scipy_sobol(d, n, seed, stream):

@@ -109,6 +109,12 @@ def cases(work: Path):
     q_sessions = str(work / "simulate" / "q-counterfactual" / "sessions.csv")
     yield "fit", "conf-full", {"kind": "fit", "sessions": q_sessions,
                                "families": ["conf", "full"], "restarts": 3, "seed": 2}
+    # const's initial simplex on 700 sessions of 20 trials is 2,100 points, 42,000
+    # (point, trial) cells, so the engine scores it in several passes, and in
+    # more of them if its cap on a pass's cells shrinks
+    yield "fit", "const-blocks", {
+        "kind": "fit", "sessions": str(work / "simulate" / "q-counterfactual-blocks" / "sessions.csv"),
+        "families": ["const"], "restarts": 1, "seed": 2}
     rec = {"kind": "recover", "environment": _env(True, 24, 0.5, 0.5), "n_agents": 6,
            "beta_gen": 10, "restarts": 3}
     yield "recover", "bayes-greedy", {**rec, "policy": "greedy"}
