@@ -173,7 +173,11 @@ def _evaluate_pass(tab: _Tables, family: str, sess: np.ndarray, params: np.ndarr
     else:
         rates = np.zeros((P, 5))
         rates[:, :4] = params[:, columns]
-        add = np.take(rates, np.take(tab.rate, sess, axis=1) + 5 * np.arange(P)[:, None])
+        # point p's rates are rates.flat[5p:5p + 5]: offset its index in place
+        index = np.take(tab.rate, sess, axis=1)
+        index += np.repeat(np.arange(0, 5 * P, 5), 2).reshape(P, 2)
+        add = np.take(rates, index)
+        del index
         # compose the maps q -> mul q + add over trials, the start value 1/2
         # folded into trial 0, so that add[t] ends as the values after t; each
         # step's products go to tmp, which swaps with mul when mul moves

@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -482,6 +483,30 @@ def test_simulate_without_sessions_writes_the_same_trajectories(tmp_path):
             == (tmp_path / "with" / "trajectories.csv").read_bytes())
 
 
+def test_simulate_holds_one_chunk_record_and_one_block_of_cells(tmp_path):
+    # the bench's sim-q run: 2,000 Q replicas at T = 100, sessions on.  It holds
+    # one 512-replica chunk's record, whose two 101-trial float64 value arrays
+    # are 0.79 MiB, and one 6,400-row block of trajectories.csv's 7 columns at
+    # under 60 bytes a cell: the block's arrays and the chunk's other arrays
+    # (about 19 B a cell), and the cells' Python objects and the block's text
+    # (about 33 B).  Coded, the q1/q2 columns (96-98% of their values are
+    # distinct) would add a string per value and an expanded list, past it
+    cfg = {**SIM_CFG, "ensemble": {"replicas": 2000}, "environment": {
+        **SIM_CFG["environment"], "horizon": 100}}
+    cfg_path = write_cfg(tmp_path, cfg)
+    run_scenario(write_cfg(tmp_path, SIM_CFG, "warm.json"), out_dir=str(tmp_path / "warm"))
+    bound = 2 * 101 * 512 * 8 + BLOCK_ROWS * 7 * 60
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_scenario(cfg_path, out_dir=str(tmp_path / "o"))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
+
+
 def test_manifest_records_timings(tmp_path):
     out = tmp_path / "sim"
     timings = run_scenario(write_cfg(tmp_path, SIM_CFG), out_dir=str(out)).timings
@@ -532,9 +557,11 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     import digest_outputs
     kinds, switch_replicas, left_halves, q_passes = set(), [], [], []
+    float_paths = set()  # per float column of over one row: coded or in place
     chunks = banditlab.switching.iter_value_chunks
     fitting = banditlab.fitting
     evaluate, evaluate_pass = fitting._evaluate, fitting._evaluate_pass
+    column = banditlab.sessions._column
 
     def spy(*args, **kwargs):
         for chunk in chunks(*args, **kwargs):
@@ -550,7 +577,14 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
             q_passes[-1] += 1
         return evaluate_pass(tab, family, sess, params)
 
+    def spy_column(col, lone):
+        conv, cells, codes = column(col, lone)
+        if np.asarray(col).dtype.kind == "f" and len(col) > 1:
+            float_paths.add("in place" if codes is None else "coded")
+        return conv, cells, codes
+
     monkeypatch.setattr(banditlab.switching, "iter_value_chunks", spy)
+    monkeypatch.setattr(banditlab.sessions, "_column", spy_column)
     monkeypatch.setattr(fitting, "_evaluate", spy_evaluate)
     monkeypatch.setattr(fitting, "_evaluate_pass", spy_pass)
     for kind, case, cfg in digest_outputs.cases(tmp_path):
@@ -570,6 +604,9 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
     assert any(left_halves)
     # and one fit case scores a Q family's points in more than one engine pass
     assert max(q_passes) > 1
+    # the writer codes a float column that repeats its values and formats one
+    # of mostly distinct values in place: some case writes each kind
+    assert float_paths == {"coded", "in place"}
 
 
 def test_digest_tool_compares_csv_cells(tmp_path, monkeypatch):

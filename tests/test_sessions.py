@@ -24,7 +24,7 @@ from banditlab import (
     synthesize_sessions,
     write_sessions,
 )
-from banditlab.sessions import _format_block, row_blocks, trial_columns, write_csv
+from banditlab.sessions import _column, _format_block, row_blocks, trial_columns, write_csv
 
 ENV = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
 AGENT = BayesAgentSpec(Policy(beta=10.0))
@@ -171,6 +171,15 @@ def test_format_block_matches_per_cell_floats_with_repeats(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     floats = [pool[rng.integers(len(pool), size=n)].tolist()
               for _ in range(data.draw(st.integers(1, 3), label="float columns"))]
+    # and one column from a pool as large as the block, of such values and
+    # random bit patterns: mostly distinct, so that it is formatted in place
+    head = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), max_size=6),
+                     label="wide pool")
+    wide = np.concatenate([head, rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)])
+    spread = wide[rng.integers(n, size=n)].tolist()
+    distinct = len(np.unique(np.array(spread).view(np.uint64)))
+    assert (_column(spread, False)[2] is None) == (2 * distinct > n)
+    floats.insert(data.draw(st.integers(0, len(floats)), label="its place"), spread)
     ints = rng.integers(-3, 4, size=n).tolist()
     # the int and blank columns may be joined with a float column into one lookup
     want = "".join(",".join(["%d" % ints[r], *("%.17g" % c[r] for c in floats), ""]) + "\r\n"
