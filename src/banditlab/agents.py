@@ -18,11 +18,13 @@ arrays for an ensemble chunk.  It is a generator of trial states, which
 ``_record`` collects into one :class:`Trajectory` record and the
 ensemble statistics reduce trial by trial without one; the switching
 kernel calls the same steps.  The likelihood engine in
-``fitting`` scores whole sessions at once: it counts through
-:func:`count_values` and composes the Q rule over trials as a prefix
-scan, pinned to folds of both steps by property tests.  Bayesian
-agents always learn through their counts, never through the 1/(t+3)
-recursion, whose rounding would break greedy value ties differently.
+``fitting`` scores whole sessions at once: it composes the Q rule over
+trials as a prefix scan, and scores Bayesian sessions by the same scan
+at the rates 1/(n + 3) of an arm seen n times, pinned to folds of both
+steps by property tests.  Simulated Bayesian agents always learn through
+their counts, never through that recursion, whose rounding would break
+greedy value ties differently; a fitted softmax is continuous in the
+value gap, so there the rounding moves an NLL only at the ulp level.
 """
 
 from __future__ import annotations

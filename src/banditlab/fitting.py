@@ -5,7 +5,8 @@ trial the model's softmax probability of the recorded action enters the
 negative log-likelihood, then the model's values learn from the recorded
 action and reward(s).
 
-    bayes  (1 parameter)  softmax over beta-posterior means
+    bayes  (1 parameter)  softmax over beta-posterior means: symmetric rates
+                          1/(n + 3) for an arm seen n times
     const  (2)            one learning rate for everything
     conf   (3)            one rate for confirming evidence (chosen-arm
                           positive, unchosen-arm negative), one for the rest
@@ -22,9 +23,10 @@ batch of sessions is laid out once as trial tables padded to its longest
 session; the engine then scores many (session, parameter) points in
 vectorized passes of at most ``_MAX_CELLS`` = 2**14 (point, trial) cells,
 each writing every step into its signs and at most three reused (T, P, 2)
-float buffers, 56 bytes a cell.  Q values come from an inclusive prefix
-scan of the per-trial affine maps q -> (1 - a) q + a r, Bayesian values
-from cumulative counts, and each trial costs the log-sigmoid
+float buffers, 56 bytes a cell.  Every family's values come from one
+inclusive prefix scan of the per-trial affine maps q -> (1 - a) q + a r:
+a Q family gathers its rates a from its parameters, bayes reads them
+from a table fixed by the data.  Each trial costs the log-sigmoid
 -log pi = log(1 + exp(-s beta dv)), capped at -log P_MIN.  Every family
 is fitted by one optimizer, scipy's default Nelder–Mead rules run on
 every (subject, restart) lane of a batch in lockstep (:func:`_nelder_mead`):
@@ -82,7 +84,8 @@ _MAX_CELLS = 1 << 14
 @dataclass(frozen=True)
 class ModelFamily:
     """Parameter names, beta last, and for a Q family which of them fills
-    each of the four rates."""
+    each of the four rates.  The bayes family has none: its rates are
+    ``_Tables.bayes_rate``, fixed by the data."""
 
     name: str
     param_names: tuple[str, ...]
@@ -123,9 +126,10 @@ class _Tables:
     padding.  ``reward`` (T, S, 2) is each arm's reward, 0 where unseen.
     ``rate`` (T, S, 2) indexes each arm's rate in (a_plus_c, a_minus_c,
     a_plus_u, a_minus_u, 0), picked as ``agents.q_step`` picks it; the zero
-    rate serves an arm that feedback hides and padding.  ``bayes_dv`` (T, S)
-    is the posterior-mean gap v1 - v2 before each trial and ``bayes_end``
-    (S, 2) the means after the last one.
+    rate serves an arm that feedback hides and padding.  ``bayes_rate``
+    (T, S, 2) is the bayes family's rate, 1/(n + 3) for an arm seen n times
+    before the trial and 0 where it is unseen or on padding, so the Q scan
+    turns it into the posterior means (s + 1)/(n + 2) up to rounding.
     """
 
     def __init__(self, sessions: Sequence[SessionData]):
@@ -151,15 +155,10 @@ class _Tables:
         self.reward = reward.astype(float)
         padding = np.arange(T)[:, None] >= self.n
         self.sign = np.where(padding, 0.0, np.where(chose1, 1.0, -1.0))
-        # counts before each trial and after the last, as count_step keeps them
-        succ = np.zeros((T + 1, S, 2), dtype=np.int64)
-        pulls = np.zeros((T + 1, S, 2), dtype=np.int64)
-        np.cumsum(reward, axis=0, out=succ[1:])
-        np.cumsum(seen, axis=0, out=pulls[1:])
-        v1, v2 = count_values(succ[..., 0], pulls[..., 0], succ[..., 1], pulls[..., 1])
-        self.bayes_dv = (v1 - v2)[:-1]
-        last = (self.n, np.arange(S))
-        self.bayes_end = np.stack([v1[last], v2[last]], axis=1)
+        # 1/(n + 3) for an arm seen n times before the trial, the rate at which
+        # its posterior mean (s + 1)/(n + 2) moves toward an observed reward
+        before = np.cumsum(seen, axis=0) - seen
+        self.bayes_rate = np.where(seen, 1.0 / (before + 3.0), 0.0)
 
 
 def _evaluate_pass(tab: _Tables, family: str, sess: np.ndarray, params: np.ndarray):
@@ -167,9 +166,7 @@ def _evaluate_pass(tab: _Tables, family: str, sess: np.ndarray, params: np.ndarr
     T, P = sign.shape
     columns = MODEL_FAMILIES[family].rate_columns
     if columns is None:
-        dv = np.take(tab.bayes_dv, sess, axis=1)
-        end = np.take(tab.bayes_end, sess, axis=0)
-        x = np.empty((T, P))
+        add = np.take(tab.bayes_rate, sess, axis=1)
     else:
         rates = np.zeros((P, 5))
         rates[:, :4] = params[:, columns]
@@ -178,29 +175,29 @@ def _evaluate_pass(tab: _Tables, family: str, sess: np.ndarray, params: np.ndarr
         index += np.repeat(np.arange(0, 5 * P, 5), 2).reshape(P, 2)
         add = np.take(rates, index)
         del index
-        # compose the maps q -> mul q + add over trials, the start value 1/2
-        # folded into trial 0, so that add[t] ends as the values after t; each
-        # step's products go to tmp, which swaps with mul when mul moves
-        mul = np.subtract(1.0, add)
-        tmp = np.take(tab.reward, sess, axis=1)
-        add *= tmp
-        add[0] += 0.5 * mul[0]
-        d = 1
-        while d < T:
-            np.multiply(mul[d:], add[:-d], out=tmp[:T - d])
-            add[d:] += tmp[:T - d]
-            if 2 * d < T:
-                np.multiply(mul[d:], mul[:-d], out=tmp[d:])
-                tmp[:d] = mul[:d]
-                mul, tmp = tmp, mul
-            d *= 2
-        dv = tmp.reshape(2, T, P)[0]
-        dv[0] = 0.0
-        np.subtract(add[:-1, :, 0], add[:-1, :, 1], out=dv[1:])
-        # each session's own last trial: a padded position composes the maps
-        # in another order
-        end = add[tab.n[sess] - 1, np.arange(P)]
-        x = mul.reshape(2, T, P)[0]
+    # compose the maps q -> mul q + add over trials, the start value 1/2
+    # folded into trial 0, so that add[t] ends as the values after t; each
+    # step's products go to tmp, which swaps with mul when mul moves
+    mul = np.subtract(1.0, add)
+    tmp = np.take(tab.reward, sess, axis=1)
+    add *= tmp
+    add[0] += 0.5 * mul[0]
+    d = 1
+    while d < T:
+        np.multiply(mul[d:], add[:-d], out=tmp[:T - d])
+        add[d:] += tmp[:T - d]
+        if 2 * d < T:
+            np.multiply(mul[d:], mul[:-d], out=tmp[d:])
+            tmp[:d] = mul[:d]
+            mul, tmp = tmp, mul
+        d *= 2
+    dv = tmp.reshape(2, T, P)[0]
+    dv[0] = 0.0
+    np.subtract(add[:-1, :, 0], add[:-1, :, 1], out=dv[1:])
+    # each session's own last trial: a padded position composes the maps
+    # in another order
+    end = add[tab.n[sess] - 1, np.arange(P)]
+    x = mul.reshape(2, T, P)[0]
     np.negative(sign, out=x)
     x *= params[:, -1]
     x *= dv

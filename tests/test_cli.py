@@ -636,19 +636,27 @@ def test_digest_tool_compares_json_leaves(tmp_path, monkeypatch):
         (tmp_path / name).write_text(json.dumps(doc))
         return tmp_path / name
 
-    old = json_file("old.json", {"results": [{"nll": 1.5, "n_evals": 40, "ok": True},
-                                             {"nll": 2.0, "n_evals": 30, "ok": True}],
+    old = json_file("old.json", {"results": [{"nll": 1.5, "n_evals": 40, "ok": True,
+                                              "beta": 3.0},
+                                             {"nll": 2.0, "n_evals": 30, "ok": True,
+                                              "beta": 4.0}],
                                  "best": {"S0": "bayes"}, "empty": {}})
     assert compare(old, old) == ""
     assert compare(old, tmp_path / "none.json") == "missing from the reference"
-    new = json_file("new.json", {"results": [{"nll": 1.25, "n_evals": 42, "ok": False},
-                                             {"nll": 2.0, "n_evals": 30, "ok": True}],
+    # per field the largest rise and the largest fall, new against old: beta
+    # rises in one leaf and falls in the other
+    new = json_file("new.json", {"results": [{"nll": 1.25, "n_evals": 42, "ok": False,
+                                              "beta": 3.5},
+                                             {"nll": 2.0, "n_evals": 30, "ok": True,
+                                              "beta": 3.0}],
                                  "best": {"S0": "const"}, "empty": []})
-    assert compare(new, old) == ("2 numeric leaves differ, max |delta| 2; "
+    assert compare(new, old) == ("4 numeric leaves differ, max |delta| 2; "
                                  "3 non-numeric leaves differ; "
-                                 "n_evals: 1 differ, max |delta| 2; "
-                                 "nll: 1 differ, max |delta| 0.25")
-    short = json_file("short.json", {"results": [{"nll": 1.5, "n_evals": 40, "ok": True}],
+                                 "beta: 2 differ, max rise 0.5, max fall 1; "
+                                 "n_evals: 1 differ, max rise 2, max fall 0; "
+                                 "nll: 1 differ, max rise 0, max fall 0.25")
+    short = json_file("short.json", {"results": [{"nll": 1.5, "n_evals": 40, "ok": True,
+                                                  "beta": 3.0}],
                                      "best": {"S0": "bayes"}, "empty": {}})
     assert compare(short, old) == "differs in its keys or in the length of a list"
 

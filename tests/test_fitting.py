@@ -480,7 +480,42 @@ def test_engine_equals_folded_learning_steps(drawn, bayes):
         assert abs(got[0][i] - total) <= 1e-9
 
 
-Q_FAMILIES = [name for name, fam in MODEL_FAMILIES.items() if fam.rate_columns is not None]
+@pytest.mark.parametrize("cf", [True, False])
+@pytest.mark.parametrize("mode", ["greedy", "softmax"])
+def test_bayes_scan_rounds_like_counts_on_long_sessions(mode, cf):
+    # the bayes family's values come from the Q scan at rates 1/(n + 3), not
+    # from the counts; on long Bayesian sessions at p1 = p2, where the counts
+    # tie often (both arms' counts equal t under complete feedback), its end
+    # values stay within 2e-15 of the posterior means and its NLL within
+    # 1e-12 (relative) of the sum the counts give
+    betas = np.array([0.0, 10.0, 50.0])
+    agent = BayesAgentSpec(Policy(beta=10.0, mode=mode))
+    for T in (24, 100, 1000):
+        env = Environment(p1=0.5, p2=0.5, counterfactual=cf, horizon=T)
+        sessions = synthesize_sessions(agent, env, 50, seed=T)
+        S = len(sessions)
+        got = _evaluate(_Tables(sessions), "bayes", np.repeat(np.arange(S), betas.size),
+                        np.tile(betas, S)[:, None])
+        chose1 = np.array([s.actions == 1 for s in sessions]).T
+        rc = np.array([s.r_chosen for s in sessions]).T
+        ru = np.array([s.r_unchosen if cf else np.zeros(T) for s in sessions]).T
+        counts = (np.zeros(S, dtype=np.int64),) * 4
+        cost = np.empty((T, S, betas.size))
+        for t in range(T):
+            v1, v2 = count_values(*counts)
+            x = np.where(chose1[t], -1.0, 1.0)[:, None] * betas * (v1 - v2)[:, None]
+            cost[t] = np.minimum(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))),
+                                 -math.log(P_MIN))
+            r1, r2 = np.where(chose1[t], rc[t], ru[t]), np.where(chose1[t], ru[t], rc[t])
+            counts = count_step(*counts, chose1[t], r1, r2, cf)
+        v1, v2 = count_values(*counts)
+        assert np.abs(got[2] - np.repeat(v1, betas.size)).max() <= 2e-15, T
+        assert np.abs(got[3] - np.repeat(v2, betas.size)).max() <= 2e-15, T
+        want = np.array([math.fsum(c) for c in cost.reshape(T, -1).T])
+        assert (np.abs(got[0] - want) <= 1e-12 * want).all(), T
+
+
+Q_FAMILIES =[name for name, fam in MODEL_FAMILIES.items() if fam.rate_columns is not None]
 
 
 @settings(max_examples=100, deadline=None)
@@ -536,9 +571,9 @@ def test_engine_values_do_not_depend_on_its_passes(monkeypatch):
 
 @pytest.mark.parametrize("family", ["full", "bayes"])
 def test_an_engine_call_holds_one_small_pass_at_a_time(family):
-    # 600 points at T = 110 span five passes of at most 2**14 cells; a Q pass
-    # holds its signs and three (T, P, 2) float buffers, 56 bytes a cell, a
-    # bayes pass three (T, P) ones, and each lets them go before the next
+    # 600 points at T = 110 span five passes of at most 2**14 cells; a pass of
+    # any family holds its signs and three (T, P, 2) float buffers, 56 bytes
+    # a cell, and lets them go before the next
     tab = mixed_batch()
     rng = np.random.default_rng(4)
     sess = rng.integers(0, len(tab.ids), 600)

@@ -12,8 +12,11 @@ change from run to run.  Run it on two commits and diff the output:
 under DIR, written by an earlier ``--keep`` run, and prints a line for
 each that differs: for a CSV, how many numeric cells differ and the
 largest |difference| among them, plus a count of the cells that differ
-but are not both finite numbers; for a JSON file the same, leaf by leaf;
-any other file is reported as differing.
+but are not both finite numbers; for a JSON file the same, leaf by leaf,
+and then per field (a leaf's last key) how many differ with the largest
+rise (new - old) and the largest fall (old - new), so that a one-sided
+tolerance such as "no NLL worse by more than ..." reads directly; any
+other file is reported as differing.
 For a tolerance between two commits:
 
     python tools/digest_outputs.py --keep /tmp/before     # on the first commit
@@ -102,7 +105,9 @@ def cases(work: Path):
     # cap, so it is stepped in two halves, 4,096 + 4,096, whose sums are added; 808 follow
     yield "switch-rate", "q-split-chunk", {**sw, "ensemble": {"replicas": 9000},
                                            "environment": _env(True, 100), "agent": q_cf}
-    for case in ("q-counterfactual", "bayes-partial"):
+    # under complete feedback both arms' counts equal t, so the posterior means
+    # tie exactly wherever the success counts do
+    for case in ("q-counterfactual", "bayes-partial", "bayes-counterfactual"):
         yield "fit", case, {"kind": "fit", "sessions": str(work / "simulate" / case / "sessions.csv"),
                             "restarts": 3, "seed": 2}
     # without const, conf starts from its Sobol points alone and full from conf's optimum
@@ -150,26 +155,26 @@ def _json_leaves(node, path=()) -> dict:
     return {path: node}
 
 
-def _tally(pairs) -> tuple[int, float, int]:
-    """(numeric pairs that differ, their largest |difference|, other pairs
-    that differ)"""
+def _tally(pairs) -> tuple[int, float, float, int]:
+    """(numeric (new, old) pairs that differ, their largest rise new - old
+    and largest fall old - new, 0 where none, other pairs that differ)"""
     n_num = n_other = 0
-    worst = 0.0
+    rise = fall = 0.0
     for x, y in pairs:
         if x == y:
             continue
-        d = abs(_number(x) - _number(y))
+        d = _number(x) - _number(y)
         if math.isnan(d):
             n_other += 1
         else:
             n_num += 1
-            worst = max(worst, d)
-    return n_num, worst, n_other
+            rise, fall = max(rise, d), max(fall, -d)
+    return n_num, rise, fall, n_other
 
 
 def _report(pairs, unit: str) -> str:
-    n_num, worst, n_other = _tally(pairs)
-    return (f"{n_num} numeric {unit} differ, max |delta| {worst:.3g}; "
+    n_num, rise, fall, n_other = _tally(pairs)
+    return (f"{n_num} numeric {unit} differ, max |delta| {max(rise, fall):.3g}; "
             f"{n_other} non-numeric {unit} differ")
 
 
@@ -183,15 +188,16 @@ def compare(new: Path, old: Path) -> str:
         a, b = (_json_leaves(json.loads(p.read_text(encoding="utf-8"))) for p in (new, old))
         if a.keys() != b.keys():
             return "differs in its keys or in the length of a list"
-        # numeric differences per field, a leaf's last key, so that a tolerance
-        # reads per quantity
+        # signed numeric differences per field, a leaf's last key, so that a
+        # one-sided tolerance reads per quantity
         fields: dict = {}
         for p in a:
             fields.setdefault(next((k for k in reversed(p) if isinstance(k, str)), ""),
                               []).append((a[p], b[p]))
-        by_field = [(f, *_tally(pairs)[:2]) for f, pairs in sorted(fields.items())]
+        by_field = [(f, *_tally(pairs)[:3]) for f, pairs in sorted(fields.items())]
         return _report(((a[p], b[p]) for p in a), "leaves") + "".join(
-            f"; {f}: {n} differ, max |delta| {w:.3g}" for f, n, w in by_field if n)
+            f"; {f}: {n} differ, max rise {up:.3g}, max fall {down:.3g}"
+            for f, n, up, down in by_field if n)
     if new.suffix != ".csv":
         return "differs (neither a CSV nor JSON)"
     a, b = _csv_cells(new), _csv_cells(old)
