@@ -35,6 +35,9 @@ has one lane per subject, started at the minimum of a beta grid.  A
 lane's numbers do not depend on which lanes share its batch, how far its
 session is padded or how the passes split, so a subject fitted alone gets
 the same result as inside any batch.
+
+Fitting runs on numpy and the standard library alone: the restart logit is
+scipy's formula on ``math``, and the sign test's binomial tail is exact.
 """
 
 from __future__ import annotations
@@ -45,10 +48,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
-# scipy.special is imported where a fit first needs it, so importing the
-# package, and every scenario that does not fit, loads no scipy; no scenario
-# loads scipy.stats, whose Sobol' points and binomial test fitting reproduces
-# below, nor scipy's optimizers, whose Nelder–Mead it runs itself
 
 # run_trajectory is the scalar reference the chunk engine reproduces; it stays
 # importable here because bench/tracing.py wraps it under this module's name
@@ -333,8 +332,8 @@ def nll(family: str, params: Mapping[str, float], session: SessionData) -> float
     fam = MODEL_FAMILIES.get(family)
     if fam is None:
         raise ValueError(f"unknown model family {family!r}")
-    if not params["beta"] >= 0:  # NaN too
-        raise ValueError("beta must be nonnegative")
+    if not 0 <= params["beta"] < math.inf:  # NaN too
+        raise ValueError("beta must be nonnegative and finite")
     if fam.rate_columns is not None:
         for r in _rates_of(family, params):
             if not 0.0 <= r <= 1.0:
@@ -351,12 +350,19 @@ def bic(nll_value: float, df: int, n_trials: int) -> float:
 def _unpack(y: np.ndarray) -> np.ndarray:
     """Natural parameters of optimizer points: logistic rates, beta = e^y
     capped at BETA_MAX."""
-    from scipy.special import expit
-
-    p = np.empty_like(y)
-    p[:, :-1] = expit(y[:, :-1])
+    with np.errstate(over="ignore"):  # a logit below about -709 gives rate 0
+        p = np.exp(np.negative(y))
+    np.reciprocal(np.add(1.0, p, out=p), out=p)  # 1 / (1 + e^-y) in place
     p[:, -1] = np.minimum(np.exp(np.minimum(y[:, -1], 700.0)), BETA_MAX)
     return p
+
+
+def _logit(x: float) -> float:
+    """scipy's ``logit``, bit for bit: near 1/2 log1p(s) - log1p(-s), s = 2x - 1."""
+    if 0.3 <= x <= 0.65:
+        s = 2 * (x - 0.5)
+        return math.log1p(s) - math.log1p(-s)
+    return math.log(x / (1 - x))
 
 
 @functools.cache
@@ -413,8 +419,6 @@ def _start_points(family: str, restarts: int, seed: int, stream_index: int) -> n
     """Restart points of one fit stream: the first ``restarts`` of the
     smallest power-of-two count of scrambled Sobol' points, mapped to
     rates in [0.02, 0.98] and beta log-uniform in [0.1, BETA_MAX]."""
-    from scipy.special import logit
-
     d = MODEL_FAMILIES[family].df
     # scipy's engine spawns a child of the generator it is given and draws
     # from that; spawning the same child reproduces its points
@@ -422,21 +426,16 @@ def _start_points(family: str, restarts: int, seed: int, stream_index: int) -> n
         [seed % 2**64, _FIT_STREAM_BASE + stream_index]).spawn(1)[0]))
     u = _sobol(d, 1 << (restarts - 1).bit_length(), gen)[:restarts]
     y = np.empty_like(u)
-    y[:, :-1] = logit(0.02 + 0.96 * u[:, :-1])  # rate starts away from the edges
+    y[:, :-1] = np.vectorize(_logit, otypes=[float])(0.02 + 0.96 * u[:, :-1])  # off the edges
     y[:, -1] = math.log(0.1) + u[:, -1] * (math.log(BETA_MAX) - math.log(0.1))
     return y
 
 
 def _pack(family: str, params: Mapping[str, float]) -> np.ndarray:
     """Inverse of _unpack; clips to keep the transforms finite."""
-    from scipy.special import logit
-
-    names = MODEL_FAMILIES[family].param_names
-    y = np.empty(len(names))
-    for i, name in enumerate(names[:-1]):
-        y[i] = logit(min(max(params[name], 1e-12), 1.0 - 1e-12))
-    y[-1] = math.log(min(max(params["beta"], 1e-10), BETA_MAX))
-    return y
+    return np.array([_logit(min(max(params[name], 1e-12), 1.0 - 1e-12))
+                     for name in MODEL_FAMILIES[family].param_names[:-1]]
+                    + [math.log(min(max(params["beta"], 1e-10), BETA_MAX))])
 
 
 def _embed(target: str, source: str, params: Mapping[str, float]) -> dict:
@@ -571,13 +570,10 @@ def _sign_test(x: Sequence[float], y: Sequence[float]) -> tuple[int, int, Option
     """Two-sided sign test on paired differences.
 
     Returns (#x > y, #x < y, p); p is None when undecidable.  p is the exact
-    two-sided binomial test of the untied pairs at 1/2, bit for bit
-    ``scipy.stats.binomtest(gt, gt + lt, 0.5).pvalue``: with m the smaller
-    count of n, both tails P(K <= m) + P(K >= n - m), or 1 for an even split,
-    summed from the Boost binomial CDF and survival function that
-    ``scipy.stats.binom`` calls."""
-    from scipy.special._ufuncs import _binom_cdf, _binom_sf
-
+    two-sided binomial test of the untied pairs at 1/2: with m the smaller
+    count of n, both tails P(K <= m) + P(K >= n - m) = 2 sum_{j <= m} C(n, j)
+    / 2**n, or 1 for an even split.  The tail is summed in integers and
+    rounded once, by the division, so p is the float nearest the exact value."""
     gt = sum(1 for a, b in zip(x, y) if a > b)
     lt = sum(1 for a, b in zip(x, y) if a < b)
     if len(x) < 2 or gt + lt == 0:
@@ -585,7 +581,11 @@ def _sign_test(x: Sequence[float], y: Sequence[float]) -> tuple[int, int, Option
     n, m = gt + lt, min(gt, lt)
     if 2 * m == n:
         return gt, lt, 1.0
-    return gt, lt, min(1.0, float(_binom_cdf(m, n, 0.5)) + float(_binom_sf(n - m - 1, n, 0.5)))
+    tail = term = 1
+    for j in range(1, m + 1):
+        term = term * (n + 1 - j) // j  # C(n, j), exactly
+        tail += term
+    return gt, lt, 2 * tail / 2**n
 
 
 @dataclass

@@ -659,31 +659,43 @@ def test_digest_tool_compares_json_leaves(tmp_path, monkeypatch):
                                                   "beta": 3.0}],
                                      "best": {"S0": "bayes"}, "empty": {}})
     assert compare(short, old) == "differs in its keys or in the length of a list"
+    # a fit record names its family: its fields, nested ones too, read per family
+    fits = [{"model": "bayes", "nll": 3.0, "params": {"beta": 2.0}},
+            {"model": "full", "nll": 2.5, "params": {"a_plus_u": 0.5, "beta": 2.0}}]
+    moved = copy.deepcopy(fits)
+    moved[0]["nll"], moved[1]["params"]["a_plus_u"], moved[1]["params"]["beta"] = 2.75, 0.25, 4.0
+    assert compare(json_file("moved.json", {"seed": 1, "results": moved}),
+                   json_file("fits.json", {"seed": 1, "results": fits})) == (
+        "3 numeric leaves differ, max |delta| 2; 0 non-numeric leaves differ; "
+        "bayes.nll: 1 differ, max rise 0, max fall 0.25; "
+        "full.a_plus_u: 1 differ, max rise 0, max fall 0.25; "
+        "full.beta: 1 differ, max rise 2, max fall 0")
 
 
-_IMPORT_GRAPH_SCRIPT = """
-import json, sys
+_NO_SCIPY_SCRIPT = """
+import importlib.abc, json, sys
 sys.path.insert(0, sys.argv[1])
-heavy = ("scipy.special", "scipy.stats", "scipy.optimize")
+refused = []
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            refused.append(name)
+            raise ImportError(f"{name} is refused")
+sys.meta_path.insert(0, RefuseScipy())
 def loaded():
-    return [m for m in heavy if m in sys.modules]
+    return refused + [m for m in sys.modules if m.partition(".")[0] == "scipy"]
 import banditlab, banditlab.cli
 seen = {"import": loaded()}
-*others, fit, recover, new_arm = sys.argv[2:]
-for cfg in others:
-    banditlab.cli.run_scenario(cfg)
-seen["scenarios"] = loaded()
-banditlab.cli.run_scenario(fit)
-seen["fit"] = loaded()
-banditlab.cli.run_scenario(recover)
-banditlab.cli.run_scenario(new_arm)
-seen["recover, new-arm"] = loaded()
+for path in sys.argv[2:]:
+    banditlab.cli.run_scenario(path)
+    seen[json.load(open(path))["kind"]] = loaded()
 print(json.dumps(seen))
 """
 
 
-def test_fitting_loads_scipy_special_only(tmp_path):
-    # a fresh interpreter: this test module has imported scipy.stats already
+def test_no_scenario_loads_scipy(tmp_path):
+    # a fresh interpreter that refuses every scipy import and records the
+    # attempt: this test module has imported scipy already
     sim = tmp_path / "sim"
     cfgs = [dict(SIM_CFG, ensemble={"replicas": 1})] + [
         CONFIGS[k] for k in ("switch-rate", "propagate", "sweep-delta")]
@@ -695,14 +707,13 @@ def test_fitting_loads_scipy_special_only(tmp_path):
         output = {**cfg.get("output", {}), "directory": str(out)}
         paths.append(write_cfg(tmp_path, dict(cfg, output=output), f"c{i}.json"))
     src = str(Path(banditlab.__file__).resolve().parents[1])
-    res = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, src, *paths],
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, src, *paths],
                          capture_output=True, text=True, cwd=tmp_path, timeout=120)
     assert res.returncode == 0, res.stderr
     seen = json.loads(res.stdout.splitlines()[-1])
-    assert seen == {"import": [], "scenarios": [],
-                    "fit": ["scipy.special"],
-                    "recover, new-arm": ["scipy.special"]}
-    assert all((tmp_path / f"o{i}" / "manifest.json").exists() for i in (4, 5, 6))
+    assert seen == {k: [] for k in ("import",) + KINDS}
+    assert all((out / "manifest.json").exists()
+               for out in [sim] + [tmp_path / f"o{i}" for i in range(1, 7)])
 
 
 def test_rerun_is_byte_identical_outside_manifest(tmp_path):

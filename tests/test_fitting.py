@@ -1,10 +1,13 @@
 """Likelihoods, model fits, and the recovery experiments."""
 
+import functools
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,7 +83,7 @@ def test_nll_validates_inputs():
     s = one_session(BayesAgentSpec(Policy(beta=10.0)), ENV24, seed=4)
     with pytest.raises(ValueError):
         nll("nope", {"beta": 1.0}, s)
-    for beta in (-1.0, float("nan")):
+    for beta in (-1.0, float("nan"), math.inf):
         with pytest.raises(ValueError, match="beta"):
             nll("bayes", {"beta": beta}, s)
         with pytest.raises(ValueError, match="beta"):
@@ -255,7 +258,7 @@ def test_recovery_report_counts_signs_and_capped_betas():
         gt = sum(q[hi] > q[lo] for q in params)
         lt = sum(q[hi] < q[lo] for q in params)
         assert (signs[f"{hi}>{lo}"], signs[f"{hi}<{lo}"]) == (gt, lt)
-        assert p == binomtest(gt, gt + lt, 0.5).pvalue  # two-sided
+        assert p == float(_exact_sign_p(gt, gt + lt))  # two-sided
     assert signs["a_plus_c>a_minus_c"] / 6 == report.frac_positivity
     assert report.frac_beta_at_cap == np.mean([q["beta"] == BETA_MAX for q in params])
     assert report.frac_not_converged == np.mean([not f.converged for f in report.fits])
@@ -631,15 +634,36 @@ def test_start_points_are_scipy_sobol_points(family):
             assert np.array_equal(_start_points(family, restarts, seed, stream), ref)
 
 
-def test_sign_test_is_binomtest_bit_for_bit():
-    # every split of n untied pairs for n <= 129, and around criterion 2's
-    # 500 agents; one tied pair keeps the n = 1 case testable
-    for n in [*range(1, 130), 499, 500, 501, 1000]:
-        for k in range(n + 1):
-            x, y = [1] * k + [0] * (n - k) + [0], [0] * k + [1] * (n - k) + [0]
-            gt, lt, p = _sign_test(x, y)
-            assert (gt, lt) == (k, n - k)
-            assert type(p) is float and p == binomtest(k, n, 0.5).pvalue, (k, n)
+@functools.cache
+def _binomial_row(n):
+    """C(n, 0), ..., C(n, n), each exactly from the one before."""
+    row = list(itertools.accumulate(range(1, n + 1), lambda c, j: c * (n + 1 - j) // j,
+                                    initial=1))
+    assert sum(row) == 2**n and row[n // 2] == math.comb(n, n // 2)
+    return row
+
+
+def _exact_sign_p(k, n):
+    """The two-sided sign test's p-value for k of n at 1/2, as a fraction:
+    P(K <= m) + P(K >= n - m) with m = min(k, n - k), or 1 for an even split."""
+    m = min(k, n - k)
+    return Fraction(1) if 2 * m == n else Fraction(2 * sum(_binomial_row(n)[:m + 1]), 2**n)
+
+
+def test_sign_test_is_the_exact_tail_rounded_once():
+    # every split of n untied pairs for n <= 129, around criterion 2's 500
+    # agents and a few at n = 10,000; one tied pair keeps the n = 1 case testable
+    splits = [(k, n) for n in [*range(1, 130), 499, 500, 501, 1000] for k in range(n + 1)]
+    splits += [(k, 10_000) for k in (0, 1, 4_800, 4_900, 4_999, 5_000, 5_001, 9_999)]
+    for k, n in splits:
+        x, y = [1] * k + [0] * (n - k) + [0], [0] * k + [1] * (n - k) + [0]
+        gt, lt, p = _sign_test(x, y)
+        assert (gt, lt) == (k, n - k)
+        assert type(p) is float and p == float(_exact_sign_p(k, n)), (k, n)
+        # scipy sums Boost's tails in floating point, off by at most 1.0e-13
+        assert p == pytest.approx(binomtest(k, n, 0.5).pvalue, rel=1e-12, abs=0), (k, n)
+    # exactly 3882 / 2**15, where binomtest gives 0.11846923828124999
+    assert _sign_test([1] * 4 + [0] * 11, [0] * 4 + [1] * 11)[2] == 0.11846923828125
     # undecidable: fewer than two pairs, or no untied pair
     assert _sign_test([], []) == (0, 0, None)
     assert _sign_test([0.4], [0.2]) == (1, 0, None)

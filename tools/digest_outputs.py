@@ -13,7 +13,8 @@ under DIR, written by an earlier ``--keep`` run, and prints a line for
 each that differs: for a CSV, how many numeric cells differ and the
 largest |difference| among them, plus a count of the cells that differ
 but are not both finite numbers; for a JSON file the same, leaf by leaf,
-and then per field (a leaf's last key) how many differ with the largest
+and then per field (a leaf's last key, prefixed with the ``model`` of the
+list item holding it, as in ``full.beta``) how many differ with the largest
 rise (new - old) and the largest fall (old - new), so that a one-sided
 tolerance such as "no NLL worse by more than ..." reads directly; any
 other file is reported as differing.
@@ -155,6 +156,18 @@ def _json_leaves(node, path=()) -> dict:
     return {path: node}
 
 
+def _field(doc, path) -> str:
+    """A leaf's field: its last key, as ``<model>.<key>`` under a list item
+    that names a string ``model``, so that a fit's fields read per family."""
+    key = next((k for k in reversed(path) if isinstance(k, str)), "")
+    node, model = doc, None
+    for k in path:
+        node = node[k]
+        if isinstance(k, int) and isinstance(node, dict) and isinstance(node.get("model"), str):
+            model = node["model"]
+    return f"{model}.{key}" if model else key
+
+
 def _tally(pairs) -> tuple[int, float, float, int]:
     """(numeric (new, old) pairs that differ, their largest rise new - old
     and largest fall old - new, 0 where none, other pairs that differ)"""
@@ -185,15 +198,15 @@ def compare(new: Path, old: Path) -> str:
     if new.read_bytes() == old.read_bytes():
         return ""
     if new.suffix == ".json":
-        a, b = (_json_leaves(json.loads(p.read_text(encoding="utf-8"))) for p in (new, old))
+        doc = json.loads(new.read_text(encoding="utf-8"))
+        a, b = _json_leaves(doc), _json_leaves(json.loads(old.read_text(encoding="utf-8")))
         if a.keys() != b.keys():
             return "differs in its keys or in the length of a list"
-        # signed numeric differences per field, a leaf's last key, so that a
-        # one-sided tolerance reads per quantity
+        # signed numeric differences per field, so that a one-sided tolerance
+        # reads per quantity
         fields: dict = {}
         for p in a:
-            fields.setdefault(next((k for k in reversed(p) if isinstance(k, str)), ""),
-                              []).append((a[p], b[p]))
+            fields.setdefault(_field(doc, p), []).append((a[p], b[p]))
         by_field = [(f, *_tally(pairs)[:3]) for f, pairs in sorted(fields.items())]
         return _report(((a[p], b[p]) for p in a), "leaves") + "".join(
             f"; {f}: {n} differ, max rise {up:.3g}, max fall {down:.3g}"
