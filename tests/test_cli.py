@@ -688,7 +688,8 @@ import banditlab, banditlab.cli
 seen = {"import": loaded()}
 for path in sys.argv[2:]:
     banditlab.cli.run_scenario(path)
-    seen[json.load(open(path))["kind"]] = loaded()
+    with open(path) as fh:
+        seen[json.load(fh)["kind"]] = loaded()
 print(json.dumps(seen))
 """
 
