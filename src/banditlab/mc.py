@@ -15,14 +15,15 @@ its consumer steps it: the ensemble statistics here and in
 ``switching`` reduce each trial's state as it is simulated, so their
 working set is one chunk's action uniforms, int8 reward bits and int8
 actions, 11 bytes per replica-trial, plus one trial's state, never a
-full record; a large group of replicas is stepped in two halves, so
-that is about 5.5 MiB at the trial cap (see :func:`iter_value_chunks`).
+full record: at most 5.5 MiB at a chunk's cap of 2**19 replica-trials
+(see :func:`iter_value_chunks`).
 ``Chunk.record`` collects the :class:`agents.Trajectory` (values,
 actions and rewards, with a leading replica axis over trial-major
 storage) for consumers that need one; a Bayesian agent's counts are in
 the trial states of ``Chunk.steps`` only.  Every consumer here lets go
-of a chunk before the next one is drawn.  Grouping changes only the
-summation order of the statistics, never the trajectories.
+of a chunk before the next one is drawn, and adds the chunks' sums in
+replica order.  Chunk sizes change only the summation order of the
+statistics, never the trajectories.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from .agents import Trajectory, _record, _trials
 from .env import Environment, replica_uniforms
 
 DEFAULT_CHUNK = 8192
-# a chunk holds at most this many replica-trials, whatever chunk_size asks:
-# their action uniforms take 8 MiB, and T <= 127 keeps DEFAULT_CHUNK replicas
+# a group holds at most this many replica-trials, whatever chunk_size asks, and
+# a group over half of it comes in chunks of half as many replicas: a chunk holds
+# at most 2**19 replica-trials, 4 MiB of action uniforms, and T <= 64 keeps
+# DEFAULT_CHUNK replicas
 _CHUNK_TRIALS = 1 << 20
 _DRAW_BLOCK = 512  # replicas per replica_uniforms call, few enough to transpose in cache
 
@@ -55,8 +58,6 @@ class Chunk:
     once, by :meth:`steps` or :meth:`record`; the action uniforms are
     freed when the stepping ends.
     """
-
-    left_half = False  # True for a split group's left half: its right half comes next
 
     def __init__(self, agent, env: Environment, seed: int, start: int, count: int):
         horizon = env.horizon
@@ -89,53 +90,33 @@ class Chunk:
 
 
 def iter_value_chunks(agent, env: Environment, n_replicas: int, seed: int,
-                      chunk_size: int = DEFAULT_CHUNK) -> Iterator[Chunk]:
+                      chunk_size: int | None = None) -> Iterator[Chunk]:
     """Yield the whole ensemble, one :class:`Chunk` of replicas at a time.
 
     Both agent kinds run fully vectorized under either feedback mode: a
     Q-agent carries its values, a Bayesian agent its per-arm counts, whose
     posterior means are the values.  A group holds at most ``chunk_size``
-    replicas and ``_CHUNK_TRIALS`` replica-trials, but at least one replica.
-    A group over half that cap and 128 replicas comes as two chunks, split
-    where numpy's pairwise summation splits a contiguous vector, so a
-    trial's sum over the group is its halves' sums added, bit for bit.
-    A chunk comes out drawn, not simulated: 8 bytes per replica-trial of
-    action uniforms until it is stepped, 2 of reward bits and 1 of actions
-    (half a group at the cap: about 5.5 MiB).  Stepping adds one trial's
+    replicas (``DEFAULT_CHUNK`` if None) and ``_CHUNK_TRIALS``
+    replica-trials, but at least one replica; a group over half that cap
+    is halved, rounded down, so a chunk holds at most 2**19 replica-trials
+    unless one replica's trials pass that.  Every chunk but the last has
+    that size.  A chunk comes out drawn, not simulated: 8 bytes per
+    replica-trial of action uniforms until it is stepped, 2 of reward bits
+    and 1 of actions (about 5.5 MiB at the cap).  Stepping adds one trial's
     state, and a record if one is collected.  The generator holds no chunk
     while its consumer runs, so a consumer that lets go of each chunk
-    before asking for the next keeps at most one alive: a right half is
-    drawn only after its left half is reduced.
+    before asking for the next keeps at most one alive.
     """
+    chunk_size = DEFAULT_CHUNK if chunk_size is None else chunk_size
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-    chunk_size = min(chunk_size, max(1, _CHUNK_TRIALS // env.horizon))
-    for start in range(0, n_replicas, chunk_size):
-        n = min(chunk_size, n_replicas - start)
-        split = n > 128 and n * env.horizon > _CHUNK_TRIALS // 2
-        half = n // 2 - (n // 2) % 8 if split else n  # numpy's pairwise_sum split
-        first = Chunk(agent, env, seed, start, half)
-        first.left_half = split
-        yield first
-        del first  # let the left half go before the right one is drawn
-        if split:
-            yield Chunk(agent, env, seed, start + half, n - half)
-
-
-def _group_sums(chunks: Iterator[Chunk], reduce) -> np.ndarray:
-    """Sum ``reduce(chunk)``, a chunk's (k, T) per-trial replica sums, over the
-    groups, a split group's halves added first: bit for bit as if unsplit."""
-    total, left = 0.0, None
-    for chunk in chunks:
-        sums, left_half = reduce(chunk), chunk.left_half
-        del chunk  # let the chunk go before the next one is drawn
-        if left_half:
-            left = sums
-        else:
-            total, left = total + (sums if left is None else left + sums), None
-    return total
+    size = min(chunk_size, max(1, _CHUNK_TRIALS // env.horizon))
+    if size * env.horizon > _CHUNK_TRIALS // 2:
+        size = max(1, size // 2)
+    for start in range(0, n_replicas, size):
+        yield Chunk(agent, env, seed, start, min(size, n_replicas - start))
 
 
 @dataclass
@@ -180,8 +161,8 @@ def ensemble_value_moments(agent, env: Environment, n_replicas: int,
         return sums
 
     # s11 sums Q1**2: the mean <Q1**2>, and the second moment behind <Q1>'s SE
-    s1, s11, s11_sq, s12, s12_sq = _group_sums(
-        iter_value_chunks(agent, env, n_replicas, seed, chunk_size=DEFAULT_CHUNK), reduce)
+    chunks = iter_value_chunks(agent, env, n_replicas, seed)
+    s1, s11, s11_sq, s12, s12_sq = sum(map(reduce, chunks))
     mean1, se1 = _mean_se(s1, s11, n_replicas)
     mean11, se11 = _mean_se(s11, s11_sq, n_replicas)
     mean12, se12 = _mean_se(s12, s12_sq, n_replicas)

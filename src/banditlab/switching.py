@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import mc
 from .agents import LearningRateSet, Policy, count_step, count_values, q_step
 from .env import Environment
-from .mc import _group_sums, _mean_se, iter_value_chunks
+from .mc import _mean_se, iter_value_chunks
 
 
 def _k_mixture(v1, v2, after, p1, p2, policy: Policy):
@@ -87,8 +86,8 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
     Simulates one extra trial so the realized-switch estimator covers the
     same trials as the analytic one.  Each trial's K is summed over the
     chunk's replicas as the chunk steps, and switches are counted from its
-    actions, so no chunk record is built; the integer switch counts add
-    exactly, and a split group's K sums as one group (``mc._group_sums``).
+    actions, so no chunk record is built; the chunks' sums add in replica
+    order, and the integer switch counts add exactly.
     """
     horizon = env.horizon
     cf = env.counterfactual
@@ -106,9 +105,8 @@ def ensemble_switch_rate(agent, env: Environment, n_replicas: int,
         sums[2] = (chunk.actions[:, 1:] != chunk.actions[:, :-1]).sum(axis=0)
         return sums
 
-    k_sum, k_sqsum, switches = _group_sums(
-        iter_value_chunks(agent, replace(env, horizon=horizon + 1), n_replicas, seed,
-                          chunk_size=mc.DEFAULT_CHUNK), reduce)
+    chunks = iter_value_chunks(agent, replace(env, horizon=horizon + 1), n_replicas, seed)
+    k_sum, k_sqsum, switches = sum(map(reduce, chunks))
     n = n_replicas
     a_mean, a_se = _mean_se(k_sum, k_sqsum, n)
     e_mean = switches / n

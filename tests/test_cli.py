@@ -556,7 +556,7 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
     # cases must stay valid configs whose runs write the files they list
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     import digest_outputs
-    kinds, switch_replicas, left_halves, q_passes = set(), [], [], []
+    kinds, switch_replicas, switch_chunks, q_passes = set(), [], [], []
     float_paths = set()  # per float column of over one row: coded or in place
     chunks = banditlab.switching.iter_value_chunks
     fitting = banditlab.fitting
@@ -564,8 +564,9 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
     column = banditlab.sessions._column
 
     def spy(*args, **kwargs):
+        switch_chunks.append(0)
         for chunk in chunks(*args, **kwargs):
-            left_halves.append(chunk.left_half)
+            switch_chunks[-1] += 1
             yield chunk
 
     def spy_evaluate(tab, family, sess, params):
@@ -598,10 +599,10 @@ def test_digest_tool_cases_write_their_artifacts(tmp_path, monkeypatch):
         if kind == "switch-rate":
             switch_replicas.append(cfg["ensemble"]["replicas"])
     assert kinds == set(KINDS)
-    # one switch-rate case spans two engine chunks, so its sums cross a boundary,
-    # and one steps a group in two halves, whose sums are added
+    # one switch-rate case spans more than a group of engine chunks, and one
+    # adds its sums over at least four chunks
     assert max(switch_replicas) > banditlab.mc.DEFAULT_CHUNK
-    assert any(left_halves)
+    assert max(switch_chunks) >= 4
     # and one fit case scores a Q family's points in more than one engine pass
     assert max(q_passes) > 1
     # the writer codes a float column that repeats its values and formats one

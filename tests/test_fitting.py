@@ -655,13 +655,15 @@ def test_sign_test_is_the_exact_tail_rounded_once():
     # agents and a few at n = 10,000; one tied pair keeps the n = 1 case testable
     splits = [(k, n) for n in [*range(1, 130), 499, 500, 501, 1000] for k in range(n + 1)]
     splits += [(k, 10_000) for k in (0, 1, 4_800, 4_900, 4_999, 5_000, 5_001, 9_999)]
-    for k, n in splits:
+    for i, (k, n) in enumerate(splits):
         x, y = [1] * k + [0] * (n - k) + [0], [0] * k + [1] * (n - k) + [0]
         gt, lt, p = _sign_test(x, y)
         assert (gt, lt) == (k, n - k)
         assert type(p) is float and p == float(_exact_sign_p(k, n)), (k, n)
-        # scipy sums Boost's tails in floating point, off by at most 1.0e-13
-        assert p == pytest.approx(binomtest(k, n, 0.5).pvalue, rel=1e-12, abs=0), (k, n)
+        # scipy sums Boost's tails in floating point, off by at most 1.0e-13;
+        # the exact oracle above checks every split, scipy a fixed sample
+        if n == 10_000 or i % 10 == 0:
+            assert p == pytest.approx(binomtest(k, n, 0.5).pvalue, rel=1e-12, abs=0), (k, n)
     # exactly 3882 / 2**15, where binomtest gives 0.11846923828124999
     assert _sign_test([1] * 4 + [0] * 11, [0] * 4 + [1] * 11)[2] == 0.11846923828125
     # undecidable: fewer than two pairs, or no untied pair

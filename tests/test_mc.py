@@ -20,7 +20,7 @@ from banditlab import (
     iter_value_chunks,
     run_trajectory,
 )
-from banditlab import agents, mc, switching
+from banditlab import agents, mc, sessions, switching
 
 
 def collect(agent, env, n, seed, chunk_size):
@@ -202,11 +202,11 @@ def test_empty_ensembles_and_chunks_are_refused(monkeypatch, n_replicas, chunk_s
 
 
 def test_long_horizons_cap_a_chunk_at_a_million_replica_trials(monkeypatch):
-    # 4,096 trials leave room for 256 replicas a chunk, whatever chunk_size asks
+    # 4,096 trials leave room for 256 replicas a group, whatever chunk_size asks
     env = Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=4096)
     agent = QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0))
     capped = [c.record() for c in iter_value_chunks(agent, env, 300, seed=2)]
-    # the 256-replica group holds the whole cap, so it is stepped in two halves
+    # the 256-replica group holds the whole cap, so a chunk holds half of it
     assert [c.actions.shape for c in capped] == [(128, 4096), (128, 4096), (44, 4096)]
     monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1 << 40)
     (whole,) = [c.record() for c in iter_value_chunks(agent, env, 300, seed=2)]
@@ -215,18 +215,44 @@ def test_long_horizons_cap_a_chunk_at_a_million_replica_trials(monkeypatch):
             np.concatenate([getattr(c, field) for c in capped]), getattr(whole, field))
 
 
-def _groups(agent, env, n, seed):
-    """The ensemble's groups of mc.DEFAULT_CHUNK replicas, each drawn as one
-    chunk (T <= 127, so the trial cap does not shrink them)."""
-    for start in range(0, n, mc.DEFAULT_CHUNK):
-        yield mc.Chunk(agent, env, seed, start, min(mc.DEFAULT_CHUNK, n - start))
+@pytest.mark.parametrize("horizon, size", [
+    (24, 8192), (64, 8192), (65, 4096), (100, 4096), (101, 4096), (128, 4096),
+    (129, 4064), (300, 1747)])
+def test_a_chunk_holds_a_capped_group_halved_past_half_the_cap(monkeypatch, horizon, size):
+    # a group is DEFAULT_CHUNK replicas or as many as 2**20 replica-trials hold;
+    # over 2**19 it is halved.  Every chunk but the last has the same size
+    env = Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=horizon)
+    agent = QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0))
+    monkeypatch.setattr(mc, "Chunk", lambda agent, env, seed, start, count: (start, count))
+    assert list(iter_value_chunks(agent, env, 2 * size + 5, seed=0)) == [
+        (0, size), (size, size), (2 * size, 5)]
+    assert size * horizon <= 1 << 19
+
+
+@pytest.mark.parametrize("horizon", [24, 200, 1000])
+def test_session_blocks_are_never_halved(monkeypatch, horizon):
+    # a session block holds at most 512 replicas and 2**16 replica-trials,
+    # well under the 2**19 past which a group is halved
+    env = Environment(p1=0.6, p2=0.4, counterfactual=True, horizon=horizon)
+    agent = QAgentSpec(LearningRateSet(0.3, 0.1, 0.1, 0.3), Policy(beta=5.0))
+    chunk, sizes = mc.Chunk, []
+
+    def spy(agent, env, seed, start, count):
+        sizes.append(count)
+        return chunk(agent, env, seed, start, count)
+
+    monkeypatch.setattr(mc, "Chunk", spy)
+    block = min(mc._DRAW_BLOCK, sessions._CHUNK_ROWS // horizon)
+    for _ in sessions.iter_session_blocks(agent, env, 2 * block + 1, seed=0):
+        pass
+    assert sizes == [block, block, 1]
 
 
 def _record_moments(agent, env, n, seed):
     """ensemble_value_moments' sums taken, as before streaming, from each
-    group's whole record along its replica axis."""
+    chunk's whole record along its replica axis, added in the same order."""
     sums = np.zeros((5, env.horizon + 1))
-    for chunk in _groups(agent, env, n, seed):
+    for chunk in iter_value_chunks(agent, env, n, seed):
         rec = chunk.record()
         v1 = rec.values1
         prod = np.empty_like(v1)
@@ -254,10 +280,10 @@ def _record_counts(rec):
 
 def _record_switch_rate(agent, env, n, seed):
     """ensemble_switch_rate's sums taken, as before streaming, from each
-    group's whole record."""
+    chunk's whole record, added in the same order."""
     horizon, cf = env.horizon, env.counterfactual
     k_sum, k_sqsum, switches = np.zeros((3, horizon))
-    for chunk in _groups(agent, replace(env, horizon=horizon + 1), n, seed):
+    for chunk in iter_value_chunks(agent, replace(env, horizon=horizon + 1), n, seed):
         rec = chunk.record()
         counts = _record_counts(rec) if isinstance(agent, BayesAgentSpec) else None
         for t in range(horizon):
@@ -285,15 +311,18 @@ def _record_switch_rate(agent, env, n, seed):
         "bayes-softmax-partial", "bayes-greedy-counterfactual", "bayes-greedy-partial"])
 def test_streamed_statistics_equal_record_reductions(monkeypatch, agent, counterfactual):
     # 513 replicas at T = 30 in groups of 200: three chunks, the last one
-    # partial; 8,193 at T = 100: the first group of 8,192 holds over half the
-    # trial cap, so it is stepped as two chunks whose sums are added
-    shapes = [(513, 30, 200, [200, 200, 113]),
-              (8193, 100, mc.DEFAULT_CHUNK, [4096, 4096, 1])]
+    # partial; 8,193 at T = 100: a group of 8,192 holds over half the trial
+    # cap, so a chunk holds half of it; 450 at T = 30 in groups of 200 under a
+    # cap of 2**13 replica-trials: two halved groups, then the rest
+    shapes = [(513, 30, 200, 1 << 20, [200, 200, 113]),
+              (8193, 100, mc.DEFAULT_CHUNK, 1 << 20, [4096, 4096, 1]),
+              (450, 30, 200, 1 << 13, [100, 100, 100, 100, 50])]
     seed = 4
-    for n, horizon, group, chunks in shapes:
+    for n, horizon, group, cap, chunks in shapes:
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", group)
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", cap)
         env = Environment(p1=0.6, p2=0.4, counterfactual=counterfactual, horizon=horizon)
-        assert [len(c.actions) for c in iter_value_chunks(agent, env, n, seed, group)] == chunks
+        assert [len(c.actions) for c in iter_value_chunks(agent, env, n, seed)] == chunks
         mom = ensemble_value_moments(agent, env, n, seed)
         got = (mom.mean1, mom.se1, mom.mean11, mom.se11, mom.mean12, mom.se12)
         for a, b in zip(got, _record_moments(agent, env, n, seed), strict=True):
@@ -304,29 +333,14 @@ def test_streamed_statistics_equal_record_reductions(monkeypatch, agent, counter
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n", [129, 3616, 5000, 8191, 8192])
-def test_a_split_group_sums_to_the_whole_groups_sum(n):
-    # numpy sums a contiguous float64 vector pairwise: past 128 values it
-    # sums v[:n2] and v[n2:] separately and adds them, at this n2.  The
-    # ensemble statistics step a large group as two chunks split there and
-    # add their sums, so a numpy change to pairwise summation fails here first
-    n2 = n // 2 - (n // 2) % 8
-    rng = np.random.default_rng(n)
-    for scale in (1e-9, 1.0, 1e9):
-        for v in (scale * rng.random(n), scale * rng.standard_normal(n),
-                  scale * rng.random(n) * 10.0 ** rng.integers(-8, 9, n)):
-            assert v.sum() == v[:n2].sum() + v[n2:].sum()
-
-
 @pytest.mark.parametrize("kind", ["moments", "switch-rate"])
 def test_an_ensemble_holds_one_chunk_at_a_time(kind):
-    # the Bayesian moments' and criterion 6's ensembles span three and two
-    # groups, each reduced trial by trial as it steps; a full group at T = 100
-    # is stepped in two halves.  At most one chunk's action uniforms, reward
-    # bits and actions (11 bytes a replica-trial) may be alive at once, half
-    # a group and the halves' rounding to 8, plus 64 float64 vectors of its
-    # replicas for the trial state, a step's temporaries and the draw blocks
-    n = mc.DEFAULT_CHUNK // 2 + 8
+    # the Bayesian moments' and criterion 6's ensembles span five and three
+    # chunks of 4,096 replicas at T = 100, each reduced trial by trial as it
+    # steps.  At most one chunk's action uniforms, reward bits and actions
+    # (11 bytes a replica-trial) may be alive at once, plus 64 float64 vectors
+    # of its replicas for the trial state, a step's temporaries and the draw blocks
+    n = mc.DEFAULT_CHUNK // 2
     if kind == "moments":
         agent = BayesAgentSpec(Policy(beta=5.0))
         env = Environment(p1=0.7, p2=0.7, counterfactual=True, horizon=100)

@@ -102,9 +102,12 @@ def cases(work: Path):
     # Bayesian counts streamed across the same chunk boundary, under partial feedback
     yield "switch-rate", "bayes-partial-two-chunks", {**sw, "ensemble": {"replicas": 9000},
                                                       "environment": _env(False), "agent": bayes}
-    # at T = 100 the first group of 8,192 replicas holds over half the 2**20 trial
-    # cap, so it is stepped in two halves, 4,096 + 4,096, whose sums are added; 808 follow
+    # at T = 100 a chunk holds 4,096 replicas, within 2**19 replica-trials, so
+    # 9,000 replicas come as 4,096 + 4,096 + 808
     yield "switch-rate", "q-split-chunk", {**sw, "ensemble": {"replicas": 9000},
+                                           "environment": _env(True, 100), "agent": q_cf}
+    # 13,000 replicas at T = 100 sum over four chunks, 4,096 x 3 + 712
+    yield "switch-rate", "q-four-chunks", {**sw, "ensemble": {"replicas": 13000},
                                            "environment": _env(True, 100), "agent": q_cf}
     # under complete feedback both arms' counts equal t, so the posterior means
     # tie exactly wherever the success counts do
