@@ -35,8 +35,8 @@ from .fitting import (BETA_MAX, MAX_RESTARTS, MODEL_FAMILIES, best_model,
                       fit_families, fit_subject, new_arm_curve, recover_bias)
 from .moments import (ConvergenceError, MomentState, propagate_moments, steady_state_delta,
                       x_curve_rates)
-from .sessions import (csv_writer, iter_session_blocks, read_sessions, row_blocks, write_csv,
-                       write_sessions)
+from .sessions import (csv_writer, iter_session_blocks, read_sessions, row_blocks,
+                       trial_columns, write_csv, write_sessions)
 from .switching import ensemble_switch_rate
 
 OUT_DIR_ENV = "BANDITLAB_OUT_DIR"
@@ -323,13 +323,10 @@ def _run_simulate(cfg, seed: int, out_dir: Path, threads: int):
             # each block goes to trajectories.csv as it is simulated and to
             # sessions.csv as write_sessions pulls it, so no run is held whole
             T = env.horizon
-            for first, traj, block in _timed(iter_session_blocks(agent, env, replicas, seed),
-                                             timings, "simulate_s"):
-                n = len(block)
-                ru = traj.reward_unchosen().ravel() if env.counterfactual else [""] * (n * T)
-                write((np.repeat(np.arange(first, first + n), T), np.tile(np.arange(T), n),
-                       traj.actions.ravel(), traj.reward_chosen().ravel(), ru,
-                       traj.values1[:, :-1].ravel(), traj.values2[:, :-1].ravel()))
+            for first, v1, v2, block in _timed(iter_session_blocks(agent, env, replicas, seed),
+                                               timings, "simulate_s"):
+                write((np.repeat(np.arange(first, first + len(block)), T), *trial_columns(block),
+                       v1[:, :-1].ravel(), v2[:, :-1].ravel()))
                 yield from block
 
         files = [("trajectories.csv", replicas * env.horizon)]

@@ -233,7 +233,7 @@ def _sorted(sim: np.ndarray, fsim: np.ndarray):
     return sim[rows, ind], fsim[rows, ind]
 
 
-def _nelder_mead(f, x0: np.ndarray, fatol: float, xatol: float):
+def _nelder_mead(f, x0: np.ndarray):
     """scipy's default Nelder–Mead, run on every row of ``x0`` in lockstep.
 
     Each row is an independent minimization (a lane) that takes the steps
@@ -261,8 +261,8 @@ def _nelder_mead(f, x0: np.ndarray, fatol: float, xatol: float):
     nfev, success = np.empty(L, dtype=int), np.empty(L, dtype=bool)
     while lane.size:
         live = fcalls < maxfun
-        conv = (live & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+        conv = (live & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
         stop = conv | ~live
         if stop.any():
             out = lane[stop]
@@ -416,15 +416,15 @@ def _sobol(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
 
 
 def _start_points(family: str, restarts: int, seed: int, stream_index: int) -> np.ndarray:
-    """Restart points of one fit stream: the first ``restarts`` of the
-    smallest power-of-two count of scrambled Sobol' points, mapped to
-    rates in [0.02, 0.98] and beta log-uniform in [0.1, BETA_MAX]."""
+    """Restart points of one fit stream: its first ``restarts`` scrambled
+    Sobol' points, mapped to rates in [0.02, 0.98] and beta log-uniform in
+    [0.1, BETA_MAX]."""
     d = MODEL_FAMILIES[family].df
     # scipy's engine spawns a child of the generator it is given and draws
     # from that; spawning the same child reproduces its points
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         [seed % 2**64, _FIT_STREAM_BASE + stream_index]).spawn(1)[0]))
-    u = _sobol(d, 1 << (restarts - 1).bit_length(), gen)[:restarts]
+    u = _sobol(d, restarts, gen)
     y = np.empty_like(u)
     y[:, :-1] = np.vectorize(_logit, otypes=[float])(0.02 + 0.96 * u[:, :-1])  # off the edges
     y[:, -1] = math.log(0.1) + u[:, -1] * (math.log(BETA_MAX) - math.log(0.1))
@@ -487,7 +487,7 @@ def _fit_batch(family: str, tab: _Tables, streams: Sequence[int], restarts: int,
     def objective(points, lanes):
         return _evaluate(tab, family, lane_sess[lanes], unpack(points))[0]
 
-    x, fun, f0, nfev, ok = _nelder_mead(objective, x0, _FATOL, _XATOL)
+    x, fun, f0, nfev, ok = _nelder_mead(objective, x0)
     # each lane offers its start, then its optimum; the first strict minimum
     # over that sequence wins
     cand_f = np.stack([f0, fun], axis=1).reshape(S, -1)

@@ -4,8 +4,10 @@ A session is what a fitting procedure sees: the chosen actions, the
 rewards the subject observed, and — when the task reveals it — the
 reward of the unchosen arm.  The CSV schema is one row per trial with
 columns ``subject_id, trial, action, r_chosen, r_unchosen``; the last
-column is left empty for subjects whose task hid it.  :func:`write_csv`
-writes every CSV artifact of the package, sessions included.
+column is left empty for subjects whose task hid it; :func:`trial_columns`
+gives those four trial columns to ``sessions.csv`` and to ``simulate``'s
+``trajectories.csv`` alike.  :func:`write_csv` writes every CSV artifact of
+the package, sessions included.
 """
 
 from __future__ import annotations
@@ -85,17 +87,12 @@ def session_from_trajectory(traj: Trajectory, subject_id: str) -> SessionData:
                        counterfactual=traj.counterfactual)
 
 
-def _replicas(traj: Trajectory, lo: int, hi: int) -> Trajectory:
-    """Replicas ``lo, ..., hi - 1`` of a chunk, as views."""
-    return Trajectory(traj.values1[lo:hi], traj.values2[lo:hi], traj.actions[lo:hi],
-                      traj.rewards1[lo:hi], traj.rewards2[lo:hi], traj.counterfactual)
-
-
 def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,
                         seed: int, prefix: str = "S"):
     """Simulate subjects through the chunk engine and yield them a block of
     whole sessions at a time: each block's first subject index, its
-    :class:`Trajectory` (with a leading subject axis) and its sessions.
+    subjects' ``values1`` and ``values2`` (as in :class:`Trajectory`) and
+    its sessions.
 
     Subject i owns stream (seed, i) and is named ``f"{prefix}{i:04d}"``; its
     session equals ``session_from_trajectory(run_trajectory(agent, env,
@@ -121,7 +118,7 @@ def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,
         n = len(rc)
         for lo in range(0, n, per_block):
             hi = min(lo + per_block, n)
-            yield first + lo, _replicas(chunk, lo, hi), [
+            yield first + lo, chunk.values1[lo:hi], chunk.values2[lo:hi], [
                 SessionData(f"{prefix}{first + i:04d}", chunk.actions[i], rc[i],
                             ru[i] if cf else None, cf) for i in range(lo, hi)]
         first += n
@@ -131,7 +128,7 @@ def iter_session_blocks(agent: AgentSpec, env: Environment, n_subjects: int,
 def synthesize_sessions(agent: AgentSpec, env: Environment, n_subjects: int,
                         seed: int, prefix: str = "S") -> list[SessionData]:
     """Simulate one session per subject; subject i owns stream (seed, i)."""
-    return [s for _, _, block in iter_session_blocks(agent, env, n_subjects, seed, prefix)
+    return [s for *_, block in iter_session_blocks(agent, env, n_subjects, seed, prefix)
             for s in block]
 
 
@@ -315,14 +312,6 @@ def write_sessions(path, sessions: Iterable[SessionData], seed=None) -> int:
     return write_csv(path, CSV_HEADER, _session_blocks(sessions), seed)
 
 
-def _parses_as_int(cell: str) -> bool:
-    try:
-        int(cell)
-    except ValueError:
-        return False
-    return True
-
-
 def read_sessions(path) -> list[SessionData]:
     """Read sessions back, in file order; lines starting with '#' before
     the header are skipped.
@@ -333,8 +322,9 @@ def read_sessions(path) -> list[SessionData]:
     unchosen-reward column per subject.  A bad row's error names the file
     and its physical line.
     """
-    order: list[str] = []
-    by_subject: dict[str, list[tuple[int, int, int, Optional[int]]]] = {}
+    # per subject, in file order: its trial, action, r_chosen and r_unchosen
+    # cells, a blank r_unchosen as None
+    by_subject: dict[str, tuple[list, list, list, list]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         # comments come only before the header: after it, a '#' may begin a
         # subject ID, and a quoted cell may span lines
@@ -352,39 +342,28 @@ def read_sessions(path) -> list[SessionData]:
             line = comments + reader.line_num
             if len(row) != 5:
                 raise ValueError(f"{path}: line {line}: expected 5 columns, got {len(row)}")
-            sid, trial, action, rc, ru = row
-            if sid not in by_subject:
-                by_subject[sid] = []
-                order.append(sid)
+            sid, *cells = row
+            columns = by_subject.setdefault(sid, ([], [], [], []))
             try:
-                rec = (int(trial), int(action), int(rc), int(ru) if ru != "" else None)
+                for j, cell in enumerate(cells):  # only r_unchosen, j = 3, may be blank
+                    columns[j].append(int(cell) if cell or j < 3 else None)
             except ValueError:
-                column, cell = next(
-                    (c, v) for c, v in zip(CSV_HEADER[1:], row[1:])
-                    if not _parses_as_int(v) and not (c == "r_unchosen" and v == ""))
-                raise ValueError(f"{path}: line {line}: {column} must be an integer, "
-                                 f"got {cell!r}") from None
-            by_subject[sid].append(rec)
-    if not order:
+                raise ValueError(f"{path}: line {line}: {CSV_HEADER[j + 1]} must be an "
+                                 f"integer, got {cell!r}") from None
+    if not by_subject:
         raise ValueError(f"{path}: no subject's trials after the header")
     out = []
-    for sid in order:
-        recs = by_subject[sid]
-        trials = [r[0] for r in recs]
-        if trials != list(range(len(recs))):
-            raise ValueError(f"subject {sid!r}: trial indices must run 0..{len(recs) - 1}")
-        hidden = [r[3] is None for r in recs]
-        if any(hidden) and not all(hidden):
+    for sid, (trials, actions, rc, ru) in by_subject.items():
+        n = len(trials)
+        if trials != list(range(n)):
+            raise ValueError(f"subject {sid!r}: trial indices must run 0..{n - 1}")
+        if ru.count(None) not in (0, n):
             raise ValueError(f"subject {sid!r}: unchosen rewards must be all present "
                              "or all absent")
-        counterfactual = not hidden[0]
-        ru_arr = (np.array([r[3] for r in recs], dtype=np.int8)
-                  if counterfactual else None)
-        s = SessionData(subject_id=sid,
-                        actions=np.array([r[1] for r in recs], dtype=np.int8),
-                        r_chosen=np.array([r[2] for r in recs], dtype=np.int8),
-                        r_unchosen=ru_arr,
-                        counterfactual=counterfactual)
+        counterfactual = ru[0] is not None
+        s = SessionData(sid, np.array(actions, dtype=np.int8), np.array(rc, dtype=np.int8),
+                        np.array(ru, dtype=np.int8) if counterfactual else None,
+                        counterfactual)
         s.validate()
         out.append(s)
     return out

@@ -38,9 +38,9 @@ from banditlab import (
     synthesize_sessions,
     x_curve_rates,
 )
-from banditlab.fitting import (_FIT_STREAM_BASE, BETA_MAX, MAX_RESTARTS, MODEL_FAMILIES, P_MIN,
-                               _embed, _evaluate, _nelder_mead, _sign_test, _sobol,
-                               _start_points, _Tables, _unpack)
+from banditlab.fitting import (_FATOL, _FIT_STREAM_BASE, _XATOL, BETA_MAX, MAX_RESTARTS,
+                               MODEL_FAMILIES, P_MIN, _embed, _evaluate, _nelder_mead,
+                               _sign_test, _sobol, _start_points, _Tables, _unpack)
 
 ENV24 = Environment(p1=0.5, p2=0.5, counterfactual=True, horizon=24)
 
@@ -360,11 +360,10 @@ def test_lockstep_simplex_takes_scipys_steps():
              (fit_nll, _start_points("full", 4, 0, 0))]
     outcomes = set()
     for fn, x0 in cases:
-        x, fun, f0, nfev, ok = _nelder_mead(
-            lambda pts, ix: np.array([fn(p) for p in pts]), x0, 1e-8, 1e-6)
+        x, fun, f0, nfev, ok = _nelder_mead(lambda pts, ix: np.array([fn(p) for p in pts]), x0)
         for i in range(len(x0)):
             res = minimize(fn, x0[i], method="Nelder-Mead",
-                           options={"fatol": 1e-8, "xatol": 1e-6})
+                           options={"fatol": _FATOL, "xatol": _XATOL})
             assert np.array_equal(res.x, x[i]) and res.fun == fun[i], (fn.__name__, i)
             assert (res.nfev, res.success) == (nfev[i], ok[i]), (fn.__name__, i)
             assert f0[i] == fn(x0[i])

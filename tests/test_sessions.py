@@ -227,27 +227,41 @@ def test_synthesis_is_deterministic_per_subject():
     np.testing.assert_array_equal(a[2].r_chosen, traj.reward_chosen())
 
 
-def test_bad_header_rejected(tmp_path):
+_LF_HEAD = "subject_id,trial,action,r_chosen,r_unchosen\n"
+_HEAD = _LF_HEAD.replace("\n", "\r\n")
+_MIXED = "subject 'S0': unchosen rewards must be all present or all absent"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("subject,trial,action,r_chosen,r_unchosen\nS0,0,1,1,0\n",
+     "{path}: expected header ['subject_id', 'trial', 'action', 'r_chosen', 'r_unchosen'], "
+     "got ['subject', 'trial', 'action', 'r_chosen', 'r_unchosen']"),
+    (_HEAD + "S0,0,1,1,0\r\nS0,1,2,0\r\n", "{path}: line 3: expected 5 columns, got 4"),
+    (_HEAD + "S0,0,1,1,0,1\r\n", "{path}: line 2: expected 5 columns, got 6"),
+    (_HEAD + "S0,x,1,1,0\r\n", "{path}: line 2: trial must be an integer, got 'x'"),
+    (_HEAD + "S0,0,1.0,1,0\r\n", "{path}: line 2: action must be an integer, got '1.0'"),
+    (_HEAD + "S0,0,1,yes,0\r\n", "{path}: line 2: r_chosen must be an integer, got 'yes'"),
+    (_HEAD + "S0,0,1,1,-\r\n", "{path}: line 2: r_unchosen must be an integer, got '-'"),
+    (_HEAD + "S0,0,,1,0\r\n", "{path}: line 2: action must be an integer, got ''"),
+    # two comment lines, then a quoted ID that spans two lines: the error
+    # names the physical line on which the bad row ends
+    ("# seed=3\r\n# two comments\r\n" + _HEAD + '"S\r\n0",0,1,1,0\r\n"S\r\n0",1,one,0,1\r\n',
+     "{path}: line 7: action must be an integer, got 'one'"),
+    (_HEAD, "{path}: no subject's trials after the header"),
+    (_LF_HEAD + "S0,0,1,1,0\nS0,2,2,0,1\n", "subject 'S0': trial indices must run 0..1"),
+    (_LF_HEAD + "S0,0,1,1,0\nS0,1,2,0,\n", _MIXED),
+    (_HEAD + "S0,0,1,1,\r\nS0,1,2,0,1\r\n", _MIXED),
+    (_HEAD + "S1,0,1,1,0\r\nS0,0,1,1,0\r\nS0,1,3,0,1\r\n",
+     "session 'S0' has actions outside {1, 2}"),
+], ids=["header", "4-cells", "6-cells", "trial", "action", "r_chosen", "r_unchosen",
+        "blank-action", "comments-and-quoted-id", "no-rows", "non-contiguous",
+        "present-then-blank", "blank-then-present", "action-3"])
+def test_read_sessions_names_each_fault_exactly(tmp_path, text, message):
     path = tmp_path / "bad.csv"
-    path.write_text("subject,trial,action,r_chosen,r_unchosen\nS0,0,1,1,0\n")
-    with pytest.raises(ValueError, match="header"):
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError) as err:
         read_sessions(path)
-
-
-def test_non_contiguous_trials_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("subject_id,trial,action,r_chosen,r_unchosen\n"
-                    "S0,0,1,1,0\nS0,2,2,0,1\n")
-    with pytest.raises(ValueError, match="trial indices"):
-        read_sessions(path)
-
-
-def test_mixed_hidden_rewards_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("subject_id,trial,action,r_chosen,r_unchosen\n"
-                    "S0,0,1,1,0\nS0,1,2,0,\n")
-    with pytest.raises(ValueError, match="all present"):
-        read_sessions(path)
+    assert str(err.value) == message.replace("{path}", str(path))
 
 
 def test_session_validation_catches_bad_values(tmp_path):

@@ -46,6 +46,30 @@ def _env(counterfactual: bool, horizon: int = 20, p1: float = 0.6, p2: float = 0
     return {"p1": p1, "p2": p2, "counterfactual": counterfactual, "horizon": horizon}
 
 
+def _interleave(sources, path: Path) -> None:
+    """Write the subjects of several sessions CSVs to one, taking a subject
+    from each file in turn, after a comment line; each subject is renamed
+    to an ID with a comma, a '"' and a CR/LF in it.  Written by ``csv``
+    itself, so that the table does not depend on the package's writer."""
+    subjects = []
+    for src in sources:
+        by_id: dict = {}
+        with open(src, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(r for r in reader if r[0] == "subject_id")
+            for row in reader:
+                by_id.setdefault(row[0], []).append(row[1:])
+        subjects.append([(f'{src.parent.name}, "{sid}"\r\n', rows)
+                         for sid, rows in by_id.items()])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("# sessions of two feedback modes\r\n")
+        out = csv.writer(fh)
+        out.writerow(["subject_id", "trial", "action", "r_chosen", "r_unchosen"])
+        for group in zip(*subjects):
+            for sid, rows in group:
+                out.writerows([sid, *row] for row in rows)
+
+
 def cases(work: Path):
     """(kind, case, config) in run order; later cases read earlier outputs."""
     q_cf = {"type": "q", "rates": Q_RATES, "beta": 5.0}
@@ -124,6 +148,13 @@ def cases(work: Path):
     yield "fit", "const-blocks", {
         "kind": "fit", "sessions": str(work / "simulate" / "q-counterfactual-blocks" / "sessions.csv"),
         "families": ["const"], "restarts": 1, "seed": 2}
+    # the reader on an awkward table: a comment line, subjects of both
+    # feedback modes interleaved, and IDs that csv must quote
+    mixed = work / "mixed-feedback.csv"
+    _interleave([work / "simulate" / case / "sessions.csv"
+                 for case in ("bayes-partial", "q-counterfactual")], mixed)
+    yield "fit", "mixed-feedback", {"kind": "fit", "sessions": str(mixed),
+                                    "restarts": 3, "seed": 2}
     rec = {"kind": "recover", "environment": _env(True, 24, 0.5, 0.5), "n_agents": 6,
            "beta_gen": 10, "restarts": 3}
     yield "recover", "bayes-greedy", {**rec, "policy": "greedy"}
